@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline check experiments quick-experiments examples clean
+.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline reqbench-check check experiments quick-experiments examples clean
 
 all: build test
 
@@ -93,6 +93,12 @@ bench-report:
 # commit the result deliberately.
 bench-baseline:
 	$(GO) run ./cmd/graftbench -quick -experiment table5,pktfilter-batch,swap-under-load -json-out BENCH_baseline.json
+
+# Self-test of the request benchmark (reqbench/, its own Go module, so
+# `test` never compiles it): every workload briefly, traced and untraced,
+# against this checkout's APIs. `bash reqbench/run.sh` runs it for real.
+reqbench-check:
+	cd reqbench && $(GO) test -count=1 .
 
 # Regenerate the paper's evaluation (Tables 1-6, Figure 1, ablations,
 # packet filter). Minutes at paper scale; use quick-experiments for CI.

@@ -119,9 +119,20 @@ proc evict {lruHead} {
 // removes pages as they are faulted in, exactly as the model application
 // of §3.1 does ("as each page is processed, its entry is removed from the
 // hot list").
+//
+// Set lays the nodes out contiguously from PEHotNodeBase. Remove unlinks
+// one node in place — a single store to its predecessor's next pointer
+// (or the head) — and leaves the dead node in the arena until the next
+// Set, so a removal costs one graft-memory store however long the list.
 type HotList struct {
 	m     *mem.Memory
-	pages []kernel.PageID
+	nodes []hotNode // in list order
+}
+
+// hotNode is one live page with the graft-memory address of its node.
+type hotNode struct {
+	page kernel.PageID
+	addr uint32
 }
 
 // NewHotList binds a hot list to graft memory m.
@@ -131,68 +142,76 @@ func NewHotList(m *mem.Memory) *HotList {
 	return hl
 }
 
-// Set replaces the hot list contents.
+// Set replaces the hot list contents, rewriting the node arena.
 func (hl *HotList) Set(pages []kernel.PageID) {
 	if len(pages) > PEMaxHot {
 		panic(fmt.Sprintf("grafts: hot list %d exceeds capacity %d", len(pages), PEMaxHot))
 	}
-	hl.pages = append(hl.pages[:0], pages...)
-	hl.rewrite()
+	hl.nodes = hl.nodes[:0]
+	if len(pages) == 0 {
+		hl.m.St32U(PEHotHeadAddr, 0)
+		return
+	}
+	hl.m.St32U(PEHotHeadAddr, PEHotNodeBase)
+	for i, p := range pages {
+		addr := uint32(PEHotNodeBase + 8*i)
+		next := uint32(0)
+		if i+1 < len(pages) {
+			next = addr + 8
+		}
+		hl.m.St32U(addr, uint32(p))
+		hl.m.St32U(addr+4, next)
+		hl.nodes = append(hl.nodes, hotNode{page: p, addr: addr})
+	}
 }
 
 // Remove deletes page from the hot list if present, returning whether it
 // was there.
 func (hl *HotList) Remove(page kernel.PageID) bool {
-	for i, p := range hl.pages {
-		if p == page {
-			hl.pages = append(hl.pages[:i], hl.pages[i+1:]...)
-			hl.rewrite()
-			return true
+	for i, n := range hl.nodes {
+		if n.page != page {
+			continue
 		}
+		next := uint32(0)
+		if i+1 < len(hl.nodes) {
+			next = hl.nodes[i+1].addr
+		}
+		if i == 0 {
+			hl.m.St32U(PEHotHeadAddr, next)
+		} else {
+			hl.m.St32U(hl.nodes[i-1].addr+4, next)
+		}
+		hl.nodes = append(hl.nodes[:i], hl.nodes[i+1:]...)
+		return true
 	}
 	return false
 }
 
 // Len reports the current hot list length.
-func (hl *HotList) Len() int { return len(hl.pages) }
+func (hl *HotList) Len() int { return len(hl.nodes) }
 
 // Contains reports whether page is hot.
 func (hl *HotList) Contains(page kernel.PageID) bool {
-	for _, p := range hl.pages {
-		if p == page {
+	for _, n := range hl.nodes {
+		if n.page == page {
 			return true
 		}
 	}
 	return false
 }
 
-// rewrite serializes the list into graft memory as linked nodes.
-func (hl *HotList) rewrite() {
-	if len(hl.pages) == 0 {
-		hl.m.St32U(PEHotHeadAddr, 0)
-		return
-	}
-	hl.m.St32U(PEHotHeadAddr, PEHotNodeBase)
-	for i, p := range hl.pages {
-		addr := uint32(PEHotNodeBase + 8*i)
-		next := uint32(0)
-		if i+1 < len(hl.pages) {
-			next = addr + 8
-		}
-		hl.m.St32U(addr, uint32(p))
-		hl.m.St32U(addr+4, next)
-	}
-}
-
 // GraftEvictionPolicy adapts a loaded pageevict graft to the Pager's
-// Prioritization hook.
+// Prioritization hook, calling through the resolved entry point with an
+// argument buffer it owns, as the kernel's fault path would.
 type GraftEvictionPolicy struct {
-	g tech.Graft
+	g      tech.Graft
+	evict  func(args []uint32) (uint32, error)
+	argBuf [1]uint32
 }
 
 // NewGraftEvictionPolicy wraps g (which must export "evict").
 func NewGraftEvictionPolicy(g tech.Graft) *GraftEvictionPolicy {
-	return &GraftEvictionPolicy{g: g}
+	return &GraftEvictionPolicy{g: g, evict: tech.ResolveDirect(g, "evict")}
 }
 
 // ChooseVictim implements kernel.EvictionPolicy: hand the graft the LRU
@@ -202,7 +221,8 @@ func (p *GraftEvictionPolicy) ChooseVictim(pg *kernel.Pager, candidate kernel.Pa
 	if head == 0 {
 		return kernel.InvalidPage, nil
 	}
-	v, err := p.g.Invoke("evict", head)
+	p.argBuf[0] = head
+	v, err := p.evict(p.argBuf[:])
 	if err != nil {
 		return kernel.InvalidPage, err
 	}

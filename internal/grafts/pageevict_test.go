@@ -1,6 +1,7 @@
 package grafts
 
 import (
+	"fmt"
 	"testing"
 
 	"graftlab/internal/btree"
@@ -197,6 +198,61 @@ func TestHotListMaintenance(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != 10 || got[1] != 30 {
 		t.Fatalf("after remove: %v", got)
+	}
+
+	// Removals unlink in place: head, middle and tail removals interleaved
+	// with Set must leave the walk through graft memory equal to the
+	// Go-side list every time.
+	walkMatches := func(step string) {
+		t.Helper()
+		var walk []kernel.PageID
+		for n := m.Ld32U(PEHotHeadAddr); n != 0; n = m.Ld32U(n + 4) {
+			if len(walk) > PEMaxHot {
+				t.Fatalf("%s: hot list walk does not terminate", step)
+			}
+			walk = append(walk, kernel.PageID(m.Ld32U(n)))
+		}
+		if len(walk) != hl.Len() {
+			t.Fatalf("%s: graft memory walk %v, Go-side list %v", step, walk, hl.nodes)
+		}
+		for i, n := range hl.nodes {
+			if walk[i] != n.page || !hl.Contains(n.page) {
+				t.Fatalf("%s: graft memory walk %v, Go-side list %v", step, walk, hl.nodes)
+			}
+		}
+	}
+	hl.Set([]kernel.PageID{1, 2, 3, 4, 5, 6})
+	walkMatches("set")
+	for _, step := range []struct {
+		remove kernel.PageID
+		set    []kernel.PageID
+	}{
+		{remove: 1}, // head
+		{remove: 4}, // middle
+		{remove: 6}, // tail
+		{remove: 9}, // absent: nothing changes
+		{set: []kernel.PageID{7, 8, 9}},
+		{remove: 8}, // middle of the rewritten arena
+		{remove: 9}, // tail, leaving a single node
+		{remove: 7}, // last node: empty list
+		{set: []kernel.PageID{11, 12}},
+		{remove: 11}, // head again
+		{set: []kernel.PageID{13}},
+	} {
+		name := fmt.Sprintf("remove %d", step.remove)
+		if step.set != nil {
+			name = fmt.Sprintf("set %v", step.set)
+			hl.Set(step.set)
+		} else {
+			was := hl.Contains(step.remove)
+			if hl.Remove(step.remove) != was || hl.Contains(step.remove) {
+				t.Fatalf("%s: Remove result disagrees with Contains", name)
+			}
+		}
+		walkMatches(name)
+	}
+	if hl.Len() != 1 || !hl.Contains(13) {
+		t.Fatalf("final list %v, want [13]", hl.nodes)
 	}
 }
 

@@ -8,7 +8,8 @@ import (
 )
 
 // VersionSnapshot is one version's data-plane telemetry at a point in
-// time, in the units the canary comparison consumes.
+// time, in the units the canary comparison consumes. Counts are exact;
+// the latency figures summarize the LatencySamples timed invocations.
 type VersionSnapshot struct {
 	Version           uint64
 	Digest            string
@@ -18,6 +19,7 @@ type VersionSnapshot struct {
 	Errors            uint64
 	Preemptions       uint64
 	FuelPerInvocation float64
+	LatencySamples    uint64
 	Mean              time.Duration
 	Std               time.Duration
 	P50               time.Duration
@@ -25,25 +27,29 @@ type VersionSnapshot struct {
 	Max               time.Duration
 }
 
-// Snapshot reads the version's telemetry. Concurrent with traffic the
-// numbers are consistent-enough counters, not a linearizable cut.
+// Snapshot reads the version's lifetime telemetry. Concurrent with
+// traffic the numbers are consistent-enough counters, not a
+// linearizable cut.
 func (v *Version) Snapshot() VersionSnapshot {
+	m := v.met
+	lat := m.Latency()
 	s := VersionSnapshot{
-		Version:     v.Artifact.Version,
-		Digest:      v.Artifact.Digest,
-		State:       v.State(),
-		Invocations: v.stats.invocations.Load(),
-		Traps:       v.stats.traps.Load(),
-		Errors:      v.stats.errs.Load(),
-		Preemptions: v.stats.preempts.Load(),
-		Mean:        v.stats.latency.Mean(),
-		Std:         v.stats.latency.Std(),
-		P50:         v.stats.latency.Quantile(0.50),
-		P99:         v.stats.latency.Quantile(0.99),
-		Max:         v.stats.latency.Max(),
+		Version:        v.Artifact.Version,
+		Digest:         v.Artifact.Digest,
+		State:          v.State(),
+		Invocations:    m.Invocations(),
+		Traps:          m.Traps(),
+		Errors:         m.Errors(),
+		Preemptions:    m.FuelPreemptions(),
+		LatencySamples: lat.Count(),
+		Mean:           lat.Mean(),
+		Std:            lat.Std(),
+		P50:            lat.Quantile(0.50),
+		P99:            lat.Quantile(0.99),
+		Max:            lat.Max(),
 	}
 	if s.Invocations > 0 {
-		s.FuelPerInvocation = float64(v.stats.fuel.Load()) / float64(s.Invocations)
+		s.FuelPerInvocation = float64(m.FuelConsumed()) / float64(s.Invocations)
 	}
 	return s
 }
@@ -57,32 +63,28 @@ func (s VersionSnapshot) failureRate() float64 {
 }
 
 // windowSnapshot reads the version's telemetry over the trailing window
-// d instead of its lifetime, via the versioned key's bucket ring. False
-// when the version was deployed without telemetry (no windowed plane
-// exists for it).
-func (v *Version) windowSnapshot(d time.Duration) (VersionSnapshot, bool) {
-	if v.met == nil {
-		return VersionSnapshot{}, false
-	}
+// d instead of its lifetime, via the versioned key's bucket ring.
+func (v *Version) windowSnapshot(d time.Duration) VersionSnapshot {
 	w := v.met.Window(d)
 	s := VersionSnapshot{
-		Version:     v.Artifact.Version,
-		Digest:      v.Artifact.Digest,
-		State:       v.State(),
-		Invocations: w.Invocations,
-		Traps:       w.Traps,
-		Errors:      w.Errors,
-		Preemptions: w.Preempts,
-		Mean:        w.Mean,
-		Std:         w.Std,
-		P50:         w.P50,
-		P99:         w.P99,
-		Max:         w.Max,
+		Version:        v.Artifact.Version,
+		Digest:         v.Artifact.Digest,
+		State:          v.State(),
+		Invocations:    w.Invocations,
+		Traps:          w.Traps,
+		Errors:         w.Errors,
+		Preemptions:    w.Preempts,
+		LatencySamples: w.LatencySamples,
+		Mean:           w.Mean,
+		Std:            w.Std,
+		P50:            w.P50,
+		P99:            w.P99,
+		Max:            w.Max,
 	}
 	if s.Invocations > 0 {
 		s.FuelPerInvocation = float64(w.Fuel) / float64(s.Invocations)
 	}
-	return s, true
+	return s
 }
 
 // CanaryPolicy thresholds the candidate-vs-incumbent comparison. Zero
@@ -108,8 +110,6 @@ type CanaryPolicy struct {
 	// sliding windows the watchdog burns rates over. A long-lived
 	// incumbent's ancient history then cannot dilute the comparison: the
 	// candidate is judged against what the incumbent is doing *now*.
-	// Requires both versions to have been deployed with telemetry
-	// enabled; Canary falls back to lifetime aggregates otherwise.
 	Window time.Duration
 }
 
@@ -138,8 +138,10 @@ type CanaryReport struct {
 	Slot      string
 	Incumbent VersionSnapshot
 	Candidate VersionSnapshot
-	// LatencyD is Cohen's d of candidate vs incumbent latency (positive
-	// when the candidate is slower); Effect buckets |d|.
+	// LatencyD is Cohen's d of candidate vs incumbent latency over
+	// their latency samples (positive when the candidate is slower);
+	// Effect buckets |d|. It stays 0 until each side has two samples,
+	// the fewest a standard deviation needs.
 	LatencyD     float64
 	Effect       string
 	LatencyRatio float64
@@ -147,9 +149,8 @@ type CanaryReport struct {
 	TrapRateDelta float64
 	Verdict       string
 	Reason        string
-	// Window is the trailing span the snapshots cover when the policy
-	// requested a windowed comparison and both versions supported it;
-	// zero means lifetime aggregates were compared.
+	// Window is the trailing span the snapshots cover; zero means
+	// lifetime aggregates were compared.
 	Window time.Duration
 }
 
@@ -166,15 +167,15 @@ func (s *Slot) Canary(p CanaryPolicy) (*CanaryReport, error) {
 		return nil, ErrNoCandidate
 	}
 	p = p.withDefaults()
-	inc := ls.incumbent.Snapshot()
-	cand := ls.candidate.Snapshot()
-	window := time.Duration(0)
-	if p.Window > 0 {
-		wi, iok := ls.incumbent.windowSnapshot(p.Window)
-		wc, cok := ls.candidate.windowSnapshot(p.Window)
-		if iok && cok {
-			inc, cand, window = wi, wc, p.Window
-		}
+	var inc, cand VersionSnapshot
+	window := p.Window
+	if window > 0 {
+		inc = ls.incumbent.windowSnapshot(window)
+		cand = ls.candidate.windowSnapshot(window)
+	} else {
+		window = 0
+		inc = ls.incumbent.Snapshot()
+		cand = ls.candidate.Snapshot()
 	}
 	r := &CanaryReport{
 		Slot:          s.name,
@@ -183,9 +184,11 @@ func (s *Slot) Canary(p CanaryPolicy) (*CanaryReport, error) {
 		Window:        window,
 		TrapRateDelta: cand.failureRate() - inc.failureRate(),
 	}
-	r.LatencyD = stats.CohensDStats(
-		float64(inc.Mean), float64(inc.Std), int(inc.Invocations),
-		float64(cand.Mean), float64(cand.Std), int(cand.Invocations))
+	if inc.LatencySamples >= 2 && cand.LatencySamples >= 2 {
+		r.LatencyD = stats.CohensDStats(
+			float64(inc.Mean), float64(inc.Std), int(inc.LatencySamples),
+			float64(cand.Mean), float64(cand.Std), int(cand.LatencySamples))
+	}
 	r.Effect = stats.EffectVerdict(r.LatencyD)
 	if inc.Mean > 0 {
 		r.LatencyRatio = float64(cand.Mean) / float64(inc.Mean)

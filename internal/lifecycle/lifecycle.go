@@ -64,17 +64,22 @@ type Carrier interface {
 // contract, so the mutex is what makes a lone engine safe to hang off a
 // slot that concurrent workers invoke.
 type singleCarrier struct {
-	mu sync.Mutex
-	g  tech.Graft
+	mu      sync.Mutex
+	g       tech.Graft
+	release func() // mu.Unlock, bound once: a method value per Acquire allocates
 }
 
 func (c *singleCarrier) Acquire() (tech.Graft, func(), error) {
 	c.mu.Lock()
-	return c.g, c.mu.Unlock, nil
+	return c.g, c.release, nil
 }
 
 // Single wraps one loaded engine as a Carrier, serializing access.
-func Single(g tech.Graft) Carrier { return &singleCarrier{g: g} }
+func Single(g tech.Graft) Carrier {
+	c := &singleCarrier{g: g}
+	c.release = c.mu.Unlock
+	return c
+}
 
 // pooledCarrier adapts a tech.Pool.
 type pooledCarrier struct{ p *tech.Pool }
@@ -177,17 +182,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// VersionStats accumulates per-version data-plane telemetry. All atomic
-// — recorded from the data plane without locks.
-type VersionStats struct {
-	invocations atomic.Uint64
-	traps       atomic.Uint64
-	errs        atomic.Uint64
-	preempts    atomic.Uint64
-	fuel        atomic.Int64
-	latency     telemetry.Histogram
-}
-
 // Version is one deployed artifact: the immutable identity plus the
 // executable carrier and the telemetry split out per version (the
 // canary comparison needs candidate and incumbent distributions kept
@@ -196,11 +190,15 @@ type Version struct {
 	Artifact tech.Artifact
 	carrier  Carrier
 	state    atomic.Int32
-	stats    VersionStats
-	// met mirrors the per-version stats into the global telemetry
-	// registry under the versioned name ("pktfilter@v2"), when telemetry
-	// was enabled at deploy time — that is the name the watchdog flags.
+	// met is the version's one recording path, keyed by the versioned
+	// name ("pktfilter@v2"). While telemetry is enabled at deploy time
+	// it is registered — the name the watchdog flags and the export
+	// surface shows — and same-named slots share it; otherwise the
+	// version owns it unregistered.
 	met *telemetry.GraftMetrics
+	// committed counts invocations recorded against this version
+	// alone, for the slot's conservation ledger (met may be shared).
+	committed atomic.Uint64
 }
 
 // State reports the version's lifecycle state marker.
@@ -212,47 +210,36 @@ func (v *Version) State() State { return State(v.state.Load()) }
 // windowed numbers without importing this package.
 func (v *Version) setState(s State) {
 	v.state.Store(int32(s))
-	if v.met != nil {
-		note := s.String()
-		if s == StateCandidate {
-			note = "canary"
-		}
-		v.met.SetNote(note)
+	note := s.String()
+	if s == StateCandidate {
+		note = "canary"
 	}
+	v.met.SetNote(note)
 }
 
 // Invocations reports how many invocations committed against v.
-func (v *Version) Invocations() uint64 { return v.stats.invocations.Load() }
+func (v *Version) Invocations() uint64 { return v.committed.Load() }
+
+// sampled reports whether the version's next invocation is timed. It
+// follows the version's own count, not the slot's sequence number: the
+// canary cadence is a function of the sequence number, so 1-in-4
+// routing under a 1-in-256 interval would otherwise never time the
+// incumbent. Concurrent invocations may read the same count; sampling
+// stays 1-in-N on average, which is all the histograms need.
+func (v *Version) sampled() bool { return (v.committed.Load()+1)&v.met.Mask() == 0 }
 
 // record commits one completed invocation's telemetry. Called only
 // after the live-set revalidation in Slot.Do, so every execution is
 // recorded at most once and always against the version that served it.
-func (v *Version) record(err error, lat time.Duration, fuel int64) {
-	v.stats.invocations.Add(1)
-	v.stats.latency.Record(lat)
-	if fuel > 0 {
-		v.stats.fuel.Add(fuel)
+// Only a timed invocation or an error reads the clock.
+func (v *Version) record(err error, timed bool, lat time.Duration, fuel int64) {
+	v.committed.Add(1)
+	v.met.Count(fuel)
+	if timed {
+		v.met.RecordLatency(lat)
 	}
 	if err != nil {
-		var tr *mem.Trap
-		if errors.As(err, &tr) {
-			v.stats.traps.Add(1)
-			if tr.Kind == mem.TrapFuel {
-				v.stats.preempts.Add(1)
-			}
-		} else {
-			v.stats.errs.Add(1)
-		}
-	}
-	if v.met != nil {
-		v.met.AddInvocations(1)
-		v.met.RecordLatency(lat)
-		if fuel > 0 {
-			v.met.AddFuel(fuel)
-		}
-		if err != nil {
-			v.met.RecordError(err)
-		}
+		v.met.RecordError(err)
 	}
 }
 
@@ -287,7 +274,6 @@ type Result struct {
 	// mid-flight; the recorded execution ran against the new live set.
 	Retries int
 	Fuel    int64
-	Latency time.Duration
 }
 
 // Slot is one named extension point (e.g. the packet filter) with a
@@ -400,8 +386,11 @@ func (s *Slot) deploy(a tech.Artifact, prep func(m *mem.Memory) error) (*Version
 		return nil, err
 	}
 	v := &Version{Artifact: a, carrier: carrier}
+	name := VersionedName(s.name, a.Version)
 	if telemetry.Enabled() {
-		v.met = telemetry.Register(VersionedName(s.name, a.Version), string(s.tech))
+		v.met = telemetry.Register(name, string(s.tech))
+	} else {
+		v.met = telemetry.NewGraftMetrics(name, string(s.tech))
 	}
 	v.setState(StateCandidate)
 	return v, nil
@@ -547,6 +536,11 @@ func (s *Slot) Invoke(entry string, args ...uint32) (Result, error) {
 // so the caller's operation is neither lost nor attributed to a retired
 // version. The returned error is the graft's own result (traps
 // included); acquire/prep failures abort without retrying.
+//
+// The recording is one exact count per invocation; only every N-th
+// invocation of a version (N the telemetry sample interval) is timed,
+// so an untimed, error-free invocation reads no clock and allocates
+// nothing.
 func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) (Result, error) {
 	var res Result
 	var n uint64
@@ -577,9 +571,16 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 				return res, fmt.Errorf("lifecycle: prep %s: %w", v.Artifact.Ref(), perr)
 			}
 		}
-		start := time.Now()
+		timed := v.sampled()
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
 		val, ierr := g.Invoke(entry, args...)
-		lat := time.Since(start)
+		var lat time.Duration
+		if timed {
+			lat = time.Since(start)
+		}
 		var fuel int64
 		if fr, ok := g.(tech.FuelReporter); ok {
 			fuel = fr.FuelUsed()
@@ -595,13 +596,12 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 			s.retries.Add(1)
 			continue
 		}
-		v.record(ierr, lat, fuel)
+		v.record(ierr, timed, lat, fuel)
 		res.Value = val
 		res.Version = v.Artifact.Version
 		res.Epoch = ls.epoch
 		res.Canary = canary
 		res.Fuel = fuel
-		res.Latency = lat
 		s.gateAt(PointRecorded)
 		return res, ierr
 	}
@@ -635,7 +635,7 @@ func (s *Slot) Accounting() Accounting {
 		Demotions: s.demotions.Load(),
 	}
 	for _, v := range versions {
-		a.Committed += v.stats.invocations.Load()
+		a.Committed += v.committed.Load()
 	}
 	return a
 }

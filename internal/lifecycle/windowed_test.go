@@ -131,37 +131,6 @@ func TestCanaryWindowedForgivesAgedBlip(t *testing.T) {
 	}
 }
 
-// TestCanaryWindowFallsBackWithoutTelemetry pins the degradation: a
-// policy asking for a windowed comparison against versions deployed
-// with telemetry off silently compares lifetime aggregates (Window 0 in
-// the report) instead of erroring or reading empty windows.
-func TestCanaryWindowFallsBackWithoutTelemetry(t *testing.T) {
-	telemetry.SetEnabled(false)
-	s := lifecycle.NewSlot("noTelSlot", tech.Bytecode,
-		lifecycle.Loader(tech.Bytecode, decideMemSize, tech.Options{Fuel: 1 << 12}))
-	if err := s.Activate(tech.NewArtifact(scaledSrc(1), 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stage(tech.NewArtifact(scaledSrc(1), 2), nil, 2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if _, err := s.Invoke("work", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := s.Canary(lifecycle.CanaryPolicy{Window: time.Second, MaxLatencyRatio: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Window != 0 {
-		t.Fatalf("report window = %v, want 0 (lifetime fallback)", r.Window)
-	}
-	if r.Candidate.Invocations == 0 {
-		t.Fatal("fallback compared empty snapshots")
-	}
-}
-
 // TestLifecycleNotesFollowStates pins the telemetry note mirror: the
 // versioned keys carry "canary"/"incumbent"/"demoted"/"retired" labels
 // as versions move through the state machine, so the export surface and

@@ -158,9 +158,11 @@ func (d *Demux) RegisterBatch(name string, g tech.Graft, cfg BatchConfig) (*Endp
 // technology boundary once per chunk of up to 32 pending frames per
 // batch-capable endpoint. The returned slice has one entry per frame:
 // the claiming endpoint or nil, identical to per-frame Deliver calls.
+// It is freshly allocated (callers keep it); the pending-frame list is
+// scratch the Demux reuses across calls.
 func (d *Demux) DeliverBatch(frames []Packet) []*Endpoint {
 	out := make([]*Endpoint, len(frames))
-	pending := make([]int, 0, len(frames))
+	pending := d.pending[:0]
 	for i, p := range frames {
 		d.stats.Frames++
 		if len(d.ports) > 0 && p.IsUDPv4() {
@@ -173,6 +175,7 @@ func (d *Demux) DeliverBatch(frames []Packet) []*Endpoint {
 		}
 		pending = append(pending, i)
 	}
+	d.pending = pending // keep any growth for the next call
 	for _, ep := range d.endpoints {
 		if len(pending) == 0 {
 			break
@@ -214,9 +217,12 @@ func (d *Demux) offerSingly(ep *Endpoint, frames []Packet, pending []int, out []
 // offerBatch drives one batch-capable endpoint over the pending frames,
 // chunking to the endpoint's per-crossing cap and applying the sentinel
 // trap-attribution protocol. It returns the frames the endpoint rejected
-// (including trapped-on frames), still pending for later endpoints.
+// (including trapped-on frames), still pending for later endpoints. Like
+// offerSingly it filters in place: every frame read appends at most one
+// entry to still, so a write never passes the frame being read, and
+// frames re-batched after a trap sit at or beyond the read position.
 func (d *Demux) offerBatch(ep *Endpoint, frames []Packet, pending []int, out []*Endpoint) []int {
-	var still []int
+	still := pending[:0]
 	accept := func(i int) {
 		ep.Matched++
 		d.stats.Delivered++

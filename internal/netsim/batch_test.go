@@ -233,6 +233,33 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	}
 }
 
+// TestDeliverBatchAllocatesOnlyResult pins the batch path's allocation
+// budget: the per-frame result slice, which callers keep, is the one
+// allocation per call. The pending-frame list is Demux scratch and each
+// endpoint filters it in place, so frames passing through the graft and
+// on to a later endpoint cost nothing more.
+func TestDeliverBatchAllocatesOnlyResult(t *testing.T) {
+	frames := make([]netsim.Packet, 0, 32)
+	for i := 0; i < 32; i++ {
+		port := []uint16{matchPort, 7000, 6000, uint16(10000 + i)}[i%4]
+		frames = append(frames, buildFrame(port, netsim.ProtoUDP, uint32(i)))
+	}
+	for _, verdicts := range []bool{true, false} {
+		d := diffDemux(t, trapFilter, tech.Bytecode, tech.Options{}, true, verdicts)
+		names := map[string]int{}
+		for _, ep := range d.DeliverBatch(frames) {
+			names[epName(ep)]++
+		}
+		if names["graft"] != 8 || names["port-7000"] != 8 || names["downstream"] != 8 || names[""] != 8 {
+			t.Fatalf("verdicts=%v: assignments %v, want 8 each", verdicts, names)
+		}
+		allocs := testing.AllocsPerRun(200, func() { d.DeliverBatch(frames) })
+		if allocs != 1 {
+			t.Errorf("verdicts=%v: DeliverBatch allocates %v times per call, want 1 (the result)", verdicts, allocs)
+		}
+	}
+}
+
 // wantErrors sums filter errors across a demux by re-deriving them from
 // delivered stats: the graft endpoint is the only one that traps, so its
 // Errors counter is the number of trap-trigger frames it saw.

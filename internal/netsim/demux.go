@@ -53,6 +53,7 @@ type Demux struct {
 	ports      map[uint16]*Endpoint
 	stats      DemuxStats
 	batchStats BatchStats
+	pending    []int // DeliverBatch scratch: frames no endpoint claimed yet
 }
 
 // NewDemux builds an empty demultiplexer.

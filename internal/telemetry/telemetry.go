@@ -112,11 +112,15 @@ type GraftMetrics struct {
 	latency Histogram
 	mask    uint64 // latency sampling mask (interval-1)
 
-	// win is the sliding-window plane (window.go): every flush point
-	// mirrors its counts into the current time bucket so windowed
-	// snapshots, burn-rate SLOs, and the /metrics surface see recent
-	// activity separately from the cumulative counters above.
-	win *Windows
+	// win is the sliding-window plane (window.go): every clock read on
+	// this key lands the invocations and fuel no bucket holds yet in the
+	// current time bucket, so windowed snapshots, burn-rate SLOs, and
+	// the /metrics surface see recent activity separately from the
+	// cumulative counters above. landedInv and landedFuel are how much
+	// of invocations and fuel the ring already holds.
+	win        *Windows
+	landedInv  atomic.Uint64
+	landedFuel atomic.Uint64
 
 	// note is a free-form state label the lifecycle layer stamps on
 	// versioned keys ("canary", "incumbent", "demoted", …) so the export
@@ -135,6 +139,19 @@ type GraftMetrics struct {
 // it to decide whether this invocation is latency-sampled).
 func (m *GraftMetrics) Inc() uint64 { return m.invocations.Add(1) }
 
+// Count records one completed invocation and the fuel it used, exactly
+// and without reading the clock: the count reaches the window ring at
+// the key's next clock read (a RecordLatency, a RecordError, or a
+// Window/WindowAll snapshot). Callers that time only every n-th
+// invocation thereby keep the untimed ones clock-free while windowed
+// counts stay exact whenever they are read.
+func (m *GraftMetrics) Count(fuel int64) {
+	m.invocations.Add(1)
+	if fuel > 0 {
+		m.fuel.Add(fuel)
+	}
+}
+
 // Mask returns the sampling mask (interval-1) captured at Register time.
 // Single-writer callers batch their invocation counting against it and
 // flush with AddInvocations — a locked add per invocation alone costs
@@ -149,7 +166,7 @@ func (m *GraftMetrics) Mask() uint64 { return m.mask }
 // at-most-one-interval lag.
 func (m *GraftMetrics) AddInvocations(n uint64) {
 	m.invocations.Add(n)
-	m.win.addInvocations(n)
+	m.bucket()
 }
 
 // Sampled reports whether the n-th invocation should be timed.
@@ -159,14 +176,14 @@ func (m *GraftMetrics) Sampled(n uint64) bool { return n&m.mask == 0 }
 // current-window histograms.
 func (m *GraftMetrics) RecordLatency(d time.Duration) {
 	m.latency.Record(d)
-	m.win.recordLatency(d)
+	m.bucket().lat.Record(d)
 }
 
 // AddFuel accumulates fuel consumed by one invocation.
 func (m *GraftMetrics) AddFuel(n int64) {
 	if n > 0 {
 		m.fuel.Add(n)
-		m.win.addFuel(n)
+		m.bucket()
 	}
 }
 
@@ -177,11 +194,53 @@ func (m *GraftMetrics) RecordError(err error) {
 	var t *mem.Trap
 	if errors.As(err, &t) && int(t.Kind) < numTrapKinds {
 		m.traps[t.Kind].Add(1)
-		m.win.recordTrap(t.Kind == mem.TrapFuel)
+		b := m.bucket()
+		b.traps.Add(1)
+		if t.Kind == mem.TrapFuel {
+			b.preempts.Add(1)
+		}
 		return
 	}
 	m.errors.Add(1)
-	m.win.recordError()
+	m.bucket().errs.Add(1)
+}
+
+// bucket is the key's clock read: it returns the current window bucket
+// after landing there every invocation and fuel unit the cumulative
+// counters hold but the ring does not yet. Landing claims the pending
+// amount by advancing the landed mark with a CAS, so concurrent clock
+// reads split it between them: a count is never lost and never landed
+// twice.
+func (m *GraftMetrics) bucket() *windowBucket {
+	b := m.win.bucket()
+	if n := claim(m.invocations.Load(), &m.landedInv); n > 0 {
+		b.invocations.Add(n)
+	}
+	if f := claim(uint64(m.fuel.Load()), &m.landedFuel); f > 0 {
+		b.fuel.Add(int64(f))
+	}
+	return b
+}
+
+// pending reports whether the cumulative counters hold anything the
+// window ring does not.
+func (m *GraftMetrics) pending() bool {
+	return m.invocations.Load() > m.landedInv.Load() ||
+		uint64(m.fuel.Load()) > m.landedFuel.Load()
+}
+
+// claim advances *landed to total and returns by how much, or 0 when
+// another caller already landed at least that far.
+func claim(total uint64, landed *atomic.Uint64) uint64 {
+	for {
+		l := landed.Load()
+		if total <= l {
+			return 0
+		}
+		if landed.CompareAndSwap(l, total) {
+			return total - l
+		}
+	}
 }
 
 // SetNote stamps a free-form state label on the key ("canary",
@@ -204,6 +263,18 @@ func (m *GraftMetrics) Note() string {
 
 // Invocations reports the total invocation count.
 func (m *GraftMetrics) Invocations() uint64 { return m.invocations.Load() }
+
+// Errors reports how many invocations failed without trapping.
+func (m *GraftMetrics) Errors() uint64 { return m.errors.Load() }
+
+// Traps reports how many invocations trapped, over every kind.
+func (m *GraftMetrics) Traps() uint64 {
+	var n uint64
+	for k := range m.traps {
+		n += m.traps[k].Load()
+	}
+	return n
+}
 
 // TrapCount reports how many invocations trapped with kind k.
 func (m *GraftMetrics) TrapCount(k mem.TrapKind) uint64 {
@@ -324,9 +395,19 @@ func Register(graft, tech string) *GraftMetrics {
 	if m, ok := registry.byKey[key]; ok {
 		return m
 	}
-	m := &GraftMetrics{GraftName: graft, Tech: tech, mask: sampleMask.Load(), win: newWindows()}
+	m := NewGraftMetrics(graft, tech)
 	registry.byKey[key] = m
 	return m
+}
+
+// NewGraftMetrics builds an accumulator like the ones Register hands
+// out, with the current sampling interval and window geometry, but
+// owned by the caller: it is not in the registry, so Metrics, the
+// export surface and the watchdog never see it. Its window ring is
+// allocated only when counts first land, so an accumulator that never
+// records a latency, an error, or a windowed snapshot costs no ring.
+func NewGraftMetrics(graft, tech string) *GraftMetrics {
+	return &GraftMetrics{GraftName: graft, Tech: tech, mask: sampleMask.Load(), win: newWindows()}
 }
 
 // Metrics returns every registered accumulator, sorted by graft then

@@ -25,14 +25,17 @@ import (
 // published epoch. There is no rotation goroutine and no lock anywhere
 // on the path.
 //
-// Budget: window recording rides the existing batched single-writer
-// flush points (AddInvocations / RecordLatency / AddFuel fire every
-// sampling interval, RecordError only on the already-slow error path),
-// so the added cost is one coarse clock read plus a handful of
-// uncontended atomic adds per flush — amortized to well under a
-// nanosecond per invocation at the default 1-in-256 interval.
-// BenchmarkObservabilityHotPath/window-* prices the pieces and the A6
-// ablation row re-measures the end-to-end budget with windows enabled.
+// Budget: window recording rides the key's clock reads — the batched
+// single-writer flush points (AddInvocations / RecordLatency / AddFuel
+// fire every sampling interval), RecordError on the already-slow error
+// path, and windowed snapshots. Counts recorded without a clock read
+// (GraftMetrics.Count) wait in the cumulative counters and land in the
+// bucket current at the next clock read, so the added cost is one
+// coarse clock read plus a handful of uncontended atomic adds per flush
+// — amortized to well under a nanosecond per invocation at the default
+// 1-in-256 interval. BenchmarkObservabilityHotPath/window-* prices the
+// pieces and the A6 ablation row re-measures the end-to-end budget with
+// windows enabled.
 
 // WindowConfig shapes the per-key bucket ring: Width is one bucket's
 // time slice, Buckets the ring length, so the ring retains
@@ -45,7 +48,7 @@ type WindowConfig struct {
 
 // DefaultWindowConfig retains 64 five-second buckets (320s): enough to
 // serve both burn-rate windows the watchdog defaults to (10s fast, 5m
-// slow) at ~38KB per registered key.
+// slow) at ~37KB per key that has landed any counts.
 var DefaultWindowConfig = WindowConfig{Width: 5 * time.Second, Buckets: 64}
 
 // windowWidth/windowBuckets are the current registration-time config,
@@ -61,7 +64,7 @@ func init() {
 }
 
 // SetWindowConfig sets the bucket geometry for keys registered after
-// the call (the ring is allocated at Register time). Tests use small
+// the call (the geometry is captured at Register time). Tests use small
 // widths so rotations happen in milliseconds; production keeps the
 // default. Width must be positive and Buckets >= 2 (a single bucket
 // cannot hold one complete slice plus the current partial one).
@@ -104,26 +107,41 @@ func (b *windowBucket) zero() {
 	b.lat.Reset()
 }
 
-// Windows is one key's bucket ring. The clock is a field so rotation
-// edge cases (stalls, spans crossing a rotation) are testable without
-// sleeping.
+// Windows is one key's bucket ring. The ring is allocated by the first
+// write, so a key that never lands counts (an unregistered accumulator
+// on a slot that redeploys before its first sample) costs no buckets.
+// The clock is a field so rotation edge cases (stalls, spans crossing a
+// rotation) are testable without sleeping.
 type Windows struct {
-	width int64 // bucket width, ns
-	ring  []windowBucket
-	now   func() int64 // unix ns; swapped by tests
+	width   int64 // bucket width, ns
+	buckets int   // ring length
+	ring    atomic.Pointer[[]windowBucket]
+	now     func() int64 // unix ns; swapped by tests
 }
 
 func newWindows() *Windows {
 	return &Windows{
-		width: windowWidth.Load(),
-		ring:  make([]windowBucket, windowBuckets.Load()),
-		now:   func() int64 { return time.Now().UnixNano() },
+		width:   windowWidth.Load(),
+		buckets: int(windowBuckets.Load()),
+		now:     func() int64 { return time.Now().UnixNano() },
 	}
 }
 
 // Span reports how much history the ring retains.
 func (w *Windows) Span() time.Duration {
-	return time.Duration(w.width * int64(len(w.ring)))
+	return time.Duration(w.width * int64(w.buckets))
+}
+
+// slots returns the ring, allocating it on first use.
+func (w *Windows) slots() []windowBucket {
+	if r := w.ring.Load(); r != nil {
+		return *r
+	}
+	r := make([]windowBucket, w.buckets)
+	if w.ring.CompareAndSwap(nil, &r) {
+		return r
+	}
+	return *w.ring.Load()
 }
 
 // bucket returns the live bucket for the current clock reading,
@@ -134,8 +152,9 @@ func (w *Windows) Span() time.Duration {
 // than resurrecting the old one — at worst one flush lands one slice
 // late, never in the future.
 func (w *Windows) bucket() *windowBucket {
+	ring := w.slots()
 	e := w.now() / w.width
-	b := &w.ring[int(e%int64(len(w.ring)))]
+	b := &ring[int(e%int64(len(ring)))]
 	for {
 		cur := b.epoch.Load()
 		switch {
@@ -152,22 +171,6 @@ func (w *Windows) bucket() *windowBucket {
 				return b
 			}
 		}
-	}
-}
-
-func (w *Windows) addInvocations(n uint64) { w.bucket().invocations.Add(n) }
-
-func (w *Windows) recordLatency(d time.Duration) { w.bucket().lat.Record(d) }
-
-func (w *Windows) addFuel(n int64) { w.bucket().fuel.Add(n) }
-
-func (w *Windows) recordError() { w.bucket().errs.Add(1) }
-
-func (w *Windows) recordTrap(preempt bool) {
-	b := w.bucket()
-	b.traps.Add(1)
-	if preempt {
-		b.preempts.Add(1)
 	}
 }
 
@@ -220,18 +223,22 @@ func (w *Windows) snapshot(d time.Duration) WindowSnapshot {
 	now := w.now()
 	cur := now / w.width
 	n := int64((int64(d) + w.width - 1) / w.width) // slices to cover d, rounded up
-	if n > int64(len(w.ring)) {
-		n = int64(len(w.ring))
+	if n > int64(w.buckets) {
+		n = int64(w.buckets)
 	}
 	if n < 1 {
 		n = 1
 	}
+	var ring []windowBucket // stays nil until counts first land: nothing to merge
+	if r := w.ring.Load(); r != nil {
+		ring = *r
+	}
 	var lat Histogram
-	for e := cur - n + 1; e <= cur; e++ {
+	for e := cur - n + 1; e <= cur && ring != nil; e++ {
 		if e < 0 {
 			continue
 		}
-		b := &w.ring[int(e%int64(len(w.ring)))]
+		b := &ring[int(e%int64(len(ring)))]
 		if b.epoch.Load() != e+1 {
 			continue // empty, recycled, or mid-reset: nothing from this slice
 		}
@@ -270,10 +277,15 @@ func (w *Windows) snapshot(d time.Duration) WindowSnapshot {
 }
 
 // Window aggregates the key's activity over the last d of time
-// (clamped to the ring's retained span). Concurrent with traffic the
-// numbers are consistent-enough counters, not a linearizable cut —
-// the same contract as Snapshot.
+// (clamped to the ring's retained span). Counts recorded since the
+// key's last clock read land in the current bucket first, so windowed
+// counts are exact at the moment of the snapshot. Concurrent with
+// traffic the numbers are consistent-enough counters, not a
+// linearizable cut — the same contract as Snapshot.
 func (m *GraftMetrics) Window(d time.Duration) WindowSnapshot {
+	if m.pending() {
+		m.bucket()
+	}
 	s := m.win.snapshot(d)
 	s.Graft = m.GraftName
 	s.Tech = m.Tech
@@ -293,7 +305,7 @@ func WindowAll(d time.Duration) []WindowSnapshot {
 	ms := Metrics()
 	out := make([]WindowSnapshot, 0, len(ms))
 	for _, m := range ms {
-		if m.Invocations() == 0 && m.win.snapshot(d).Invocations == 0 {
+		if m.Invocations() == 0 {
 			continue
 		}
 		out = append(out, m.Window(d))

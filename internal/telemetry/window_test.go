@@ -9,11 +9,19 @@ import (
 
 func newTestWindows(width time.Duration, buckets int, clk *fakeClock) *Windows {
 	return &Windows{
-		width: int64(width),
-		ring:  make([]windowBucket, buckets),
-		now:   clk.now,
+		width:   int64(width),
+		buckets: buckets,
+		now:     clk.now,
 	}
 }
+
+// Bare-ring recorders: GraftMetrics lands its counts through bucket(),
+// these drive a ring with no accumulator behind it.
+func (w *Windows) addInvocations(n uint64) { w.bucket().invocations.Add(n) }
+
+func (w *Windows) recordLatency(d time.Duration) { w.bucket().lat.Record(d) }
+
+func (w *Windows) addFuel(n int64) { w.bucket().fuel.Add(n) }
 
 func TestSetWindowConfigValidates(t *testing.T) {
 	for _, bad := range []WindowConfig{
@@ -174,13 +182,14 @@ func TestWindowConcurrentRecordDuringRotation(t *testing.T) {
 	// survive. Recompute the span's total by walking live buckets.
 	var retained uint64
 	cur := clk.now() / w.width
-	for i := range w.ring {
-		b := &w.ring[i]
+	ring := w.slots()
+	for i := range ring {
+		b := &ring[i]
 		e := b.epoch.Load()
 		if e <= 0 {
 			continue
 		}
-		if cur-(e-1) < int64(len(w.ring)) {
+		if cur-(e-1) < int64(len(ring)) {
 			retained += b.invocations.Load()
 		}
 	}
@@ -301,5 +310,73 @@ func TestWindowAll(t *testing.T) {
 	// a drained graft goes quiet, it does not vanish.
 	if all[1].Invocations != 0 {
 		t.Errorf("idle window = %d invocations, want 0", all[1].Invocations)
+	}
+}
+
+// TestCountLandsAtNextClockRead pins the clock-free count: Count reads
+// no clock and allocates no ring; the pending invocations and fuel land
+// in the bucket current at the key's next clock read — here a windowed
+// snapshot, then an error — exactly once.
+func TestCountLandsAtNextClockRead(t *testing.T) {
+	clk := newFakeClock(time.Hour)
+	m := NewGraftMetrics("counted", "bytecode")
+	m.win.now = clk.now
+	for i := 0; i < 10; i++ {
+		m.Count(3)
+	}
+	if m.win.ring.Load() != nil {
+		t.Fatal("Count allocated the window ring")
+	}
+	if m.Invocations() != 10 || m.FuelConsumed() != 30 {
+		t.Fatalf("cumulative = %d invocations, %d fuel", m.Invocations(), m.FuelConsumed())
+	}
+	// Counted long ago, read now: the counts land in the current bucket.
+	clk.advance(time.Hour)
+	for i := 0; i < 2; i++ {
+		s := m.Window(time.Second)
+		if s.Invocations != 10 || s.Fuel != 30 {
+			t.Fatalf("snapshot %d = %d invocations, %d fuel; want 10 and 30", i, s.Invocations, s.Fuel)
+		}
+	}
+	m.Count(0)
+	m.RecordError(fuelTrap())
+	clk.advance(2 * DefaultWindowConfig.Width)
+	if s := m.Window(DefaultWindowConfig.Width); s.Invocations != 0 {
+		t.Fatalf("landed counts leaked into a later slice: %+v", s)
+	}
+	if s := m.Window(3 * DefaultWindowConfig.Width); s.Invocations != 11 || s.Preempts != 1 {
+		t.Fatalf("window = %d invocations, %d preempts; want 11 and 1", s.Invocations, s.Preempts)
+	}
+}
+
+// TestCountConcurrentLandingConserves races counters against clock
+// reads: however the landings interleave, the ring ends up holding each
+// count exactly once. Run it under -race: the detector's scheduling
+// perturbation is what widens the claim window enough to catch a
+// landing that is not a CAS.
+func TestCountConcurrentLandingConserves(t *testing.T) {
+	m := NewGraftMetrics("racing", "bytecode")
+	const writers, perWriter = 4, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				// Every count is followed by a clock read, so landers
+				// contend on the landed marks as hard as they can.
+				m.Count(1)
+				if g%2 == 0 {
+					m.RecordLatency(time.Microsecond)
+				} else {
+					m.Window(time.Minute)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := m.Window(time.Minute)
+	if want := uint64(writers * perWriter); s.Invocations != want || s.Fuel != int64(want) {
+		t.Fatalf("window = %d invocations, %d fuel; want %d of each", s.Invocations, s.Fuel, want)
 	}
 }
