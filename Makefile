@@ -7,13 +7,16 @@ GO ?= go
 
 all: build test
 
-# Tier-1 gate: compile + vet + tests + a fast conformance pass + every
-# benchmark exercised once. The full conformance suite already runs as
+# Tier-1 gate: gofmt + compile + vet + tests + a fast conformance pass +
+# every benchmark exercised once. The full conformance suite already runs as
 # part of `test`; the explicit -short pass keeps the gate honest even if
 # the test matrix is filtered.
 check: build test conformance-short bench-smoke
 
+# gofmt gate: any file gofmt would rewrite fails the build.
 build:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 

@@ -48,21 +48,25 @@ const widenAfter = 8
 // gives up (soundly: the translator falls back to full checks).
 const maxAnalysisSteps = 1 << 14
 
-// analyzeFunc computes block-entry states for f plus, per memory-access
-// pc, the interval of that access's address operand (joined over every
-// visit; entry states only grow under join, and the transfer functions
-// are monotone, so the joined interval equals the one a clean pass over
-// the converged states would compute). Returns nils when the analysis
-// gives up; callers must then assume fullIval everywhere.
-func analyzeFunc(mod *bytecode.Module, f *bytecode.Func, depths []int, leaders []bool, memSize uint32) (map[int]*absState, map[int]ival) {
-	entry := make(map[int]*absState)
-	visits := make(map[int]int)
-	acc := make(map[int]ival)
+// analyzeFunc computes, per memory-access pc of f, the interval of that
+// access's address operand (joined over every visit of a fixpoint over
+// block-entry states; entry states only grow under join, and the
+// transfer functions are monotone, so the joined interval equals the one
+// a clean pass over the converged states would compute). The result is
+// indexed by pc; pcs that are not memory accesses hold fullIval. Returns
+// nil when the analysis gives up; callers must then assume fullIval
+// everywhere. maxStack is the verifier's bound on f's operand stack.
+func analyzeFunc(mod *bytecode.Module, f *bytecode.Func, leaders []bool, maxStack int, memSize uint32) []ival {
+	n := len(f.Code)
+	entry := make([]*absState, n)
+	visits := make([]int, n)
+	acc := make([]ival, n)
+	seen := make([]bool, n)
 	record := func(pc int, iv ival) {
-		if old, ok := acc[pc]; ok {
-			iv = old.join(iv)
+		if seen[pc] {
+			iv = acc[pc].join(iv)
 		}
-		acc[pc] = iv
+		acc[pc], seen[pc] = iv, true
 	}
 
 	init := &absState{locals: make([]ival, f.NLocals)}
@@ -77,10 +81,11 @@ func analyzeFunc(mod *bytecode.Module, f *bytecode.Func, depths []int, leaders [
 	work := []int{0}
 	steps := 0
 
-	// propagate joins st into the entry state of the block at pc.
+	// propagate joins (locals, stack) into the entry state of the block
+	// at pc, copying what it keeps: callers pass scratch buffers.
 	propagate := func(pc int, locals, stack []ival) {
-		cur, ok := entry[pc]
-		if !ok {
+		cur := entry[pc]
+		if cur == nil {
 			entry[pc] = &absState{
 				locals: append([]ival(nil), locals...),
 				stack:  append([]ival(nil), stack...),
@@ -119,51 +124,58 @@ func analyzeFunc(mod *bytecode.Module, f *bytecode.Func, depths []int, leaders [
 		}
 	}
 
+	// Scratch state of the block being walked, reused across visits.
+	locals := make([]ival, f.NLocals)
+	taken := make([]ival, f.NLocals)
+	fall := make([]ival, f.NLocals)
+	stk := make([]absVal, 0, maxStack)
+	exit := make([]ival, 0, maxStack)
+
+	push := func(v absVal) { stk = append(stk, v) }
+	pop := func() absVal {
+		v := stk[len(stk)-1]
+		stk = stk[:len(stk)-1]
+		return v
+	}
+	exitIvs := func() []ival {
+		exit = exit[:0]
+		for _, v := range stk {
+			exit = append(exit, v.iv)
+		}
+		return exit
+	}
+	// refinedLocals writes locals, refined by the branch condition cond
+	// holding with the given truth, into out.
+	refinedLocals := func(cond absVal, truth bool, out []ival) []ival {
+		copy(out, locals)
+		switch {
+		case cond.hasCmp:
+			l := cond.cmp.loc
+			out[l] = refineCmp(out[l], cond.cmp.op, cond.cmp.c, truth)
+		case cond.loc >= 0:
+			l := cond.loc
+			if truth { // value != 0
+				if out[l].lo == 0 && out[l].hi > 0 {
+					out[l].lo = 1
+				}
+			} else { // value == 0
+				out[l] = ival{0, 0}
+			}
+		}
+		return out
+	}
+
 	for len(work) > 0 {
 		if steps++; steps > maxAnalysisSteps {
-			return nil, nil
+			return nil
 		}
 		leader := work[len(work)-1]
 		work = work[:len(work)-1]
 		st := entry[leader]
-		locals := append([]ival(nil), st.locals...)
-		stk := make([]absVal, len(st.stack))
-		for i, iv := range st.stack {
-			stk[i] = absVal{iv: iv, loc: -1}
-		}
-
-		push := func(v absVal) { stk = append(stk, v) }
-		pop := func() absVal {
-			v := stk[len(stk)-1]
-			stk = stk[:len(stk)-1]
-			return v
-		}
-		exitIvs := func() []ival {
-			out := make([]ival, len(stk))
-			for i, v := range stk {
-				out[i] = v.iv
-			}
-			return out
-		}
-		// refinedLocals applies the branch condition cond (holding with
-		// the given truth) to a copy of locals.
-		refinedLocals := func(cond absVal, truth bool) []ival {
-			out := append([]ival(nil), locals...)
-			switch {
-			case cond.hasCmp:
-				l := cond.cmp.loc
-				out[l] = refineCmp(out[l], cond.cmp.op, cond.cmp.c, truth)
-			case cond.loc >= 0:
-				l := cond.loc
-				if truth { // value != 0
-					if out[l].lo == 0 && out[l].hi > 0 {
-						out[l].lo = 1
-					}
-				} else { // value == 0
-					out[l] = ival{0, 0}
-				}
-			}
-			return out
+		copy(locals, st.locals)
+		stk = stk[:0]
+		for _, iv := range st.stack {
+			stk = append(stk, absVal{iv: iv, loc: -1})
 		}
 
 	blockLoop:
@@ -222,8 +234,8 @@ func analyzeFunc(mod *bytecode.Module, f *bytecode.Func, depths []int, leaders [
 				ivs := exitIvs()
 				// Jz takes the jump when cond == 0; Jnz when cond != 0.
 				takenTruth := in.Op == bytecode.OpJnz
-				propagate(int(in.A), refinedLocals(cond, takenTruth), ivs)
-				propagate(pc+1, refinedLocals(cond, !takenTruth), ivs)
+				propagate(int(in.A), refinedLocals(cond, takenTruth, taken), ivs)
+				propagate(pc+1, refinedLocals(cond, !takenTruth, fall), ivs)
 				break blockLoop
 			case bytecode.OpRet, bytecode.OpAbort:
 				break blockLoop
@@ -245,7 +257,11 @@ func analyzeFunc(mod *bytecode.Module, f *bytecode.Func, depths []int, leaders [
 				push(nv)
 			}
 		}
-		_ = depths
 	}
-	return entry, acc
+	for pc, ok := range seen {
+		if !ok {
+			acc[pc] = fullIval
+		}
+	}
+	return acc
 }

@@ -1,31 +1,43 @@
-// Package aot is the verified ahead-of-time technology class: the
-// load-time verifier + translator pipeline modern in-kernel runtimes
-// (eBPF) use to collapse the paper's interpreter gap. Where the bytecode
-// class re-decides safety per instruction at run time, this class
-// decides it once at load time:
+// Package aot is the repo's one closure-emitting backend: verified
+// bytecode lowered at load time into closure-threaded Go. It carries two
+// families of technology classes:
 //
-//  1. Verify. bytecode.Verify supplies the structural guarantees (valid
-//     opcodes, jump targets, stack discipline); on top of it an
-//     abstract interpretation over u32 intervals (analysis.go) computes
-//     value ranges per local and stack slot, with branch-edge
-//     refinement, and proves individual memory accesses in-bounds
-//     against the declared policy and the bound linear memory's size.
+//   - the verified ahead-of-time class (tech.AOT), the load-time
+//     verifier + translator pipeline modern in-kernel runtimes (eBPF)
+//     use to collapse the paper's interpreter gap: safety is decided
+//     once at load time and proven checks are elided (New);
+//   - the five runtime-codegen classes (tech.NativeUnsafe ... SFIFull),
+//     the paper's "generate native code at load time" line (§4.3): the
+//     same translation with elision off, so every access pays its
+//     policy — bounds check, NIL check, sandbox mask or crash backstop
+//     — exactly the per-access cost the paper measures (NewNoElision).
 //
-//  2. Translate. Verified bytecode is lowered into the closure-threaded
-//     execution form internal/native emits — exprFn/stmtFn closures
-//     specialized at load time — with the operand stack dissolved into
-//     expression trees (a symbolic-stack pass, translate.go), constants
-//     and local reads inlined into their consumers, bounds checks
-//     elided where the proof holds (checked closures otherwise —
-//     fallback, never rejection), and fuel charged once per basic block
-//     using the same bytecode.Leaders/BlockCosts CFG the optimizing VM
-//     meters with, so fuel cliffs land on exactly the same budget
-//     thresholds as both interpreters.
+// The pipeline:
+//
+//  1. Verify. bytecode.VerifyShapes supplies the structural guarantees
+//     (valid opcodes, jump targets, stack discipline) and the stack
+//     depths the translator rebuilds blocks from, in one pass. With
+//     elision on, an abstract interpretation over u32 intervals
+//     (analysis.go) then computes value ranges per local and stack
+//     slot, with branch-edge refinement, and proves individual memory
+//     accesses in-bounds against the declared policy and the bound
+//     linear memory's size.
+//
+//  2. Translate. Verified bytecode is lowered into exprFn/stmtFn
+//     closures specialized at load time, with the operand stack
+//     dissolved into expression trees (a symbolic-stack pass,
+//     translate.go), constants and local reads inlined into their
+//     consumers, the memory policy specialized into each access
+//     (emitmem.go: masked, proven, checked or armed), and fuel charged
+//     once per basic block using the same bytecode.Leaders/BlockCosts
+//     CFG the optimizing VM meters with, so fuel cliffs land on exactly
+//     the same budget thresholds as both interpreters.
 //
 // Trap semantics (kind, address, code), fault-plan access ordering, and
-// fuel accounting are differentially tested against vm.OptVM; an armed
-// fault plan disables deferral and elision at load time, exactly as it
-// disables fusion in the optimizing VM.
+// fuel accounting are differentially tested against vm.OptVM under
+// every memory policy, with elision on and off; an armed fault plan
+// disables deferral and elision at load time, exactly as it disables
+// fusion in the optimizing VM.
 package aot
 
 import (
@@ -108,23 +120,33 @@ type Prog struct {
 	profTick  int64
 }
 
-// New verifies mod — structurally via bytecode.Verify, then for memory
-// safety via interval analysis — and translates it into closure-threaded
-// form against m under cfg. The only rejections are bytecode.Verify's
-// own (plus the sandbox policy, which belongs to the SFI classes):
-// unprovable programs are translated with checked fallbacks, never
-// refused.
+// New verifies mod — structurally via bytecode.VerifyShapes, then for
+// memory safety via interval analysis — and translates it into
+// closure-threaded form against m under cfg, eliding the checks the
+// analysis proves redundant. The only rejections are the structural
+// verifier's own: unprovable programs are translated with checked
+// fallbacks, never refused.
 func New(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*Prog, error) {
-	if cfg.Policy == mem.PolicySandbox {
-		return nil, fmt.Errorf("aot: sandbox policy is the SFI classes' job; aot supports unsafe/checked")
-	}
-	if err := bytecode.Verify(mod); err != nil {
+	return build(mod, m, cfg, true)
+}
+
+// NewNoElision is New without the interval analysis: every memory access
+// keeps its checked, masked or backstopped closure. The runtime-codegen
+// technology classes load through it, so they pay the per-access policy
+// cost the paper measures.
+func NewNoElision(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*Prog, error) {
+	return build(mod, m, cfg, false)
+}
+
+func build(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, elide bool) (*Prog, error) {
+	shapes, err := bytecode.VerifyShapes(mod)
+	if err != nil {
 		return nil, err
 	}
 	p := &Prog{mod: mod, m: m}
 	p.fns = make([]afunc, len(mod.Funcs))
 	for i, f := range mod.Funcs {
-		af, err := translateFunc(p, mod, f, m, cfg)
+		af, err := translateFunc(p, mod, f, shapes[i], m, cfg, elide)
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,10 @@
 package aot
 
 // Differential tests: vm.OptVM is the semantic reference (itself pinned
-// against the baseline interpreter in internal/vm). The AOT class must
-// agree on results, trap identity (kind, pc, addr, code), memory side
+// against the baseline interpreter in internal/vm). Both translations —
+// with proof-based elision (the AOT class) and without (the
+// runtime-codegen classes) — must agree with it under every memory
+// policy on results, trap identity (kind, pc, addr, code), memory side
 // effects, fault-plan access ordering, and fuel accounting. Because both
 // engines charge fuel per basic block from the same Leaders/BlockCosts
 // CFG, agreement is exact — including FuelUsed and the completion
@@ -26,8 +28,8 @@ import (
 
 const testMemSize = 1 << 16
 
-// aotPolicies are the configurations the class supports; PolicySandbox is
-// rejected at construction (TestSandboxRejected).
+// aotPolicies are the memory policies the translator supports: one per
+// technology class it carries.
 var aotPolicies = []struct {
 	name string
 	cfg  mem.Config
@@ -35,6 +37,19 @@ var aotPolicies = []struct {
 	{"unsafe", mem.Config{Policy: mem.PolicyUnsafe}},
 	{"checked", mem.Config{Policy: mem.PolicyChecked}},
 	{"checked-nil", mem.Config{Policy: mem.PolicyChecked, NilCheck: true}},
+	{"sandbox", mem.Config{Policy: mem.PolicySandbox}},
+	{"sandbox-rp", mem.Config{Policy: mem.PolicySandbox, ReadProtect: true}},
+}
+
+// translations are the backend's two lowerings of one module: with the
+// interval analysis's proofs eliding checks (the AOT class) and without
+// (the runtime-codegen classes).
+var translations = []struct {
+	name  string
+	build func(*bytecode.Module, *mem.Memory, mem.Config) (*Prog, error)
+}{
+	{"elide", New},
+	{"no-elide", NewNoElision},
 }
 
 func compileGEL(t testing.TB, src string) *bytecode.Module {
@@ -52,9 +67,15 @@ func compileGEL(t testing.TB, src string) *bytecode.Module {
 
 func newProg(t testing.TB, mod *bytecode.Module, cfg mem.Config, init []byte, fuel int64) *Prog {
 	t.Helper()
+	return buildProg(t, New, mod, cfg, init, fuel)
+}
+
+func buildProg(t testing.TB, build func(*bytecode.Module, *mem.Memory, mem.Config) (*Prog, error),
+	mod *bytecode.Module, cfg mem.Config, init []byte, fuel int64) *Prog {
+	t.Helper()
 	m := mem.New(testMemSize)
 	copy(m.Data, init)
-	p, err := New(mod, m, cfg)
+	p, err := build(mod, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +157,8 @@ func checkSameAsRef(t *testing.T, label, src string,
 
 // TestAOTAgreesWithOptVMOnRandomPrograms is the main differential
 // property: random GEL programs with wild addresses, division, helper
-// calls, and nested control flow, under every supported policy, with
-// both ample and scarce fuel.
+// calls, and nested control flow, under every supported policy and both
+// translations, with both ample and scarce fuel.
 func TestAOTAgreesWithOptVMOnRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(1931))
 	n := 400
@@ -157,12 +178,14 @@ func TestAOTAgreesWithOptVMOnRandomPrograms(t *testing.T) {
 		for _, pol := range aotPolicies {
 			ref := newRef(t, mod, pol.cfg, init, fuel)
 			rv, rt := runMain(t, ref, args)
-			p := newProg(t, mod, pol.cfg, init, fuel)
-			av, at := runMain(t, p, args)
-			label := fmt.Sprintf("program %d policy %s fuel %d args %v", i, pol.name, fuel, args)
-			checkSameAsRef(t, label, src,
-				rv, rt, ref.Memory().Data, ref.FuelUsed(),
-				av, at, p.Memory().Data, p.FuelUsed())
+			for _, tl := range translations {
+				p := buildProg(t, tl.build, mod, pol.cfg, init, fuel)
+				av, at := runMain(t, p, args)
+				label := fmt.Sprintf("program %d policy %s %s fuel %d args %v", i, pol.name, tl.name, fuel, args)
+				checkSameAsRef(t, label, src,
+					rv, rt, ref.Memory().Data, ref.FuelUsed(),
+					av, at, p.Memory().Data, p.FuelUsed())
+			}
 		}
 	}
 }
@@ -362,16 +385,6 @@ func TestFuelCliffAtBlockBoundary(t *testing.T) {
 	}
 }
 
-// TestSandboxRejected: the sandbox policy belongs to the SFI classes;
-// constructing an AOT program under it must fail loudly, not silently
-// degrade to checked semantics.
-func TestSandboxRejected(t *testing.T) {
-	mod := compileGEL(t, `func main(a, b) { return a + b; }`)
-	if _, err := New(mod, mem.New(1<<12), mem.Config{Policy: mem.PolicySandbox}); err == nil {
-		t.Fatal("New accepted PolicySandbox")
-	}
-}
-
 // TestVerifyStatsElision pins the proof coverage on the two canonical
 // shapes: a modulo-bounded loop index (provable) and a raw argument
 // address (not provable). The elision must also respect the policy: the
@@ -524,8 +537,9 @@ func TestRejectionAgreement(t *testing.T) {
 
 // TestArmedFaultPlanMatchesOptVM drives the fault-injection contract: an
 // armed plan counts policy-level accesses in program order and injects
-// at the scheduled index, identically to the reference engine — which
-// requires load-time disabling of both deferral and elision.
+// at the scheduled index, identically to the reference engine, under
+// every policy and both translations — which requires load-time
+// disabling of both deferral and elision.
 func TestArmedFaultPlanMatchesOptVM(t *testing.T) {
 	src := `func main(a, b) {
 	var i = 0;
@@ -561,43 +575,48 @@ func TestArmedFaultPlanMatchesOptVM(t *testing.T) {
 		t.Fatal("no accesses observed")
 	}
 
-	for n := uint64(1); n <= total; n++ {
-		rm := mem.New(testMemSize)
-		copy(rm.Data, init)
-		rplan := &mem.FaultPlan{FailOn: n}
-		rm.Arm(rplan)
-		ref, err := vm.NewOpt(mod, rm, mem.Config{Policy: mem.PolicyChecked}, vm.OptConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, rerr := ref.Invoke("main", args...)
+	for _, pol := range aotPolicies {
+		for _, tl := range translations {
+			for n := uint64(1); n <= total; n++ {
+				rm := mem.New(testMemSize)
+				copy(rm.Data, init)
+				rplan := &mem.FaultPlan{FailOn: n}
+				rm.Arm(rplan)
+				ref, err := vm.NewOpt(mod, rm, pol.cfg, vm.OptConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, rerr := ref.Invoke("main", args...)
 
-		am := mem.New(testMemSize)
-		copy(am.Data, init)
-		aplan := &mem.FaultPlan{FailOn: n}
-		am.Arm(aplan)
-		ap, err := New(mod, am, mem.Config{Policy: mem.PolicyChecked})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := ap.VerifyStats(); st.ProvenLoads != 0 || st.ProvenStores != 0 {
-			t.Fatalf("armed plan must disable elision: %+v", st)
-		}
-		_, aerr := ap.Invoke("main", args...)
+				am := mem.New(testMemSize)
+				copy(am.Data, init)
+				aplan := &mem.FaultPlan{FailOn: n}
+				am.Arm(aplan)
+				ap, err := tl.build(mod, am, pol.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := ap.VerifyStats(); st.ProvenLoads != 0 || st.ProvenStores != 0 {
+					t.Fatalf("armed plan must disable elision: %+v", st)
+				}
+				_, aerr := ap.Invoke("main", args...)
 
-		rt, _ := rerr.(*mem.Trap)
-		at, _ := aerr.(*mem.Trap)
-		if rt == nil || at == nil {
-			t.Fatalf("fault %d: ref=%v aot=%v", n, rerr, aerr)
-		}
-		if rt.Kind != at.Kind || rt.Addr != at.Addr || rt.PC != at.PC {
-			t.Fatalf("fault %d: trap mismatch ref=%v aot=%v", n, rt, at)
-		}
-		if rplan.Accesses() != aplan.Accesses() {
-			t.Fatalf("fault %d: access count ref=%d aot=%d", n, rplan.Accesses(), aplan.Accesses())
-		}
-		if string(rm.Data) != string(am.Data) {
-			t.Fatalf("fault %d: memory diverges", n)
+				label := fmt.Sprintf("%s/%s fault %d", pol.name, tl.name, n)
+				rt, _ := rerr.(*mem.Trap)
+				at, _ := aerr.(*mem.Trap)
+				if rt == nil || at == nil {
+					t.Fatalf("%s: ref=%v aot=%v", label, rerr, aerr)
+				}
+				if rt.Kind != at.Kind || rt.Addr != at.Addr || rt.PC != at.PC {
+					t.Fatalf("%s: trap mismatch ref=%v aot=%v", label, rt, at)
+				}
+				if rplan.Accesses() != aplan.Accesses() {
+					t.Fatalf("%s: access count ref=%d aot=%d", label, rplan.Accesses(), aplan.Accesses())
+				}
+				if string(rm.Data) != string(am.Data) {
+					t.Fatalf("%s: memory diverges", label)
+				}
+			}
 		}
 	}
 }

@@ -4,9 +4,15 @@ import (
 	"graftlab/internal/mem"
 )
 
-// Memory-access emitters. Three regimes, decided per access site at
+// Memory-access emitters. Four regimes, decided per access site at
 // translate time:
 //
+//   - masked: the sandbox policy (SFI) confines the access with one AND
+//     instead of checking it — every store, and every load under
+//     ReadProtect. Word accesses mask as addr&mask&^3 (mem.SandboxWord),
+//     byte accesses as addr&mask (mem.Sandbox), exactly the optimizing
+//     VM's sandbox specialization. Masked sites are never elided: the
+//     mask is the policy's cost, not a check a proof can discharge.
 //   - proven: the interval analysis bounded the address inside the
 //     memory (and above the NIL page when the policy checks it), so the
 //     closure performs the raw access with no policy branch at all —
@@ -14,12 +20,13 @@ import (
 //     shape.
 //   - checked fallback: the interpreter's exact check sequence (NIL
 //     page first when configured, then the 64-bit-safe bounds test),
-//     raising the same trap kind/addr/pc the VM engines raise.
+//     raising the same trap kind/addr/pc the VM engines raise. Unsafe
+//     and write/jump-only SFI loads keep it as the crash backstop.
 //   - armed: a fault plan is attached, so every access runs the
-//     fault check before its policy check, uncounted accesses being a
-//     conformance violation. Armed memories also disable deferral and
-//     elision entirely (see translate.go), mirroring the optimizing
-//     VM's load-time NoFuse downgrade.
+//     fault check on the unmasked address before its policy runs,
+//     uncounted accesses being a conformance violation. Armed memories
+//     also disable deferral and elision entirely (see translate.go),
+//     mirroring the optimizing VM's load-time NoFuse downgrade.
 
 func faultCheck(f *mem.FaultPlan, store bool, addr uint32, pc int) {
 	if t := f.Check(store, addr); t != nil {
@@ -51,9 +58,13 @@ func (t *tr) ld32(a sval, pc int) sval {
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
 		ae, faults, nilck := t.toExpr(a), t.faults, t.nilCheck
+		masked, mask := t.maskLoads, t.mask&^3
 		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
 			ad := ae(r)
 			faultCheck(faults, false, ad, pc)
+			if masked {
+				return ldw(data, ad&mask)
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -62,6 +73,20 @@ func (t *tr) ld32(a sval, pc int) sval {
 			}
 			return ldw(data, ad)
 		}}
+	}
+	if t.maskLoads {
+		mask := t.mask &^ 3
+		switch a.k {
+		case kConst:
+			c := a.c & mask
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return ldw(data, c) }}
+		case kReg:
+			i := a.reg
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return ldw(data, r[i]&mask) }}
+		default:
+			ae := a.e
+			return sval{k: kExpr, traps: a.traps, e: func(r []uint32) uint32 { return ldw(data, ae(r)&mask) }}
+		}
 	}
 	if t.proven(pc, 4) {
 		t.p.stats.ProvenLoads++
@@ -126,9 +151,13 @@ func (t *tr) ld8(a sval, pc int) sval {
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
 		ae, faults, nilck := t.toExpr(a), t.faults, t.nilCheck
+		masked, mask := t.maskLoads, t.mask
 		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
 			ad := ae(r)
 			faultCheck(faults, false, ad, pc)
+			if masked {
+				return uint32(data[ad&mask])
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -137,6 +166,20 @@ func (t *tr) ld8(a sval, pc int) sval {
 			}
 			return uint32(data[ad])
 		}}
+	}
+	if t.maskLoads {
+		mask := t.mask
+		switch a.k {
+		case kConst:
+			c := a.c & mask
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return uint32(data[c]) }}
+		case kReg:
+			i := a.reg
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return uint32(data[r[i]&mask]) }}
+		default:
+			ae := a.e
+			return sval{k: kExpr, traps: a.traps, e: func(r []uint32) uint32 { return uint32(data[ae(r)&mask]) }}
+		}
 	}
 	if t.proven(pc, 1) {
 		t.p.stats.ProvenLoads++
@@ -195,10 +238,15 @@ func (t *tr) st32(a, v sval, pc int) stmtFn {
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
 		ae, ve, faults, nilck := t.toExpr(a), t.toExpr(v), t.faults, t.nilCheck
+		masked, mask := t.maskStores, t.mask&^3
 		return func(r []uint32) {
 			ad := ae(r)
 			val := ve(r)
 			faultCheck(faults, true, ad, pc)
+			if masked {
+				stw(data, ad&mask, val)
+				return
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -206,6 +254,26 @@ func (t *tr) st32(a, v sval, pc int) stmtFn {
 				throwAt(mem.TrapOOBStore, ad, pc)
 			}
 			stw(data, ad, val)
+		}
+	}
+	if t.maskStores {
+		mask := t.mask &^ 3
+		switch {
+		case a.k == kReg && v.k == kReg:
+			ai, vi := a.reg, v.reg
+			return func(r []uint32) { stw(data, r[ai]&mask, r[vi]) }
+		case a.k == kReg:
+			ai, ve := a.reg, t.toExpr(v)
+			return func(r []uint32) { stw(data, r[ai]&mask, ve(r)) }
+		case a.k == kConst:
+			c, ve := a.c&mask, t.toExpr(v)
+			return func(r []uint32) { stw(data, c, ve(r)) }
+		default:
+			ae, ve := a.e, t.toExpr(v)
+			return func(r []uint32) {
+				ad := ae(r)
+				stw(data, ad&mask, ve(r))
+			}
 		}
 	}
 	if t.proven(pc, 4) {
@@ -284,10 +352,15 @@ func (t *tr) st8(a, v sval, pc int) stmtFn {
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
 		ae, ve, faults, nilck := t.toExpr(a), t.toExpr(v), t.faults, t.nilCheck
+		masked, mask := t.maskStores, t.mask
 		return func(r []uint32) {
 			ad := ae(r)
 			val := ve(r)
 			faultCheck(faults, true, ad, pc)
+			if masked {
+				data[ad&mask] = byte(val)
+				return
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -295,6 +368,23 @@ func (t *tr) st8(a, v sval, pc int) stmtFn {
 				throwAt(mem.TrapOOBStore, ad, pc)
 			}
 			data[ad] = byte(val)
+		}
+	}
+	if t.maskStores {
+		mask := t.mask
+		switch {
+		case a.k == kReg && v.k == kReg:
+			ai, vi := a.reg, v.reg
+			return func(r []uint32) { data[r[ai]&mask] = byte(r[vi]) }
+		case a.k == kReg:
+			ai, ve := a.reg, t.toExpr(v)
+			return func(r []uint32) { data[r[ai]&mask] = byte(ve(r)) }
+		default:
+			ae, ve := t.toExpr(a), t.toExpr(v)
+			return func(r []uint32) {
+				ad := ae(r)
+				data[ad&mask] = byte(ve(r))
+			}
 		}
 	}
 	if t.proven(pc, 1) {
@@ -358,10 +448,7 @@ func (t *tr) proven(pc int, width uint32) bool {
 	if t.acc == nil {
 		return false
 	}
-	iv, ok := t.acc[pc]
-	if !ok {
-		return false
-	}
+	iv := t.acc[pc]
 	if t.nilCheck && iv.lo < mem.NilPageSize {
 		return false
 	}

@@ -5,12 +5,14 @@ package aot
 // bytecode.Func body (most bytes decode to valid opcodes, some to
 // garbage), and the property is two-sided —
 //
-//   - rejection agreement: aot.New accepts exactly the modules
-//     bytecode.Verify accepts, and surfaces the verifier's own error
-//     otherwise (one taxonomy, not two);
+//   - rejection agreement: aot.New (and NewNoElision) accept exactly
+//     the modules bytecode.Verify accepts, and surface the verifier's
+//     own error otherwise (one taxonomy, not two);
 //   - execution agreement: for every accepted module, the translated
 //     program's result, trap kind/addr/code, memory image, and fuel
-//     accounting equal vm.OptVM's under each supported policy.
+//     accounting equal vm.OptVM's under each supported policy, with
+//     elision on and off — so every technology class the translator
+//     carries is differentially fuzzed.
 //
 // Fuel is kept small (2048) so runaway loops the verifier legitimately
 // accepts terminate by exhaustion in both engines.
@@ -135,14 +137,16 @@ func FuzzVerify(f *testing.F) {
 		mod := fuzzModule(body, nlocals)
 
 		verr := bytecode.Verify(mod)
-		_, aerr := New(mod, mem.New(fuzzMemSize), mem.Config{Policy: mem.PolicyChecked})
-		if (verr == nil) != (aerr == nil) {
-			t.Fatalf("rejection disagreement: bytecode.Verify=%v aot.New=%v\n%s", verr, aerr, dumpFunc(body))
+		for _, tl := range translations {
+			_, aerr := tl.build(mod, mem.New(fuzzMemSize), mem.Config{Policy: mem.PolicyChecked})
+			if (verr == nil) != (aerr == nil) {
+				t.Fatalf("rejection disagreement: bytecode.Verify=%v aot %s=%v\n%s", verr, tl.name, aerr, dumpFunc(body))
+			}
+			if verr != nil && verr.Error() != aerr.Error() {
+				t.Fatalf("rejection taxonomy split:\n  bytecode: %v\n  aot %s: %v\n%s", verr, tl.name, aerr, dumpFunc(body))
+			}
 		}
 		if verr != nil {
-			if verr.Error() != aerr.Error() {
-				t.Fatalf("rejection taxonomy split:\n  bytecode: %v\n  aot:      %v\n%s", verr, aerr, dumpFunc(body))
-			}
 			return
 		}
 
@@ -156,39 +160,41 @@ func FuzzVerify(f *testing.F) {
 			ref.Fuel = fuzzFuel
 			rv, rerr := ref.Invoke("main", a, b)
 
-			am := mem.New(fuzzMemSize)
-			fillPattern(am.Data)
-			p, err := New(mod, am, pol.cfg)
-			if err != nil {
-				t.Fatalf("verified module refused by aot (policy %s): %v", pol.name, err)
-			}
-			p.Fuel = fuzzFuel
-			av, aerr := p.Invoke("main", a, b)
+			for _, tl := range translations {
+				am := mem.New(fuzzMemSize)
+				fillPattern(am.Data)
+				p, err := tl.build(mod, am, pol.cfg)
+				if err != nil {
+					t.Fatalf("verified module refused by aot (policy %s, %s): %v", pol.name, tl.name, err)
+				}
+				p.Fuel = fuzzFuel
+				av, aerr := p.Invoke("main", a, b)
 
-			rt, _ := rerr.(*mem.Trap)
-			at, _ := aerr.(*mem.Trap)
-			label := fmt.Sprintf("policy %s args (%d,%d)", pol.name, a, b)
-			switch {
-			case rt == nil && at == nil:
-				if rv != av {
-					t.Fatalf("%s: value ref=%d aot=%d\n%s", label, rv, av, dumpFunc(body))
+				rt, _ := rerr.(*mem.Trap)
+				at, _ := aerr.(*mem.Trap)
+				label := fmt.Sprintf("policy %s %s args (%d,%d)", pol.name, tl.name, a, b)
+				switch {
+				case rt == nil && at == nil:
+					if rv != av {
+						t.Fatalf("%s: value ref=%d aot=%d\n%s", label, rv, av, dumpFunc(body))
+					}
+				case rt == nil || at == nil:
+					t.Fatalf("%s: trap ref=%v aot=%v\n%s", label, rerr, aerr, dumpFunc(body))
+				case rt.Kind == mem.TrapFuel || at.Kind == mem.TrapFuel:
+					if rt.Kind != at.Kind {
+						t.Fatalf("%s: fuel divergence ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+					}
+				default:
+					if rt.Kind != at.Kind || rt.PC != at.PC || rt.Addr != at.Addr || rt.Code != at.Code {
+						t.Fatalf("%s: trap mismatch ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+					}
 				}
-			case rt == nil || at == nil:
-				t.Fatalf("%s: trap ref=%v aot=%v\n%s", label, rerr, aerr, dumpFunc(body))
-			case rt.Kind == mem.TrapFuel || at.Kind == mem.TrapFuel:
-				if rt.Kind != at.Kind {
-					t.Fatalf("%s: fuel divergence ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+				if string(rm.Data) != string(am.Data) {
+					t.Fatalf("%s: memory diverges\n%s", label, dumpFunc(body))
 				}
-			default:
-				if rt.Kind != at.Kind || rt.PC != at.PC || rt.Addr != at.Addr || rt.Code != at.Code {
-					t.Fatalf("%s: trap mismatch ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+				if ref.FuelUsed() != p.FuelUsed() {
+					t.Fatalf("%s: FuelUsed ref=%d aot=%d\n%s", label, ref.FuelUsed(), p.FuelUsed(), dumpFunc(body))
 				}
-			}
-			if string(rm.Data) != string(am.Data) {
-				t.Fatalf("%s: memory diverges\n%s", label, dumpFunc(body))
-			}
-			if ref.FuelUsed() != p.FuelUsed() {
-				t.Fatalf("%s: FuelUsed ref=%d aot=%d\n%s", label, ref.FuelUsed(), p.FuelUsed(), dumpFunc(body))
 			}
 		}
 	})

@@ -77,19 +77,22 @@ type sval struct {
 
 // tr is the per-function translation state; stk/stmts reset per block.
 type tr struct {
-	p        *Prog
-	mod      *bytecode.Module
-	f        *bytecode.Func
-	data     []byte
-	dlen     uint64
-	memSize  uint32
-	nilCheck bool
-	faults   *mem.FaultPlan
-	eager    bool
-	acc      map[int]ival // per-access address intervals; nil = prove nothing
-	nlocals  int
-	stk      []sval
-	stmts    []stmtFn
+	p          *Prog
+	mod        *bytecode.Module
+	f          *bytecode.Func
+	data       []byte
+	dlen       uint64
+	memSize    uint32
+	mask       uint32 // sandbox mask (memSize-1)
+	nilCheck   bool
+	maskStores bool // sandbox: stores are masked into the region
+	maskLoads  bool // sandbox with read protection: loads are masked too
+	faults     *mem.FaultPlan
+	eager      bool
+	acc        []ival // per-pc access address intervals; nil = prove nothing
+	nlocals    int
+	stk        []sval
+	stmts      []stmtFn
 }
 
 func (t *tr) canon(i int) int { return t.nlocals + i }
@@ -278,31 +281,31 @@ func (t *tr) callStmt(in bytecode.Instr) {
 	t.push(sval{k: kReg, reg: dst})
 }
 
-// translateFunc lowers one verified function into its block closures.
-func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, m *mem.Memory, cfg mem.Config) (afunc, error) {
-	depths, err := bytecode.StackDepths(mod, f)
-	if err != nil {
-		// Unreachable after Verify — StackDepths IS the verifier's pass —
-		// but kept as a real error so the taxonomies can never drift.
-		return afunc{}, err
-	}
+// translateFunc lowers one verified function into its block closures;
+// shape is the verifier's stack pass over f. With elide set, the
+// interval analysis runs and proven accesses lose their checks.
+func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, shape bytecode.Shape, m *mem.Memory, cfg mem.Config, elide bool) (afunc, error) {
+	depths := shape.Depths
 	leaders := bytecode.Leaders(f)
 	costs := bytecode.BlockCosts(f, leaders)
 
 	t := &tr{
-		p:        p,
-		mod:      mod,
-		f:        f,
-		data:     m.Data,
-		dlen:     uint64(len(m.Data)),
-		memSize:  uint32(len(m.Data)),
-		nilCheck: cfg.Policy == mem.PolicyChecked && cfg.NilCheck,
-		faults:   m.Faults(),
-		nlocals:  f.NLocals,
+		p:          p,
+		mod:        mod,
+		f:          f,
+		data:       m.Data,
+		dlen:       uint64(len(m.Data)),
+		memSize:    uint32(len(m.Data)),
+		mask:       m.Mask(),
+		nilCheck:   cfg.Policy == mem.PolicyChecked && cfg.NilCheck,
+		maskStores: cfg.Policy == mem.PolicySandbox,
+		maskLoads:  cfg.Policy == mem.PolicySandbox && cfg.ReadProtect,
+		faults:     m.Faults(),
+		nlocals:    f.NLocals,
 	}
 	t.eager = t.faults != nil
-	if !t.eager {
-		_, t.acc = analyzeFunc(mod, f, depths, leaders, t.memSize)
+	if elide && !t.eager {
+		t.acc = analyzeFunc(mod, f, leaders, shape.MaxStack, t.memSize)
 	}
 
 	blockIdx := make([]int32, len(f.Code))
@@ -317,7 +320,7 @@ func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, m *mem.Memor
 	af := afunc{
 		name:   f.Name,
 		nargs:  f.NArgs,
-		nregs:  f.NLocals + bytecode.MaxStack(mod, f),
+		nregs:  f.NLocals + shape.MaxStack,
 		blocks: make([]blockFn, nblocks),
 	}
 

@@ -2,6 +2,7 @@ package bytecode
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -267,11 +268,15 @@ func TestMaxStack(t *testing.T) {
 		{Op: OpAdd},
 		{Op: OpRet},
 	}})
-	if err := Verify(m); err != nil {
+	shapes, err := VerifyShapes(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MaxStack(m, m.Funcs[0]); got != 3 {
+	if got := shapes[0].MaxStack; got != 3 {
 		t.Fatalf("MaxStack = %d, want 3", got)
+	}
+	if want := []int{0, 1, 2, 3, 2, 1}; fmt.Sprint(shapes[0].Depths) != fmt.Sprint(want) {
+		t.Fatalf("Depths = %v, want %v", shapes[0].Depths, want)
 	}
 }
 

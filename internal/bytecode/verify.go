@@ -37,32 +37,41 @@ const MaxStackDepth = 1 << 16
 
 // Verify checks every function in m.
 func Verify(m *Module) error {
-	for _, f := range m.Funcs {
-		if _, err := verifyFunc(m, f); err != nil {
-			return err
+	_, err := VerifyShapes(m)
+	return err
+}
+
+// Shape is what the verifier's stack pass learns about one function.
+type Shape struct {
+	// Depths is the operand stack depth on entry to every instruction;
+	// -1 marks unreachable code.
+	Depths []int
+	// MaxStack is the deepest operand stack any reachable point needs.
+	MaxStack int
+}
+
+// VerifyShapes is Verify returning each function's Shape (indexed like
+// m.Funcs), so an engine verifies a module once and sizes its frames and
+// reconstructs its blocks from that same pass. It accepts and rejects
+// exactly the modules Verify does, with the same errors.
+func VerifyShapes(m *Module) ([]Shape, error) {
+	shapes := make([]Shape, len(m.Funcs))
+	for i, f := range m.Funcs {
+		s, err := verifyFunc(m, f)
+		if err != nil {
+			return nil, err
 		}
+		shapes[i] = s
 	}
-	return nil
+	return shapes, nil
 }
 
-// StackDepths runs the verifier's abstract interpretation over f and
-// returns the operand stack depth on entry to every instruction; entries
-// for unreachable code are -1. It is the exact pass Verify runs per
-// function — an error here is a verification failure and vice versa — so
-// downstream load-time passes that need per-pc depths (the AOT
-// translator's block reconstruction) accept and reject precisely the
-// modules Verify does, by construction rather than by parallel
-// re-implementation.
-func StackDepths(m *Module, f *Func) ([]int, error) {
-	return verifyFunc(m, f)
-}
-
-func verifyFunc(m *Module, f *Func) ([]int, error) {
+func verifyFunc(m *Module, f *Func) (Shape, error) {
 	if f.NArgs > f.NLocals {
-		return nil, vErrf(f.Name, 0, "NArgs %d > NLocals %d", f.NArgs, f.NLocals)
+		return Shape{}, vErrf(f.Name, 0, "NArgs %d > NLocals %d", f.NArgs, f.NLocals)
 	}
 	if len(f.Code) == 0 {
-		return nil, vErrf(f.Name, 0, "empty function body")
+		return Shape{}, vErrf(f.Name, 0, "empty function body")
 	}
 
 	// Static operand validation over every instruction, reachable or not.
@@ -76,20 +85,20 @@ func verifyFunc(m *Module, f *Func) ([]int, error) {
 	// refused by the translators.)
 	for pc, in := range f.Code {
 		if !in.Op.Valid() {
-			return nil, vErrf(f.Name, pc, "undefined opcode %d", byte(in.Op))
+			return Shape{}, vErrf(f.Name, pc, "undefined opcode %d", byte(in.Op))
 		}
 		switch in.Op {
 		case OpLocalGet, OpLocalSet:
 			if in.A >= uint32(f.NLocals) {
-				return nil, vErrf(f.Name, pc, "local slot %d out of range [0,%d)", in.A, f.NLocals)
+				return Shape{}, vErrf(f.Name, pc, "local slot %d out of range [0,%d)", in.A, f.NLocals)
 			}
 		case OpCall:
 			if in.A >= uint32(len(m.Funcs)) {
-				return nil, vErrf(f.Name, pc, "call to undefined function index %d", in.A)
+				return Shape{}, vErrf(f.Name, pc, "call to undefined function index %d", in.A)
 			}
 		case OpJmp, OpJz, OpJnz:
 			if in.A >= uint32(len(f.Code)) {
-				return nil, vErrf(f.Name, pc, "jump target %d out of range [0,%d)", in.A, len(f.Code))
+				return Shape{}, vErrf(f.Name, pc, "jump target %d out of range [0,%d)", in.A, len(f.Code))
 			}
 		}
 	}
@@ -104,9 +113,12 @@ func verifyFunc(m *Module, f *Func) ([]int, error) {
 	// so the pass is linear.
 	work := []int{0}
 	depth[0] = 0
+	maxd := 0
 
+	// The sweep above validated every operand; only a conditional
+	// branch's fall-through can still leave the function.
 	propagate := func(from, to, d int) error {
-		if to < 0 || to >= len(f.Code) {
+		if to >= len(f.Code) {
 			return vErrf(f.Name, from, "jump target %d out of range [0,%d)", to, len(f.Code))
 		}
 		if depth[to] == -1 {
@@ -124,44 +136,36 @@ func verifyFunc(m *Module, f *Func) ([]int, error) {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
 		in := f.Code[pc]
-		if !in.Op.Valid() {
-			return nil, vErrf(f.Name, pc, "undefined opcode %d", byte(in.Op))
-		}
 		d := depth[pc]
 		info := opTable[in.Op]
 
 		pop, push := info.pop, info.push
-		switch in.Op {
-		case OpLocalGet, OpLocalSet:
-			if in.A >= uint32(f.NLocals) {
-				return nil, vErrf(f.Name, pc, "local slot %d out of range [0,%d)", in.A, f.NLocals)
-			}
-		case OpCall:
-			if in.A >= uint32(len(m.Funcs)) {
-				return nil, vErrf(f.Name, pc, "call to undefined function index %d", in.A)
-			}
+		if in.Op == OpCall {
 			pop = m.Funcs[in.A].NArgs
 			push = 1
 		}
 		if d < pop {
-			return nil, vErrf(f.Name, pc, "stack underflow: %s needs %d, depth is %d", in.Op, pop, d)
+			return Shape{}, vErrf(f.Name, pc, "stack underflow: %s needs %d, depth is %d", in.Op, pop, d)
 		}
 		nd := d - pop + push
 		if nd > MaxStackDepth {
-			return nil, vErrf(f.Name, pc, "stack depth %d exceeds limit", nd)
+			return Shape{}, vErrf(f.Name, pc, "stack depth %d exceeds limit", nd)
+		}
+		if nd > maxd {
+			maxd = nd
 		}
 
 		switch in.Op {
 		case OpJmp:
 			if err := propagate(pc, int(in.A), nd); err != nil {
-				return nil, err
+				return Shape{}, err
 			}
 		case OpJz, OpJnz:
 			if err := propagate(pc, int(in.A), nd); err != nil {
-				return nil, err
+				return Shape{}, err
 			}
 			if err := propagate(pc, pc+1, nd); err != nil {
-				return nil, err
+				return Shape{}, err
 			}
 		case OpRet:
 			// terminator; nothing to propagate. The pop==1 check above
@@ -170,68 +174,12 @@ func verifyFunc(m *Module, f *Func) ([]int, error) {
 			// terminator.
 		default:
 			if pc+1 >= len(f.Code) {
-				return nil, vErrf(f.Name, pc, "control falls off end of function after %s", in.Op)
+				return Shape{}, vErrf(f.Name, pc, "control falls off end of function after %s", in.Op)
 			}
 			if err := propagate(pc, pc+1, nd); err != nil {
-				return nil, err
+				return Shape{}, err
 			}
 		}
 	}
-	return depth, nil
-}
-
-// MaxStack computes the maximum operand stack depth any reachable point of
-// f needs, for preallocating interpreter stacks. Requires a verified
-// function; returns 0 for unverifiable code.
-func MaxStack(m *Module, f *Func) int {
-	// Re-run the same abstract interpretation, tracking the max.
-	depth := make([]int, len(f.Code))
-	for i := range depth {
-		depth[i] = -1
-	}
-	if len(f.Code) == 0 {
-		return 0
-	}
-	depth[0] = 0
-	work := []int{0}
-	maxd := 0
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := f.Code[pc]
-		if !in.Op.Valid() {
-			return 0
-		}
-		d := depth[pc]
-		info := opTable[in.Op]
-		pop, push := info.pop, info.push
-		if in.Op == OpCall {
-			if in.A >= uint32(len(m.Funcs)) {
-				return 0
-			}
-			pop = m.Funcs[in.A].NArgs
-			push = 1
-		}
-		nd := d - pop + push
-		if nd > maxd {
-			maxd = nd
-		}
-		visit := func(t int) {
-			if t >= 0 && t < len(f.Code) && depth[t] == -1 {
-				depth[t] = nd
-				work = append(work, t)
-			}
-		}
-		switch in.Op {
-		case OpJmp:
-			visit(int(in.A))
-		case OpJz, OpJnz:
-			visit(int(in.A))
-			visit(pc + 1)
-		case OpRet, OpAbort:
-		default:
-			visit(pc + 1)
-		}
-	}
-	return maxd
+	return Shape{Depths: depth, MaxStack: maxd}, nil
 }

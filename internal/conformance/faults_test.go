@@ -141,15 +141,14 @@ func engineByName(t *testing.T, name string) engineDef {
 	return engineDef{}
 }
 
-// TestFuelCliffs probes randomized fuel budgets on every engine. Fuel
-// units are a per-class quantity (instructions for the VMs, loop
-// iterations and calls for native code, commands for the script
-// interpreter), so the cross-engine property is not a shared threshold
-// but a shared *shape*: each engine has a single cliff — every budget
-// below it fuel-traps, every budget at or above it completes with the
-// unmetered result — and the two bytecode engines, which meter the same
-// instruction stream, must put the cliff in exactly the same place
-// (PR 1's block-granular metering preserves the completion threshold).
+// TestFuelCliffs probes randomized fuel budgets on every engine. Each
+// engine must have a single cliff — every budget below it fuel-traps,
+// every budget at or above it completes with the unmetered result. Fuel
+// is block-granular bytecode instructions for every row lowered to
+// bytecode, so all of them — both VMs, AOT, the five runtime-codegen
+// rows and the upcall wrapper — must put the cliff in exactly the same
+// place (block-granular metering preserves the completion threshold).
+// Only the script row meters its own unit, commands.
 func TestFuelCliffs(t *testing.T) {
 	markFaultClass("fuel-cliff")
 	seed := suiteSeed(74, 3)
@@ -209,15 +208,15 @@ func TestFuelCliffs(t *testing.T) {
 					}
 				}
 			}
-			if a, b := thresholds["bytecode-opt"], thresholds["bytecode-baseline"]; a != b {
-				t.Fatalf("bytecode fuel cliffs diverge: opt=%d baseline=%d", a, b)
-			}
-			// The AOT translation meters the same verified instruction
-			// stream from the same block CFG, so its cliff must be the
-			// bytecode engines' cliff exactly — bounds-check elision is
-			// not allowed to move the preemption threshold.
-			if a, b := thresholds["aot"], thresholds["bytecode-opt"]; a != b {
-				t.Fatalf("aot fuel cliff diverges from bytecode: aot=%d opt=%d", a, b)
+			// The translator rows meter the same verified instruction
+			// stream from the same block CFG as the VMs, so neither
+			// bounds-check elision nor a memory policy may move the
+			// preemption threshold.
+			want := thresholds["bytecode-baseline"]
+			for _, e := range engineMatrix {
+				if e.name != "script" && thresholds[e.name] != want {
+					t.Fatalf("%s fuel cliff %d diverges from bytecode-baseline's %d", e.name, thresholds[e.name], want)
+				}
 			}
 		})
 	}

@@ -41,6 +41,13 @@ type engineDef struct {
 // programs (they need a hand-written implementation or a HiPEC
 // rendering); they are held to the oracle through the per-graft matrix
 // in grafts_test.go instead.
+//
+// Every GEL row shares one compiler: the five runtime-codegen rows, AOT
+// and the upcall wrapper run compile.Compile's bytecode on the closure
+// translator, the bytecode rows interpret it. A compiler bug would make
+// them agree with each other, so the exact cohort also holds them to
+// the script row, which runs Tcl rendered from the same source AST and
+// never touches compile.Compile.
 var engineMatrix = []engineDef{
 	{name: "native-unsafe", id: tech.NativeUnsafe},
 	{name: "native-safe", id: tech.NativeSafe},
@@ -54,9 +61,11 @@ var engineMatrix = []engineDef{
 	{name: "upcall", id: tech.NativeSafe, wrap: true},
 }
 
-// refEngine is the oracle's reference row: checked policy, no NIL page,
-// native closures — the most literal rendering of GEL semantics.
-const refEngine = "native-safe"
+// refEngine is the oracle's reference row: the naive switch-dispatch
+// interpreter under the checked policy with no NIL page — one
+// instruction at a time, no translation, fusion or deferral between the
+// bytecode and its effects.
+const refEngine = "bytecode-baseline"
 
 // exactCohort lists the engines whose outcomes must match the reference
 // byte for byte on every program, tame or wild: the checked engines, the
@@ -127,8 +136,8 @@ func runEngine(t *testing.T, e engineDef, src tech.Source, entry string, args []
 // kind/addr/code, and memory. Memory is not compared under stack-
 // overflow or fuel traps: call-depth limits and fuel units are
 // documented per-engine quantities, so the trap point (and hence the
-// partial side effects) may differ. Trap PCs are only meaningful within
-// the bytecode pair and are compared separately by the caller.
+// partial side effects) may differ. Trap PCs are compared separately by
+// the caller, among the rows that run the same bytecode (pcRows).
 func agreeExact(t *testing.T, label string, ref, got outcome) {
 	t.Helper()
 	if (ref.err != nil) != (got.err != nil) {
@@ -221,18 +230,20 @@ func checkProgram(t *testing.T, label string, src tech.Source, args []uint32, ta
 		}
 	}
 
-	// Trap PCs are an intra-VM contract: both bytecode engines and the
-	// AOT translation run the same verified module, so a trap must be
-	// attributed to the same instruction.
-	bo, bb := out["bytecode-opt"], out["bytecode-baseline"]
-	if bo.trap != nil && bb.trap != nil && bo.trap.Kind == bb.trap.Kind && bo.trap.PC != bb.trap.PC {
-		t.Fatalf("%s: bytecode trap PC diverges: opt=%d baseline=%d (%v)", label, bo.trap.PC, bb.trap.PC, bo.trap.Kind)
-	}
-	if ao := out["aot"]; ao.trap != nil && bo.trap != nil && ao.trap.Kind == bo.trap.Kind && ao.trap.PC != bo.trap.PC {
-		t.Fatalf("%s: aot trap PC diverges from bytecode-opt: aot=%d opt=%d (%v)", label, ao.trap.PC, bo.trap.PC, ao.trap.Kind)
+	// Trap PCs are a contract among the rows that run the same verified
+	// module — both bytecode engines and every exact-cohort translator
+	// row — so a trap must be attributed to the same instruction.
+	bb := out["bytecode-baseline"]
+	for _, name := range pcRows {
+		if o := out[name]; o.trap != nil && bb.trap != nil && o.trap.Kind == bb.trap.Kind && o.trap.PC != bb.trap.PC {
+			t.Fatalf("%s: %s trap PC diverges from bytecode-baseline: %d vs %d (%v)", label, name, o.trap.PC, bb.trap.PC, o.trap.Kind)
+		}
 	}
 	return out
 }
+
+// pcRows are the exact-cohort rows whose traps carry bytecode PCs.
+var pcRows = []string{"bytecode-opt", "aot", "native-unsafe", "native-safe", "upcall"}
 
 // --- coverage bookkeeping (asserted by zzz_coverage_test.go) ---
 

@@ -8,7 +8,7 @@ import (
 )
 
 // requiredEngines is the contract for the general-purpose matrix: the
-// five native/SFI policies, both bytecode engines, the AOT translation,
+// five runtime-codegen policies, both bytecode engines, the AOT translation,
 // the script interpreter, and the upcall wrapper. Removing a row from
 // engineMatrix fails here before anything else runs.
 var requiredEngines = []string{

@@ -83,6 +83,9 @@ func FuzzParse(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
+	// Nested past MaxNesting: the parser must refuse, not recurse on.
+	deep := 2 * MaxNesting
+	f.Add("func main(a) { return " + strings.Repeat("(", deep) + "a" + strings.Repeat(")", deep) + "; }")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Parse(src)
 		if err != nil {

@@ -5,13 +5,17 @@ import (
 	"strconv"
 )
 
-// Error is a front-end error carrying a source position.
+// Error is a front-end error carrying a source position. Err, when set,
+// is the sentinel the error wraps (ErrNesting).
 type Error struct {
 	Pos Pos
 	Msg string
+	Err error
 }
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
+
+func (e *Error) Unwrap() error { return e.Err }
 
 func errf(pos Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}

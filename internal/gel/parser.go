@@ -1,5 +1,10 @@
 package gel
 
+import (
+	"errors"
+	"fmt"
+)
+
 // Recursive-descent parser. Grammar:
 //
 //	program  := funcdecl*
@@ -17,9 +22,46 @@ package gel
 //
 //	|| , && , | , ^ , & , (== !=) , (< <= > >=) , (<< >>) , (+ -) ,
 //	(* / %) , unary (- ! ~) , primary
+//
+// Nesting is bounded: every recursive production counts its depth, and
+// every expression node its height, against MaxNesting. The checker,
+// folder and compiler recurse over the tree the parser builds, so the
+// bound protects them too — hostile source gets ErrNesting instead of
+// exhausting the goroutine stack.
 type parser struct {
-	lex *lexer
-	tok Token // current token
+	lex   *lexer
+	tok   Token // current token
+	depth int   // active recursive productions
+	h     int   // height of the expression the last production returned
+}
+
+// MaxNesting bounds GEL nesting: recursive productions (blocks, if
+// statements, parenthesised, unary and argument expressions) and the
+// height of every expression tree. Real grafts stay under a few dozen.
+const MaxNesting = 1000
+
+// ErrNesting is wrapped by the *Error Parse returns for source nested
+// deeper than MaxNesting.
+var ErrNesting = errors.New("nesting exceeds limit")
+
+// nest enters one recursive production; the caller defers unnest.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > MaxNesting {
+		return &Error{Pos: p.tok.Pos, Msg: fmt.Sprintf("nesting deeper than %d levels", MaxNesting), Err: ErrNesting}
+	}
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
+
+// grow records h as the height of the expression about to be returned.
+func (p *parser) grow(h int, pos Pos) error {
+	if h > MaxNesting {
+		return &Error{Pos: pos, Msg: fmt.Sprintf("expression deeper than %d levels", MaxNesting), Err: ErrNesting}
+	}
+	p.h = h
+	return nil
 }
 
 // Parse lexes and parses src into an unchecked Program.
@@ -107,6 +149,10 @@ func (p *parser) funcDecl() (*FuncDecl, error) {
 }
 
 func (p *parser) block() (*Block, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	pos := p.tok.Pos
 	if _, err := p.expect(LBRACE); err != nil {
 		return nil, err
@@ -248,6 +294,10 @@ func (p *parser) stmt() (Stmt, error) {
 }
 
 func (p *parser) ifStmt() (Stmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	pos := p.tok.Pos
 	if err := p.advance(); err != nil { // consume if
 		return nil, err
@@ -307,6 +357,10 @@ var tokToBinOp = map[Kind]BinOp{
 }
 
 func (p *parser) expr() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	lhs, err := p.unary()
 	if err != nil {
 		return nil, err
@@ -314,11 +368,14 @@ func (p *parser) expr() (Expr, error) {
 	return p.binaryRHS(lhs, 0)
 }
 
-// binaryRHS implements precedence climbing above an already-parsed lhs.
+// binaryRHS implements precedence climbing above an already-parsed lhs,
+// whose height is in p.h.
 func (p *parser) binaryRHS(lhs Expr, minPrec int) (Expr, error) {
+	lh := p.h
 	for {
 		prec, ok := precedence[p.tok.Kind]
 		if !ok || prec < minPrec {
+			p.h = lh
 			return lhs, nil
 		}
 		op := tokToBinOp[p.tok.Kind]
@@ -340,42 +397,41 @@ func (p *parser) binaryRHS(lhs Expr, minPrec int) (Expr, error) {
 				return nil, err
 			}
 		}
-		lhs = &Binary{Op: op, X: lhs, Y: rhs, Pos: pos}
+		if err := p.grow(1+max(lh, p.h), pos); err != nil {
+			return nil, err
+		}
+		lhs, lh = &Binary{Op: op, X: lhs, Y: rhs, Pos: pos}, p.h
 	}
 }
 
 func (p *parser) unary() (Expr, error) {
-	pos := p.tok.Pos
+	var op UnaryOp
 	switch p.tok.Kind {
 	case MINUS:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: UNeg, X: x, Pos: pos}, nil
+		op = UNeg
 	case BANG:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: UNot, X: x, Pos: pos}, nil
+		op = UNot
 	case TILDE:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: UCpl, X: x, Pos: pos}, nil
+		op = UCpl
+	default:
+		return p.primary()
 	}
-	return p.primary()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	pos := p.tok.Pos
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	x, err := p.unary()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.grow(p.h+1, pos); err != nil {
+		return nil, err
+	}
+	return &Unary{Op: op, X: x, Pos: pos}, nil
 }
 
 func (p *parser) primary() (Expr, error) {
@@ -385,6 +441,7 @@ func (p *parser) primary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		p.h = 1
 		return &NumberLit{Val: t.Val, Pos: t.Pos}, nil
 	case IDENT:
 		t := p.tok
@@ -412,18 +469,21 @@ func (p *parser) primary() (Expr, error) {
 // already been consumed (call or variable reference).
 func (p *parser) primaryFromIdent(id Token) (Expr, error) {
 	if p.tok.Kind != LPAREN {
+		p.h = 1
 		return &VarRef{Name: id.Text, Slot: -1, Pos: id.Pos}, nil
 	}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	call := &Call{Name: id.Text, FuncIdx: -1, Pos: id.Pos}
+	h := 0
 	if p.tok.Kind != RPAREN {
 		for {
 			arg, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.h)
 			call.Args = append(call.Args, arg)
 			ok, err := p.accept(COMMA)
 			if err != nil {
@@ -435,6 +495,9 @@ func (p *parser) primaryFromIdent(id Token) (Expr, error) {
 		}
 	}
 	if _, err := p.expect(RPAREN); err != nil {
+		return nil, err
+	}
+	if err := p.grow(h+1, id.Pos); err != nil {
 		return nil, err
 	}
 	return call, nil

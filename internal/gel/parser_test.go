@@ -1,8 +1,10 @@
 package gel
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustParse(t *testing.T, src string) *Program {
@@ -197,5 +199,53 @@ func TestNestedBlocksScope(t *testing.T) {
 	}`)
 	if err == nil || !strings.Contains(err.Error(), "undeclared") {
 		t.Fatalf("expected out-of-scope error, got %v", err)
+	}
+}
+
+// TestNestingLimit: source nested past MaxNesting — the 8 MB
+// parenthesis probe, unary and call chains, a left-associative operator
+// chain, nested blocks and nested ifs — is refused with ErrNesting in
+// bounded time instead of overflowing the goroutine stack in the parser
+// or in the passes that recurse over its tree. Programs well inside the
+// limit still parse, check and fold.
+func TestNestingLimit(t *testing.T) {
+	const n = 4 << 20 // 4M levels: 8 MB of parentheses
+	deep := map[string]string{
+		"parens": "func main(a) { return " + strings.Repeat("(", n) + "a" + strings.Repeat(")", n) + "; }",
+		"unary":  "func main(a) { return " + strings.Repeat("-", n) + "a; }",
+		"calls":  "func f(x) { return x; } func main(a) { return " + strings.Repeat("f(", n) + "a" + strings.Repeat(")", n) + "; }",
+		"chain":  "func main(a) { return a" + strings.Repeat("+a", n) + "; }",
+		"blocks": "func main(a) { " + strings.Repeat("{", n) + strings.Repeat("}", n) + " return a; }",
+		"ifs":    "func main(a) { " + strings.Repeat("if (a) {", n/8) + strings.Repeat("}", n/8) + " return a; }",
+		"elseif": "func main(a) { if (a) { }" + strings.Repeat(" else if (a) { }", n/16) + " return a; }",
+	}
+	for name, src := range deep {
+		start := time.Now()
+		_, err := ParseAndCheck(src)
+		if !errors.Is(err, ErrNesting) {
+			t.Errorf("%s: err = %v, want ErrNesting", name, err)
+		}
+		var ge *Error
+		if !errors.As(err, &ge) {
+			t.Errorf("%s: err %T is not a *gel.Error", name, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s: refusal took %v", name, d)
+		}
+	}
+
+	const ok = MaxNesting / 4
+	fine := []string{
+		"func main(a) { return " + strings.Repeat("(", ok) + "a" + strings.Repeat(")", ok) + "; }",
+		"func main(a) { return a" + strings.Repeat("+a", ok) + "; }",
+		"func main(a) { " + strings.Repeat("{", ok) + strings.Repeat("}", ok) + " return a; }",
+		"func main(a) { return " + strings.Repeat("-", ok) + "a; }",
+	}
+	for _, src := range fine {
+		p, err := ParseAndCheck(src)
+		if err != nil {
+			t.Fatalf("nesting %d refused: %v", ok, err)
+		}
+		Fold(p)
 	}
 }

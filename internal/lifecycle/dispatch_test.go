@@ -14,8 +14,12 @@ import (
 )
 
 // dispatchTechs are the classes the allocation contract is pinned on:
-// the compiled C column, the verified-native tier and the interpreter.
-var dispatchTechs = []tech.ID{tech.CompiledUnsafe, tech.AOT, tech.Bytecode}
+// the compiled C column, the closure translator (the verified-native
+// tier and the five runtime-codegen classes) and the interpreter.
+var dispatchTechs = []tech.ID{
+	tech.CompiledUnsafe, tech.AOT, tech.Bytecode,
+	tech.NativeUnsafe, tech.NativeSafe, tech.NativeSafeNil, tech.SFI, tech.SFIFull,
+}
 
 // withTelemetry runs fn with telemetry off and on, restoring the default.
 func withTelemetry(t *testing.T, fn func(t *testing.T)) {

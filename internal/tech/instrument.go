@@ -10,8 +10,9 @@ import (
 
 // FuelReporter is the optional engine interface telemetry uses for
 // per-invocation fuel accounting: FuelUsed reports the fuel the most
-// recent invocation consumed. All four metered engines (both bytecode
-// VMs, the runtime codegen, the script interpreter) implement it.
+// recent invocation consumed. Every metered engine (both bytecode VMs,
+// the closure translator behind AOT and the runtime-codegen classes, the
+// script interpreter) implements it.
 type FuelReporter interface {
 	FuelUsed() int64
 }

@@ -6,20 +6,18 @@ import (
 	"sync/atomic"
 
 	"graftlab/internal/bytecode"
-	"graftlab/internal/compile"
-	"graftlab/internal/gel"
 	"graftlab/internal/mem"
 	"graftlab/internal/telemetry"
 )
 
 // Pool hands out reusable graft instances so one loaded extension can be
 // invoked from many goroutines at once. Every engine in the registry
-// keeps per-invocation state (VM frames, the codegen locals arena, the
-// script interpreter's variable stack), so a single Graft is safe for
-// one goroutine at a time; the pool is the concurrency layer on top:
-// each instance owns a private linear memory and a private engine, and
-// the load-time artifacts that ARE immutable — the parsed GEL program,
-// the verified bytecode module — are built once and shared by every
+// keeps per-invocation state (VM frames, the translator's register
+// arena, the script interpreter's variable stack), so a single Graft is
+// safe for one goroutine at a time; the pool is the concurrency layer on
+// top: each instance owns a private linear memory and a private engine,
+// and the load-time artifact that IS immutable — the verified bytecode
+// module every GEL class runs — is built once and shared by every
 // instance. This mirrors how production extension runtimes go multicore:
 // eBPF runs the same verified program on every CPU with per-CPU maps for
 // the mutable state; here the per-CPU state is the instance.
@@ -34,9 +32,9 @@ type Pool struct {
 	opts Options
 	cfg  PoolConfig
 
-	// Shared immutable load-time artifacts (see newInstance).
-	prog *gel.Program
-	mod  *bytecode.Module
+	// mod is the shared immutable load-time artifact of the
+	// bytecode-lowered classes (see newInstance).
+	mod *bytecode.Module
 
 	instrument bool // captured at NewPool time, like Load
 
@@ -96,31 +94,20 @@ func NewPool(id ID, src Source, opts Options, cfg PoolConfig) (*Pool, error) {
 	}
 	p := &Pool{id: id, src: src, opts: opts, cfg: cfg, instrument: !telemetry.Disabled()}
 
-	// Build the shared immutable artifacts once. native.Compile and the
-	// VM constructors only read these, so concurrent instance creation
-	// is safe.
+	// Build the shared module once. The engine constructors only read
+	// it, so concurrent instance creation is safe.
 	switch id {
 	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull, Bytecode, AOT:
-		prog, err := gel.ParseAndCheck(src.GEL)
+		mod, err := compileGEL(id, src.GEL, opts.Optimize)
 		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
+			return nil, err
 		}
-		if opts.Optimize {
-			gel.Fold(prog)
-		}
-		p.prog = prog
-		if id == Bytecode || id == AOT {
-			mod, err := compile.Compile(prog)
-			if err != nil {
-				return nil, fmt.Errorf("tech %s: %w", id, err)
+		if id == Bytecode {
+			if _, err := ParseVMMode(string(opts.VM)); err != nil {
+				return nil, err
 			}
-			if id == Bytecode {
-				if _, err := ParseVMMode(string(opts.VM)); err != nil {
-					return nil, err
-				}
-			}
-			p.mod = mod
 		}
+		p.mod = mod
 	}
 
 	first, err := p.newInstance()
@@ -167,40 +154,20 @@ func (p *Pool) newInstance() (*Instance, error) {
 	return it, nil
 }
 
-// loadEngine binds a private engine to m, reusing the shared parsed
-// program / compiled module where the class has one. The per-class
-// branches intentionally mirror load(): the Compiled*, Script, and
-// Domain classes have per-instance load costs by nature (a constructor
-// call, a source re-parse, a 20-instruction assembly), while the
-// codegen and bytecode classes share their expensive front-end work.
+// loadEngine binds a private engine to m, reusing the shared compiled
+// module where the class has one. The Compiled*, Script, and Domain
+// classes have per-instance load costs by nature (a constructor call, a
+// source re-parse, a 20-instruction assembly), while the
+// bytecode-lowered classes share their expensive front-end work.
 func (p *Pool) loadEngine(m *mem.Memory) (Graft, error) {
-	switch p.id {
-	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull:
-		cfg, err := Config(p.id)
-		if err != nil {
-			return nil, err
-		}
-		np, err := nativeCompile(p.prog, m, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", p.id, err)
-		}
-		np.Fuel = p.opts.Fuel
-		return np, nil
-	case Bytecode:
-		cfg, err := Config(p.id)
-		if err != nil {
-			return nil, err
-		}
-		return newVMEngine(p.mod, m, cfg, p.opts)
-	case AOT:
-		cfg, err := Config(p.id)
-		if err != nil {
-			return nil, err
-		}
-		return newAOTEngine(p.mod, m, cfg, p.opts)
-	default:
+	if p.mod == nil {
 		return load(p.id, p.src, m, p.opts)
 	}
+	cfg, err := Config(p.id)
+	if err != nil {
+		return nil, err
+	}
+	return newModuleEngine(p.id, p.mod, m, cfg, p.opts)
 }
 
 // Get returns an idle instance, creating one if the pool is empty.

@@ -5,18 +5,25 @@
 //
 //	ID            paper technology            implementation
 //	------------  --------------------------  -------------------------------
-//	NativeUnsafe  C linked into the kernel    native codegen, PolicyUnsafe
-//	NativeSafe    Modula-3 (Solaris/Alpha)    native codegen, PolicyChecked
-//	NativeSafeNil Modula-3 (Linux, explicit   native codegen, PolicyChecked
+//	NativeUnsafe  C linked into the kernel    translated, PolicyUnsafe
+//	NativeSafe    Modula-3 (Solaris/Alpha)    translated, PolicyChecked
+//	NativeSafeNil Modula-3 (Linux, explicit   translated, PolicyChecked
 //	              NIL checks, §5.4)           + NilCheck
-//	SFI           Omniware beta (write/jump   native codegen, PolicySandbox
+//	SFI           Omniware beta (write/jump   translated, PolicySandbox
 //	              sandboxing, no read prot.)
-//	SFIFull       "SFI with full protection"  native codegen, PolicySandbox
+//	SFIFull       "SFI with full protection"  translated, PolicySandbox
 //	              (§6 future candidate)       + ReadProtect
-//	Bytecode      Java (Alpha 3 interpreter)  compile to bytecode, verify, vm
+//	Bytecode      Java (Alpha 3 interpreter)  bytecode, vm
 //	Script        Tcl 3.7                     mini-Tcl source interpreter
-//	AOT           eBPF-style verified native  bytecode verified + interval-
-//	              (post-paper practice)       proved, lowered to closures
+//	AOT           eBPF-style verified native  translated + interval proofs
+//	              (post-paper practice)       eliding proven checks
+//
+// Every GEL class shares one front end: parse, check, optionally fold,
+// and compile.Compile to verified bytecode. "Translated" is the closure
+// backend in internal/aot; the runtime-codegen classes use it with
+// proof-based elision off, so each access pays its policy. Fuel is
+// therefore one unit — bytecode instructions, charged per basic block —
+// for all seven bytecode-lowered classes.
 //
 // The user-level-server technology is not a loader but a wrapper; see
 // package upcall.
@@ -31,7 +38,6 @@ import (
 	"graftlab/internal/gel"
 	"graftlab/internal/hipec"
 	"graftlab/internal/mem"
-	"graftlab/internal/native"
 	"graftlab/internal/script"
 	"graftlab/internal/telemetry"
 	"graftlab/internal/vm"
@@ -100,7 +106,8 @@ const (
 	// The runtime-codegen class: GEL lowered to closure-threaded Go
 	// closures at load time — the paper's "flexible line between
 	// generating native code at load time and dynamically generating
-	// native code from interpreted code" (§4.3).
+	// native code from interpreted code" (§4.3). They run on the AOT
+	// translator with proof-based elision off (see internal/aot).
 	NativeUnsafe  ID = "native-unsafe"
 	NativeSafe    ID = "native-safe"
 	NativeSafeNil ID = "native-safe-nil"
@@ -234,9 +241,11 @@ func ParseVMMode(s string) (VMMode, error) {
 
 // Options tune a load.
 type Options struct {
-	// Fuel is the per-invocation execution budget (instructions for the
-	// VM, loop iterations and calls for native code, commands for the
-	// script interpreter). 0 disables metering.
+	// Fuel is the per-invocation execution budget: bytecode
+	// instructions, charged per basic block, for every class lowered to
+	// bytecode (Bytecode, AOT and the five runtime-codegen classes);
+	// commands for the script interpreter; instructions for the domain
+	// interpreter. 0 disables metering.
 	Fuel int64
 	// Optimize runs constant folding on GEL sources before code
 	// generation. Behaviour is unchanged (the fold keeps runtime traps);
@@ -275,10 +284,10 @@ func Load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 }
 
 // ProfileSetter is the optional engine interface the sampling profiler
-// wires through: both bytecode engines and the script interpreter
-// implement it (the only classes with a fuel-granular execution loop to
-// piggyback on; the compiled and codegen classes run native Go and are
-// profiled by the host profiler instead).
+// wires through: both bytecode engines, the closure translator (AOT and
+// the runtime-codegen classes) and the script interpreter implement it —
+// the classes with a fuel charge to piggyback on. The compiled classes
+// run native Go and are profiled by the host profiler instead.
 type ProfileSetter interface {
 	SetProfile(s *telemetry.ProfScope, every int64)
 }
@@ -328,46 +337,12 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 			return nil, fmt.Errorf("tech %s: graft %q has no compiled implementation", id, src.Name)
 		}
 		return src.Compiled(cfg, m)
-	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull:
-		prog, err := gel.ParseAndCheck(src.GEL)
+	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull, Bytecode, AOT:
+		mod, err := compileGEL(id, src.GEL, opts.Optimize)
 		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
+			return nil, err
 		}
-		if opts.Optimize {
-			gel.Fold(prog)
-		}
-		np, err := nativeCompile(prog, m, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		np.Fuel = opts.Fuel
-		return np, nil
-	case Bytecode:
-		prog, err := gel.ParseAndCheck(src.GEL)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		if opts.Optimize {
-			gel.Fold(prog)
-		}
-		mod, err := compile.Compile(prog)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		return newVMEngine(mod, m, cfg, opts)
-	case AOT:
-		prog, err := gel.ParseAndCheck(src.GEL)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		if opts.Optimize {
-			gel.Fold(prog)
-		}
-		mod, err := compile.Compile(prog)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		return newAOTEngine(mod, m, cfg, opts)
+		return newModuleEngine(id, mod, m, cfg, opts)
 	case Script:
 		if src.Tcl == "" {
 			return nil, fmt.Errorf("tech %s: graft %q has no script translation", id, src.Name)
@@ -396,16 +371,46 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 	return nil, fmt.Errorf("tech: unknown technology %q", id)
 }
 
-// nativeCompile binds a parsed (and possibly folded) GEL program to m
-// under cfg. Shared by load and Pool.newInstance: the parsed program is
-// immutable, so many instances can be compiled from it concurrently.
-func nativeCompile(prog *gel.Program, m *mem.Memory, cfg mem.Config) (*native.Prog, error) {
-	return native.Compile(prog, m, cfg)
+// compileGEL is the front end every bytecode-lowered class shares:
+// parse, check, optionally fold, compile to a verified module. The
+// module is immutable, so Pool builds it once for all instances.
+func compileGEL(id ID, src string, optimize bool) (*bytecode.Module, error) {
+	prog, err := gel.ParseAndCheck(src)
+	if err != nil {
+		return nil, fmt.Errorf("tech %s: %w", id, err)
+	}
+	if optimize {
+		gel.Fold(prog)
+	}
+	mod, err := compile.Compile(prog)
+	if err != nil {
+		return nil, fmt.Errorf("tech %s: %w", id, err)
+	}
+	return mod, nil
+}
+
+// newModuleEngine binds an engine for id to m over a compiled module:
+// the selected bytecode VM, or the closure translator — with the
+// verifier's proofs eliding checks for AOT, without them for the
+// runtime-codegen classes. Shared by load and Pool.newInstance.
+func newModuleEngine(id ID, mod *bytecode.Module, m *mem.Memory, cfg mem.Config, opts Options) (Graft, error) {
+	if id == Bytecode {
+		return newVMEngine(mod, m, cfg, opts)
+	}
+	build := aot.NewNoElision
+	if id == AOT {
+		build = aot.New
+	}
+	p, err := build(mod, m, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("tech %s: %w", id, err)
+	}
+	p.Fuel = opts.Fuel
+	return p, nil
 }
 
 // newVMEngine instantiates the selected bytecode engine over a compiled
-// module. Shared by load and Pool.newInstance: the module is immutable
-// after compile+verify, so instances translate from it concurrently.
+// module.
 func newVMEngine(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, opts Options) (Graft, error) {
 	mode, err := ParseVMMode(string(opts.VM))
 	if err != nil {
@@ -425,18 +430,6 @@ func newVMEngine(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, opts Optio
 	}
 	v.Fuel = opts.Fuel
 	return v, nil
-}
-
-// newAOTEngine verifies and translates a compiled module for the AOT
-// class. Shared by load and Pool.newInstance, like newVMEngine: the
-// module is immutable, so instances translate from it concurrently.
-func newAOTEngine(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, opts Options) (Graft, error) {
-	p, err := aot.New(mod, m, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("tech %s: %w", AOT, err)
-	}
-	p.Fuel = opts.Fuel
-	return p, nil
 }
 
 // hipecGraft adapts verified HiPEC-class programs to the Graft interface.

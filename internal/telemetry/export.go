@@ -26,6 +26,15 @@ import (
 // watchdog's default fast window.
 const DefaultExportWindow = 10 * time.Second
 
+// Slow-client bounds for ServeMetrics: a client has metricsHeaderTimeout
+// to send its request headers, and an idle keep-alive connection is
+// closed after metricsIdleTimeout. There is deliberately no write
+// timeout — /stream is a long-lived SSE response.
+const (
+	metricsHeaderTimeout = 5 * time.Second
+	metricsIdleTimeout   = 60 * time.Second
+)
+
 // MetricsServer is a running export surface. Close shuts it down.
 type MetricsServer struct {
 	srv *http.Server
@@ -57,12 +66,22 @@ func ServeMetrics(addr string) (*MetricsServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: metrics listener: %w", err)
 	}
+	return serveMetrics(ln, metricsHeaderTimeout), nil
+}
+
+// serveMetrics serves the export surface on ln, dropping clients that
+// take longer than headerTimeout to send their request headers.
+func serveMetrics(ln net.Listener, headerTimeout time.Duration) *MetricsServer {
 	s := &MetricsServer{
-		srv: &http.Server{Handler: NewMetricsHandler()},
-		ln:  ln,
+		srv: &http.Server{
+			Handler:           NewMetricsHandler(),
+			ReadHeaderTimeout: headerTimeout,
+			IdleTimeout:       metricsIdleTimeout,
+		},
+		ln: ln,
 	}
 	go s.srv.Serve(ln) //nolint:errcheck // Shutdown's ErrServerClosed is the normal exit
-	return s, nil
+	return s
 }
 
 // NewMetricsHandler returns the export surface as a plain http.Handler,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -211,5 +212,69 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	}
 	if len(ws) != 1 || ws[0].Graft != "pageevict" {
 		t.Errorf("SSE snapshot = %+v", ws)
+	}
+}
+
+// TestMetricsServerDropsSlowClients: a client that sends half a request
+// line is disconnected once the header timeout passes, while a /stream
+// client — a response that legitimately outlives any write deadline —
+// keeps receiving events well past it. ServeMetrics runs with the
+// package's fixed timeouts; the behaviour is exercised with a short one.
+func TestMetricsServerDropsSlowClients(t *testing.T) {
+	pub, err := ServeMetrics("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pub.srv; got.ReadHeaderTimeout != metricsHeaderTimeout || got.IdleTimeout != metricsIdleTimeout || got.WriteTimeout != 0 {
+		t.Errorf("ServeMetrics timeouts: header %v idle %v write %v", got.ReadHeaderTimeout, got.IdleTimeout, got.WriteTimeout)
+	}
+	pub.Close()
+
+	const timeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveMetrics(ln, timeout)
+	defer srv.Close()
+
+	resp, err := http.Get("http://" + srv.Addr() + "/stream?interval=20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /metr")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("half-request client: %v; want the server to close the connection", err)
+	}
+	if d := time.Since(start); d < timeout {
+		t.Fatalf("half-request client dropped after %v, before the %v header timeout", d, timeout)
+	}
+
+	// The stream outlives the header timeout several times over.
+	sc := bufio.NewScanner(resp.Body)
+	for time.Since(start) < 3*timeout {
+		if !sc.Scan() {
+			t.Fatalf("stream ended after %v: %v", time.Since(start), sc.Err())
+		}
+	}
+	events := 0
+	for events < 3 && sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "data: ") {
+			events++
+		}
+	}
+	if events < 3 {
+		t.Fatalf("stream stopped delivering events after %v: %v", time.Since(start), sc.Err())
 	}
 }

@@ -255,7 +255,8 @@ func (v *OptVM) SetProfile(s *telemetry.ProfScope, every int64) {
 
 // NewOpt verifies mod and translates it for execution against m under cfg.
 func NewOpt(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, oc OptConfig) (*OptVM, error) {
-	if err := bytecode.Verify(mod); err != nil {
+	shapes, err := bytecode.VerifyShapes(mod)
+	if err != nil {
 		return nil, err
 	}
 	if m.Faults() != nil {
@@ -268,7 +269,7 @@ func NewOpt(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, oc OptConfig) (
 	v := &OptVM{mod: mod, mem: m}
 	v.fns = make([]xfunc, len(mod.Funcs))
 	for i, f := range mod.Funcs {
-		xf, err := translate(mod, f, cfg, oc)
+		xf, err := translate(f, shapes[i].MaxStack, cfg, oc)
 		if err != nil {
 			return nil, err
 		}
