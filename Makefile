@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline reqbench-check check experiments quick-experiments examples clean
+.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline reqbench-check loc-delta check experiments quick-experiments examples clean
 
 all: build test
 
@@ -102,6 +102,28 @@ bench-baseline:
 # against this checkout's APIs. `bash reqbench/run.sh` runs it for real.
 reqbench-check:
 	cd reqbench && $(GO) test -count=1 .
+
+# Net non-test Go line delta of the working tree against BASE (tracked
+# files only, so `git add` new files first): lines added, deleted and
+# net, outside *_test.go, testdata/ and reqbench/, each with the share
+# that is comments or blank. CHANGES.md records it for every change.
+BASE ?= HEAD~1
+
+loc-delta:
+	@git diff --no-color --unified=0 $(BASE) -- '*.go' ':!*_test.go' ':!*testdata/*' ':!reqbench/*' | awk '\
+		/^(\+\+\+|---) (a\/|b\/|\/dev\/null)/ { next } \
+		/^[+-]/ { \
+			s = substr($$0, 1, 1); l = substr($$0, 2); sub(/^[ \t]+/, "", l); \
+			n[s]++; if (l == "" || l ~ /^\/\//) c[s]++ \
+		} \
+		function pct(a, b) { return b ? 100 * a / b : 0 } \
+		END { \
+			a = n["+"] + 0; ca = c["+"] + 0; d = n["-"] + 0; cd = c["-"] + 0; \
+			printf "Go lines vs $(BASE), without *_test.go, testdata/, reqbench/:\n"; \
+			printf "  added   %6d  (comments/blank %d, %.0f%%)\n", a, ca, pct(ca, a); \
+			printf "  deleted %6d  (comments/blank %d, %.0f%%)\n", d, cd, pct(cd, d); \
+			printf "  net     %+6d  (code %+d, comments/blank %+d)\n", a - d, (a - ca) - (d - cd), ca - cd \
+		}'
 
 # Regenerate the paper's evaluation (Tables 1-6, Figure 1, ablations,
 # packet filter). Minutes at paper scale; use quick-experiments for CI.

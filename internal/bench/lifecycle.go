@@ -181,7 +181,7 @@ func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
 				if c, ok := carriers[key]; ok {
 					return c, nil
 				}
-				eng, err := tech.Load(id, grafts.PacketFilter, mem.New(grafts.PFMemSize), tech.Options{VM: cfg.VM})
+				eng, err := a.Load(id, mem.New(grafts.PFMemSize), tech.Options{VM: cfg.VM})
 				if err != nil {
 					return nil, err
 				}

@@ -37,32 +37,119 @@ func withTelemetry(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go), where
+// sync.Pool drops a quarter of its Puts on purpose, so a pooled
+// checkout cannot be allocation-free.
+var raceEnabled bool
+
+// pfConfig sets the packet filter up to pass port 80.
+func pfConfig(m *mem.Memory) error {
+	grafts.ConfigurePacketFilter(m, 80)
+	return nil
+}
+
+// carriers builds a slot loader for each carrier: Single over one
+// configured engine, and Pooled, whose instances configure themselves.
+var carriers = []struct {
+	name string
+	load func(id tech.ID, opts tech.Options) lifecycle.LoadFunc
+}{
+	{"single", func(id tech.ID, opts tech.Options) lifecycle.LoadFunc {
+		return lifecycle.Loader(id, grafts.PFMemSize, opts)
+	}},
+	{"pooled", func(id tech.ID, opts tech.Options) lifecycle.LoadFunc {
+		return lifecycle.PoolLoader(id, opts, tech.PoolConfig{MemSize: grafts.PFMemSize, Setup: pfConfig})
+	}},
+}
+
 // TestSlotInvokeSteadyStateAllocs pins the dispatch contract: once warm,
-// an invocation through a slot on a Single carrier allocates nothing —
-// no release closure per Acquire, no per-call recording state — with or
+// an invocation through a slot allocates nothing — no release closure
+// per Acquire on either carrier, no per-call recording state — with or
 // without telemetry.
 func TestSlotInvokeSteadyStateAllocs(t *testing.T) {
 	withTelemetry(t, func(t *testing.T) {
-		for _, id := range dispatchTechs {
-			s := lifecycle.NewSlot("allocs", id, lifecycle.Loader(id, grafts.PFMemSize, tech.Options{}))
-			err := s.Activate(tech.NewArtifact(grafts.PacketFilter, 1), func(m *mem.Memory) error {
-				grafts.ConfigurePacketFilter(m, 80)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
+		for _, c := range carriers {
+			if c.name == "pooled" && raceEnabled {
+				continue
 			}
-			args := []uint32{60}
-			allocs := testing.AllocsPerRun(1000, func() {
-				if _, err := s.Invoke("filter", args...); err != nil {
-					t.Fatalf("%s: %v", id, err)
+			for _, id := range dispatchTechs {
+				s := lifecycle.NewSlot("allocs", id, c.load(id, tech.Options{}))
+				if err := s.Activate(tech.NewArtifact(grafts.PacketFilter, 1), pfConfig); err != nil {
+					t.Fatalf("%s/%s: %v", c.name, id, err)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s: Slot.Invoke allocates %v times per call, want 0", id, allocs)
+				args := []uint32{60}
+				allocs := testing.AllocsPerRun(1000, func() {
+					if _, err := s.Invoke("filter", args...); err != nil {
+						t.Fatalf("%s/%s: %v", c.name, id, err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s/%s: Slot.Invoke allocates %v times per call, want 0", c.name, id, allocs)
+				}
 			}
 		}
 	})
+}
+
+// TestFuelParitySingleAndPooled pins that the slot sees the engine's
+// fuel on every carrier, with telemetry off and on: Result.Fuel is what
+// the engine charged, and the versioned key records the same amount.
+func TestFuelParitySingleAndPooled(t *testing.T) {
+	withTelemetry(t, func(t *testing.T) {
+		for _, c := range carriers {
+			s := lifecycle.NewSlot("fuel-"+c.name, tech.Bytecode, c.load(tech.Bytecode, tech.Options{Fuel: 1 << 20}))
+			if err := s.Activate(tech.NewArtifact(grafts.PacketFilter, 1), pfConfig); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			res, err := s.Invoke("filter", 60)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			snap := s.Incumbent().Snapshot()
+			if res.Fuel <= 0 || snap.Invocations != 1 || snap.FuelPerInvocation != float64(res.Fuel) {
+				t.Errorf("%s: Result.Fuel %d, versioned key %v fuel over %d invocations; want equal and > 0",
+					c.name, res.Fuel, snap.FuelPerInvocation, snap.Invocations)
+			}
+		}
+	})
+}
+
+// TestOneKeyPerDeployment pins the single recording path with telemetry
+// on: a slot's calls register only its versioned keys, on either
+// carrier, and never the source name the versions share.
+func TestOneKeyPerDeployment(t *testing.T) {
+	resetTelemetry(t)
+	for _, c := range carriers {
+		slot := "onekey-" + c.name
+		s := lifecycle.NewSlot(slot, tech.Bytecode, c.load(tech.Bytecode, tech.Options{Fuel: 1 << 20}))
+		if err := s.Activate(tech.NewArtifact(grafts.PacketFilter, 1), pfConfig); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := s.Stage(tech.NewArtifact(grafts.PacketFilter, 2), pfConfig, 2); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := s.Invoke("filter", 60); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+	}
+	want := map[string]bool{}
+	for _, c := range carriers {
+		for v := uint64(1); v <= 2; v++ {
+			want[lifecycle.VersionedName("onekey-"+c.name, v)] = true
+		}
+	}
+	var got []string
+	for _, m := range telemetry.Metrics() {
+		got = append(got, m.GraftName)
+		if !want[m.GraftName] {
+			t.Errorf("slot calls registered %s/%s, want versioned keys only", m.GraftName, m.Tech)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("registered keys %v, want the %d versioned keys", got, len(want))
+	}
 }
 
 // slotGraft is the hook-side adapter a kernel hook calls: a slot exposed

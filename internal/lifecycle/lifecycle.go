@@ -81,23 +81,14 @@ func Single(g tech.Graft) Carrier {
 	return c
 }
 
-// pooledCarrier adapts a tech.Pool.
-type pooledCarrier struct{ p *tech.Pool }
-
-func (c pooledCarrier) Acquire() (tech.Graft, func(), error) {
-	it, err := c.p.Get()
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, func() { c.p.Put(it) }, nil
-}
-
-// Pooled wraps a tech.Pool as a Carrier: each Acquire checks out a
-// private instance, so concurrent invocations never share an engine.
-func Pooled(p *tech.Pool) Carrier { return pooledCarrier{p} }
+// Pooled uses a tech.Pool as a Carrier: each Acquire checks out a
+// private instance's engine, so concurrent invocations never share one,
+// and the checkout allocates nothing.
+func Pooled(p *tech.Pool) Carrier { return p }
 
 // LoadFunc materializes an artifact into an executable Carrier. It runs
-// under the slot's control-plane lock, once per deploy.
+// under the slot's control-plane lock, once per deploy. Its engines
+// should be bare (Artifact.Load, Artifact.NewPool): the slot records them.
 type LoadFunc func(a tech.Artifact) (Carrier, error)
 
 // Loader builds the common LoadFunc: a fresh linear memory of memSize
@@ -113,10 +104,10 @@ func Loader(id tech.ID, memSize uint32, opts tech.Options) LoadFunc {
 }
 
 // PoolLoader builds a LoadFunc that backs each version with its own
-// tech.Pool — the carrier for slots invoked by concurrent workers.
+// artifact pool — the carrier for slots invoked by concurrent workers.
 func PoolLoader(id tech.ID, opts tech.Options, cfg tech.PoolConfig) LoadFunc {
 	return func(a tech.Artifact) (Carrier, error) {
-		p, err := tech.NewPool(id, a.Source, opts, cfg)
+		p, err := a.NewPool(id, opts, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -293,7 +284,7 @@ type Slot struct {
 	versions []*Version // every version ever deployed, in deploy order
 
 	seq       atomic.Uint64 // invocations issued
-	aborted   atomic.Uint64 // issued but failed before execution (acquire/prep)
+	aborted   atomic.Uint64 // issued but failed before execution (quarantine/acquire/prep)
 	retries   atomic.Uint64 // executions discarded by swap revalidation
 	swaps     atomic.Uint64
 	rollbacks atomic.Uint64
@@ -537,6 +528,10 @@ func (s *Slot) Invoke(entry string, args ...uint32) (Result, error) {
 // version. The returned error is the graft's own result (traps
 // included); acquire/prep failures abort without retrying.
 //
+// A version whose key the watchdog quarantined is refused with
+// telemetry.ErrQuarantined before acquire and counted as aborted, so
+// its window drains for probation.
+//
 // The recording is one exact count per invocation; only every N-th
 // invocation of a version (N the telemetry sample interval) is timed,
 // so an untimed, error-free invocation reads no clock and allocates
@@ -557,6 +552,10 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 		if ls.candidate != nil && ls.canaryEvery > 0 && n%ls.canaryEvery == 0 {
 			v = ls.candidate
 			canary = true
+		}
+		if v.met.Quarantined() {
+			s.aborted.Add(1)
+			return res, fmt.Errorf("lifecycle: %s: %w", v.Artifact.Ref(), telemetry.ErrQuarantined)
 		}
 		s.gateAt(PointChosen)
 		g, release, err := v.carrier.Acquire()
@@ -613,7 +612,7 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 type Accounting struct {
 	Issued    uint64 // Do calls that saw a live slot
 	Committed uint64 // recorded executions, summed over all versions
-	Aborted   uint64 // failed before execution (acquire/prep errors)
+	Aborted   uint64 // failed before execution (quarantine, acquire/prep errors)
 	Retried   uint64 // executions discarded by swap revalidation
 	Swaps     uint64
 	Rollbacks uint64

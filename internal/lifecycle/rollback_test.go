@@ -2,6 +2,7 @@ package lifecycle_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"graftlab/internal/lifecycle"
@@ -161,13 +162,6 @@ func TestWatchdogRollsBackBreachingIncumbent(t *testing.T) {
 	if err := s.Activate(tech.NewArtifact(decideSrc(1), 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	// A healthy prefix keeps the un-versioned ("rbslot"-less) aggregate
-	// pairs below any threshold; only the versioned pair breaches.
-	for i := 0; i < 64; i++ {
-		if _, err := s.Invoke("decide", uint32(i%7)); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := s.Stage(tech.NewArtifact(runawaySrc(2), 2), nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +216,7 @@ func TestWatchdogRollsBackBreachingIncumbent(t *testing.T) {
 		}
 	}
 	a := s.Accounting()
-	if want := uint64(64 + 16 + 32); a.Issued != want || a.Committed != want || a.Aborted != 0 {
+	if want := uint64(16 + 32); a.Issued != want || a.Committed != want || a.Aborted != 0 {
 		t.Fatalf("ledger %+v, want %d issued == committed — no dropped ops across the rollback", a, want)
 	}
 	if a.Swaps != 1 || a.Rollbacks != 1 {
@@ -235,5 +229,55 @@ func TestWatchdogRollsBackBreachingIncumbent(t *testing.T) {
 	}
 	if len(r.Events()) != 1 {
 		t.Fatalf("second scan produced extra guard events: %+v", r.Events())
+	}
+}
+
+// TestWatchdogHeavyCanarySparesIncumbent routes every second call to a
+// fuel runaway. The breach belongs to the canary's versioned key alone:
+// the watchdog flags exactly that key, and after the demotion the
+// incumbent, which runs the same graft name, serves every call.
+func TestWatchdogHeavyCanarySparesIncumbent(t *testing.T) {
+	resetTelemetry(t)
+	r := lifecycle.NewRegistry()
+	s := r.NewSlot("heavyslot", tech.Bytecode,
+		lifecycle.Loader(tech.Bytecode, decideMemSize, tech.Options{Fuel: rollbackFuel}))
+	if err := s.Activate(tech.NewArtifact(decideSrc(1), 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Stage(tech.NewArtifact(runawaySrc(2), 2), nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	w := telemetry.NewWatchdog(telemetry.SLO{
+		MaxPreemptRate: 0.3,
+		MinInvocations: 16,
+		Quarantine:     true,
+	})
+	r.Arm(w)
+
+	for i := 0; i < 600; i++ {
+		s.Invoke("decide", uint32(i%11)) //nolint:errcheck // canary half preempts by design
+	}
+	fresh := w.Check()
+	if len(fresh) != 1 || fresh[0].Graft != lifecycle.VersionedName("heavyslot", 2) {
+		t.Fatalf("watchdog flagged %v, want exactly heavyslot@v2", fresh)
+	}
+	if s.Candidate() != nil {
+		t.Fatal("breaching canary not demoted")
+	}
+
+	failed := 0
+	var first error
+	for i := 0; i < 2000; i++ {
+		x := uint32(i % 11)
+		res, err := s.Invoke("decide", x)
+		if err != nil || res.Version != 1 || res.Value != decideValue(1, x) {
+			if first == nil {
+				first = fmt.Errorf("call %d: %+v, %v", i, res, err)
+			}
+			failed++
+		}
+	}
+	if failed != 0 {
+		t.Fatalf("%d of 2000 incumbent calls failed after the canary's demotion; first: %v", failed, first)
 	}
 }

@@ -1,6 +1,7 @@
 package lifecycle_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -244,5 +245,70 @@ func TestArmRecordsUnquarantineRecovery(t *testing.T) {
 	}
 	if e.Recovery.Graft != v2name || e.Recovery.Checks != 2 {
 		t.Fatalf("recovery detail = %+v", e.Recovery)
+	}
+}
+
+// TestQuarantinedSingleVersionSlot quarantines a slot's only version:
+// the armed rollback has nothing to restore, so the slot refuses every
+// call with ErrQuarantined and counts it as aborted. Refused calls are
+// not recorded against the version, so its window drains, probation
+// lifts the quarantine, and the version serves again.
+func TestQuarantinedSingleVersionSlot(t *testing.T) {
+	resetTelemetry(t)
+	smallWindows(t)
+
+	r := lifecycle.NewRegistry()
+	s := r.NewSlot("soloslot", tech.Bytecode,
+		lifecycle.Loader(tech.Bytecode, decideMemSize, tech.Options{Fuel: 1 << 12}))
+	// scaledSrc(2) preempts at x=5 and runs clean at x=0.
+	if err := s.Activate(tech.NewArtifact(scaledSrc(2), 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	w := telemetry.NewWatchdog(telemetry.SLO{
+		MaxPreemptRate: 0.5,
+		MinInvocations: 16,
+		FastWindow:     200 * time.Millisecond,
+		SlowWindow:     time.Second,
+		RecoveryChecks: 2,
+		Quarantine:     true,
+	})
+	r.Arm(w)
+
+	const breaching, refused = 600, 1000
+	for i := 0; i < breaching; i++ {
+		if _, err := s.Invoke("work", 5); err == nil {
+			t.Fatalf("call %d did not preempt", i)
+		}
+	}
+	name := lifecycle.VersionedName("soloslot", 1)
+	if fresh := w.Check(); len(fresh) != 1 || fresh[0].Graft != name {
+		t.Fatalf("watchdog flagged %v, want exactly %s", fresh, name)
+	}
+	events := r.Events()
+	if len(events) != 1 || events[0].Action != "rollback" || !errors.Is(events[0].Err, lifecycle.ErrNoPrevious) {
+		t.Fatalf("guard events = %+v, want one rollback failing with ErrNoPrevious", events)
+	}
+
+	for i := 0; i < refused; i++ {
+		if _, err := s.Invoke("work", 0); !errors.Is(err, telemetry.ErrQuarantined) {
+			t.Fatalf("call %d on the quarantined version: %v, want ErrQuarantined", i, err)
+		}
+	}
+	a := s.Accounting()
+	if a.Issued != breaching+refused || a.Committed != breaching || a.Aborted != refused {
+		t.Fatalf("ledger %+v, want %d issued = %d committed + %d aborted",
+			a, breaching+refused, breaching, refused)
+	}
+
+	// The refused calls left the version's fast window empty.
+	time.Sleep(400 * time.Millisecond)
+	w.Check()
+	w.Check()
+	if telemetry.Quarantined(name, string(tech.Bytecode)) {
+		t.Fatal("probation did not lift the quarantine")
+	}
+	res, err := s.Invoke("work", 0)
+	if err != nil || res.Version != 1 {
+		t.Fatalf("call after probation: %+v, %v", res, err)
 	}
 }

@@ -74,7 +74,19 @@ func (a Artifact) Ref() string {
 }
 
 // Load loads this artifact's source under the named technology, bound
-// to memory m — the versioned form of the package-level Load.
+// to memory m, and returns the bare engine with its profiler scope: no
+// metrics shim and no deny-list lookup, because the lifecycle slot that
+// deploys the artifact records it under the version's own key.
 func (a Artifact) Load(id ID, m *mem.Memory, opts Options) (Graft, error) {
-	return Load(id, a.Source, m, opts)
+	g, err := load(id, a.Source, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	attachProfile(g, a.Source.Name, id)
+	return g, nil
+}
+
+// NewPool is the pooled form of Load: a pool of bare engines.
+func (a Artifact) NewPool(id ID, opts Options, cfg PoolConfig) (*Pool, error) {
+	return newPool(id, a.Source, opts, cfg, false)
 }

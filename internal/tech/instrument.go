@@ -29,8 +29,9 @@ type FuelReporter interface {
 // alone costs ~6ns — over 2% of a ~250ns compiled graft — so BOTH the
 // invocation count and the fuel total are batched in plain local
 // counters and flushed to the shared atomics at each sampling point
-// (every 256th call by default) and on every error. Each wrapper (and
-// each Direct closure it hands out) has exactly one writer: a Graft is
+// (every 256th call by default) and on every error. Each call path —
+// the wrapper's Invoke and every Direct closure it hands out — owns one
+// recorder, so each batch has exactly one writer: a Graft is
 // single-goroutine by contract, and concurrent callers go through
 // tech.Pool, where every pooled instance gets its own wrapper flushing
 // into the shared per-(graft,technology) accumulator. Under contention
@@ -38,33 +39,99 @@ type FuelReporter interface {
 // calls — the reason instrumented multicore runs stay inside the same
 // <=2% envelope as single-threaded ones. Snapshot readers see counts
 // that lag each live call path by at most one sampling interval. The
-// unsampled, error-free invocation pays a register increment, a mask
-// test, and (metered engines only) one fuel read.
+// unsampled, error-free invocation pays an inlined register increment
+// and mask test, plus (metered engines only) one call to read the fuel.
 type instrumented struct {
 	inner    Graft
-	met      *telemetry.GraftMetrics
-	fuel     FuelReporter // nil unless the engine is metered
-	mask     uint64       // sampling mask, captured at wrap time
-	n        uint64       // batched invocation count for the Invoke path
-	fuelAcc  int64        // batched fuel for the Invoke path
-	spanName string       // "engine:<technology>", precomputed at wrap time
+	recorder        // the Invoke path's bookkeeping
+	spanName string // "engine:<technology>", precomputed at wrap time
 	span     telemetry.SpanCtx
-	denied   bool // cached quarantine verdict, refreshed at sampling points
-	quarErr  error
 }
 
-// Instrument wraps g so its invocations are recorded under the
-// (graft, technology) pair. Load applies it automatically while
-// telemetry is enabled; tests and tools can wrap explicitly (which
-// enables fuel accounting whenever the engine supports it).
-func Instrument(g Graft, graft string, id ID) Graft {
-	return instrument(g, graft, id, true)
+// recorder is the bookkeeping of one single-writer call path. enter and
+// exit bracket every invocation; they inline the common case (allowed,
+// unsampled, error-free, unmetered) and leave the rest to sample and
+// record.
+type recorder struct {
+	met     *telemetry.GraftMetrics
+	fuel    FuelReporter // nil unless the engine is metered
+	mask    uint64       // sampling mask, captured at wrap time
+	quarErr error
+	n       uint64 // batched invocation count
+	fuelAcc int64  // batched fuel
+	denied  bool   // cached quarantine verdict, refreshed at sampling points
+	t0      time.Time
 }
 
+// enter opens one invocation, refusing it while the pair is denied.
+func (r *recorder) enter() error {
+	if r.denied || (r.n+1)&r.mask == 0 {
+		return r.sample()
+	}
+	r.n++
+	return nil
+}
+
+// sample is enter's slow path: a denied pair, or a sampling point, which
+// flushes the batched count, refreshes the cached verdict and starts the
+// clock.
+func (r *recorder) sample() error {
+	if r.denied {
+		// Denied is already the slow path: re-read the shared flag so a
+		// lifted quarantine restores service immediately.
+		if r.met.Quarantined() {
+			return r.quarErr
+		}
+		r.denied = false
+	}
+	r.n++
+	if r.n&r.mask == 0 {
+		r.denied = r.met.Quarantined()
+		r.met.AddInvocations(r.mask + 1)
+		r.t0 = time.Now()
+	}
+	return nil
+}
+
+// exit closes the invocation enter opened.
+func (r *recorder) exit(err error) {
+	if err == nil && r.fuel == nil && r.n&r.mask != 0 {
+		return
+	}
+	r.record(err)
+}
+
+// record is exit's slow path: it times a sampled call, batches a
+// metered engine's fuel, and flushes the fuel at sampling points and on
+// errors, so trap forensics see exact fuel.
+func (r *recorder) record(err error) {
+	sampled := r.n&r.mask == 0
+	if sampled {
+		r.met.RecordLatency(time.Since(r.t0))
+	}
+	if r.fuel != nil {
+		r.fuelAcc += r.fuel.FuelUsed()
+	}
+	if !sampled && err == nil {
+		return
+	}
+	r.met.AddFuel(r.fuelAcc)
+	r.fuelAcc = 0
+	if err != nil {
+		r.met.RecordError(err)
+	}
+}
+
+// instrument wraps g so its invocations are recorded under the
+// (graft, technology) pair.
 func instrument(g Graft, graft string, id ID, metered bool) Graft {
 	met := telemetry.Register(graft, string(id))
-	ig := &instrumented{inner: g, met: met, mask: met.Mask(), spanName: "engine:" + string(id)}
-	ig.quarErr = fmt.Errorf("tech %s: graft %q: %w", id, graft, telemetry.ErrQuarantined)
+	ig := &instrumented{inner: g, spanName: "engine:" + string(id)}
+	ig.recorder = recorder{
+		met:     met,
+		mask:    met.Mask(),
+		quarErr: fmt.Errorf("tech %s: graft %q: %w", id, graft, telemetry.ErrQuarantined),
+	}
 	if fr, ok := g.(FuelReporter); ok && metered {
 		ig.fuel = fr
 	}
@@ -108,45 +175,11 @@ func (ig *instrumented) InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...
 
 // Invoke implements Graft.
 func (ig *instrumented) Invoke(entry string, args ...uint32) (uint32, error) {
-	if ig.denied {
-		// Denied is already the slow path: re-read the shared flag so a
-		// lifted quarantine restores service immediately.
-		if ig.met.Quarantined() {
-			return 0, ig.quarErr
-		}
-		ig.denied = false
-	}
-	ig.n++
-	if ig.n&ig.mask == 0 {
-		// Sampling point: flush the batched counts, refresh the cached
-		// watchdog verdict, and time this call.
-		ig.denied = ig.met.Quarantined()
-		ig.met.AddInvocations(ig.mask + 1)
-		t0 := time.Now()
-		v, err := ig.callInner(entry, args...)
-		ig.met.RecordLatency(time.Since(t0))
-		if ig.fuel != nil {
-			ig.met.AddFuel(ig.fuelAcc + ig.fuel.FuelUsed())
-			ig.fuelAcc = 0
-		}
-		if err != nil {
-			ig.met.RecordError(err)
-		}
-		return v, err
+	if err := ig.enter(); err != nil {
+		return 0, err
 	}
 	v, err := ig.callInner(entry, args...)
-	if ig.fuel != nil {
-		ig.fuelAcc += ig.fuel.FuelUsed()
-	}
-	if err != nil {
-		// Errors are already the slow path: flush so trap forensics see
-		// exact fuel, then classify.
-		if ig.fuel != nil {
-			ig.met.AddFuel(ig.fuelAcc)
-			ig.fuelAcc = 0
-		}
-		ig.met.RecordError(err)
-	}
+	ig.exit(err)
 	return v, err
 }
 
@@ -155,73 +188,16 @@ func (ig *instrumented) Memory() *mem.Memory { return ig.inner.Memory() }
 
 // Direct implements DirectCaller: the resolved inner fast path (or the
 // Invoke fallback when the engine has none) wrapped with the same
-// bookkeeping as Invoke. Each resolved closure batches its own local
-// count (one flush per sampling interval); the unmetered closure is
-// specialized so the common case skips the fuel interface call.
+// bookkeeping as Invoke, through a recorder of the closure's own.
 func (ig *instrumented) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
 	fn := ResolveDirect(ig.inner, entry)
-	met := ig.met
-	fuel := ig.fuel
-	mask := ig.mask
-	quarErr := ig.quarErr
-	var local uint64
-	var denied bool
-	if fuel == nil {
-		return func(args []uint32) (uint32, error) {
-			if denied {
-				if met.Quarantined() {
-					return 0, quarErr
-				}
-				denied = false
-			}
-			local++
-			if local&mask == 0 {
-				denied = met.Quarantined()
-				met.AddInvocations(mask + 1)
-				t0 := time.Now()
-				v, err := fn(args)
-				met.RecordLatency(time.Since(t0))
-				if err != nil {
-					met.RecordError(err)
-				}
-				return v, err
-			}
-			v, err := fn(args)
-			if err != nil {
-				met.RecordError(err)
-			}
-			return v, err
-		}, true
-	}
-	var fuelAcc int64
+	r := &recorder{met: ig.met, fuel: ig.fuel, mask: ig.mask, quarErr: ig.quarErr}
 	return func(args []uint32) (uint32, error) {
-		if denied {
-			if met.Quarantined() {
-				return 0, quarErr
-			}
-			denied = false
-		}
-		local++
-		if local&mask == 0 {
-			denied = met.Quarantined()
-			met.AddInvocations(mask + 1)
-			t0 := time.Now()
-			v, err := fn(args)
-			met.RecordLatency(time.Since(t0))
-			met.AddFuel(fuelAcc + fuel.FuelUsed())
-			fuelAcc = 0
-			if err != nil {
-				met.RecordError(err)
-			}
-			return v, err
+		if err := r.enter(); err != nil {
+			return 0, err
 		}
 		v, err := fn(args)
-		fuelAcc += fuel.FuelUsed()
-		if err != nil {
-			met.AddFuel(fuelAcc)
-			fuelAcc = 0
-			met.RecordError(err)
-		}
+		r.exit(err)
 		return v, err
 	}, true
 }

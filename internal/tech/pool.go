@@ -36,7 +36,7 @@ type Pool struct {
 	// bytecode-lowered classes (see newInstance).
 	mod *bytecode.Module
 
-	instrument bool // captured at NewPool time, like Load
+	instrument bool // wrap instances in the metrics shim; fixed at construction
 
 	free sync.Pool
 
@@ -74,25 +74,27 @@ type PoolConfig struct {
 // instance is reusable as-is (the linear memory keeps whatever the
 // faulting invocation wrote, exactly like a real extension's state).
 type Instance struct {
-	Graft
-	mem   *mem.Memory
+	Graft // bound to the instance's private memory
 	close func()
+	put   func() // Put(this instance), bound once so Acquire allocates nothing
 }
-
-// Memory returns the instance's private linear memory.
-func (it *Instance) Memory() *mem.Memory { return it.mem }
 
 // NewPool validates the source under the technology by building one
 // instance eagerly (so a bad program fails at pool construction, not
 // first Get) and returns the pool. Like Load, the telemetry decision is
 // made once here: instances created while telemetry is enabled are
 // instrumented, each with its own single-writer batch counter flushing
-// into the shared per-(graft,technology) accumulator.
+// into the shared per-(graft,technology) accumulator. Artifact.NewPool
+// builds the pool of bare engines a lifecycle deployment uses.
 func NewPool(id ID, src Source, opts Options, cfg PoolConfig) (*Pool, error) {
+	return newPool(id, src, opts, cfg, telemetry.Enabled())
+}
+
+func newPool(id ID, src Source, opts Options, cfg PoolConfig, instrument bool) (*Pool, error) {
 	if cfg.MemSize == 0 {
 		return nil, fmt.Errorf("tech: pool for %q needs a MemSize", src.Name)
 	}
-	p := &Pool{id: id, src: src, opts: opts, cfg: cfg, instrument: !telemetry.Disabled()}
+	p := &Pool{id: id, src: src, opts: opts, cfg: cfg, instrument: instrument}
 
 	// Build the shared module once. The engine constructors only read
 	// it, so concurrent instance creation is safe.
@@ -131,7 +133,8 @@ func (p *Pool) newInstance() (*Instance, error) {
 		return nil, err
 	}
 	attachProfile(g, p.src.Name, p.id)
-	it := &Instance{mem: m}
+	it := &Instance{}
+	it.put = func() { p.Put(it) }
 	if p.cfg.Wrap != nil {
 		g, it.close = p.cfg.Wrap(g)
 	}
@@ -180,6 +183,17 @@ func (p *Pool) Get() (*Instance, error) {
 		return it, nil
 	}
 	return p.newInstance()
+}
+
+// Acquire checks out an instance and returns its engine with the
+// release that puts the instance back, bound once per instance so a
+// checkout allocates nothing: a Pool is a lifecycle carrier.
+func (p *Pool) Acquire() (Graft, func(), error) {
+	it, err := p.Get()
+	if err != nil {
+		return nil, nil, err
+	}
+	return it.Graft, it.put, nil
 }
 
 // Put returns an instance to the pool. Instances must not be used after

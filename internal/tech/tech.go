@@ -263,22 +263,19 @@ type Options struct {
 
 // Load loads src under the named technology, bound to memory m. While
 // telemetry is enabled (telemetry.SetEnabled), the returned graft is
-// wrapped with per-invocation metrics; the decision is made once at load
-// time so a disabled run pays nothing per call. Load also consults the
-// watchdog deny-list — a quarantined (graft, technology) pair is refused
-// with telemetry.ErrQuarantined — and, while the sampling profiler is
-// enabled, hands the engine its profiling scope.
+// wrapped with per-invocation metrics under the (src.Name, id) pair;
+// the decision is made once at load time so a disabled run pays nothing
+// per call. Load also consults the watchdog deny-list — a quarantined
+// pair is refused with telemetry.ErrQuarantined — and, while the
+// sampling profiler is enabled, hands the engine its profiling scope.
+// Lifecycle deployments use the bare Artifact.Load instead.
 func Load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 	if telemetry.Enabled() && telemetry.Quarantined(src.Name, string(id)) {
 		return nil, fmt.Errorf("tech %s: graft %q: %w", id, src.Name, telemetry.ErrQuarantined)
 	}
-	g, err := load(id, src, m, opts)
-	if err != nil {
+	g, err := Artifact{Source: src}.Load(id, m, opts)
+	if err != nil || telemetry.Disabled() {
 		return g, err
-	}
-	attachProfile(g, src.Name, id)
-	if telemetry.Disabled() {
-		return g, nil
 	}
 	return instrument(g, src.Name, id, opts.Fuel > 0), nil
 }

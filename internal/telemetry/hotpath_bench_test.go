@@ -9,15 +9,16 @@ import (
 // claim in the package doc can be re-verified piece by piece.
 func BenchmarkHotPath(b *testing.B) {
 	m := Register("bench", "compiled-unsafe")
-	b.Run("inc", func(b *testing.B) {
+	b.Run("count", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.Inc()
+			m.Count(0)
 		}
 	})
-	b.Run("inc+sampled", func(b *testing.B) {
+	b.Run("count+sampled", func(b *testing.B) {
+		mask := m.Mask()
 		for i := 0; i < b.N; i++ {
-			n := m.Inc()
-			if m.Sampled(n) {
+			m.Count(0)
+			if uint64(i+1)&mask == 0 {
 				m.RecordLatency(time.Nanosecond)
 			}
 		}

@@ -135,10 +135,6 @@ type GraftMetrics struct {
 	quarantined atomic.Bool
 }
 
-// Inc counts one invocation and returns the new total (the caller uses
-// it to decide whether this invocation is latency-sampled).
-func (m *GraftMetrics) Inc() uint64 { return m.invocations.Add(1) }
-
 // Count records one completed invocation and the fuel it used, exactly
 // and without reading the clock: the count reaches the window ring at
 // the key's next clock read (a RecordLatency, a RecordError, or a
@@ -168,9 +164,6 @@ func (m *GraftMetrics) AddInvocations(n uint64) {
 	m.invocations.Add(n)
 	m.bucket()
 }
-
-// Sampled reports whether the n-th invocation should be timed.
-func (m *GraftMetrics) Sampled(n uint64) bool { return n&m.mask == 0 }
 
 // RecordLatency feeds one timed invocation into the cumulative and
 // current-window histograms.

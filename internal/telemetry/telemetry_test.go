@@ -41,7 +41,7 @@ func TestGraftMetricsCounters(t *testing.T) {
 	defer ResetMetrics()
 	m := Register("pageevict", "compiled-unsafe")
 	for i := 0; i < 10; i++ {
-		m.Inc()
+		m.Count(0)
 	}
 	m.AddFuel(100)
 	m.AddFuel(50)
@@ -79,7 +79,7 @@ func TestSampleInterval(t *testing.T) {
 	SetSampleInterval(1)
 	m := Register("all-sampled", "x")
 	for i := uint64(1); i <= 5; i++ {
-		if !m.Sampled(i) {
+		if i&m.Mask() != 0 {
 			t.Fatalf("interval 1 must sample every invocation (n=%d)", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestSampleInterval(t *testing.T) {
 	m2 := Register("one-in-eight", "x")
 	n := 0
 	for i := uint64(1); i <= 64; i++ {
-		if m2.Sampled(i) {
+		if i&m2.Mask() == 0 {
 			n++
 		}
 	}
@@ -277,11 +277,10 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				n := m.Inc()
-				if m.Sampled(n) {
+				m.Count(1)
+				if uint64(i+1)&m.Mask() == 0 {
 					m.RecordLatency(time.Duration(i) * time.Nanosecond)
 				}
-				m.AddFuel(1)
 				if i%100 == 0 {
 					m.RecordError(&mem.Trap{Kind: mem.TrapOOBStore})
 				}
