@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline reqbench-check loc-delta check experiments quick-experiments examples clean
+.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline reqbench-check loc-delta layout-delta check experiments quick-experiments examples clean
 
 all: build test
 
@@ -30,9 +30,10 @@ race:
 	$(GO) test -race ./...
 
 # Concurrency stress suite under the race detector: pooled instances
-# hammered from many goroutines, the sharded pager, and the concurrent
-# conformance pass. A subset of `race`, kept separate so CI reports
-# data races in the multicore layer as their own failure.
+# hammered from many goroutines, lifecycle swaps under load, E7 at a
+# tiny scale, and the concurrent conformance pass. A subset of `race`,
+# kept separate so CI reports data races in the multicore layer as
+# their own failure.
 stress:
 	$(GO) test -race -count=1 -run 'Stress|Concurrent' ./...
 
@@ -124,6 +125,51 @@ loc-delta:
 			printf "  deleted %6d  (comments/blank %d, %.0f%%)\n", d, cd, pct(cd, d); \
 			printf "  net     %+6d  (code %+d, comments/blank %+d)\n", a - d, (a - ca) - (d - cd), ca - cd \
 		}'
+
+# Text-layout delta of the request benchmark against BASE: builds
+# reqbench from a `git archive` of BASE and from the working tree (both
+# -trimpath), then counts the text symbols of `go tool nm` whose address
+# or size differs, per package and in total. reqbench's latencies move
+# with code layout alone (ROADMAP), so 0 changed symbols means a change
+# cannot have moved them that way. Informational: always exits 0, and
+# builds in a temp dir, never in the checkout.
+layout-delta:
+	@tmp=$$(mktemp -d) || exit 0; trap 'rm -rf "$$tmp"' EXIT; \
+	base=$$(git rev-parse --short "$(BASE)^{commit}" 2>/dev/null) || { echo "layout-delta: cannot resolve BASE=$(BASE)"; exit 0; }; \
+	mkdir "$$tmp/base" && git archive "$$base" | tar -x -C "$$tmp/base" || { echo "layout-delta: cannot export $$base"; exit 0; }; \
+	for side in base new; do \
+		src="$$tmp/base"; [ "$$side" = new ] && src="$(CURDIR)"; \
+		(cd "$$src/reqbench" && GOTOOLCHAIN=local $(GO) build -trimpath -buildvcs=false -o "$$tmp/$$side.bin" .) || { echo "layout-delta: building reqbench ($$side) failed"; exit 0; }; \
+		$(GO) tool nm -size -sort address "$$tmp/$$side.bin" > "$$tmp/$$side.nm" || exit 0; \
+	done; \
+	awk -v base="$$base" '\
+		function pkg(n,  s, i, j) { \
+			s = n; sub(/^type:\.(eq|hash)\./, "", s); sub(/[[(].*/, "", s); \
+			i = 0; while ((j = index(substr(s, i + 1), "/")) > 0) i += j; \
+			j = index(substr(s, i + 1), "."); return j ? substr(s, 1, i + j - 1) : "(no package)" \
+		} \
+		$$3 != "T" && $$3 != "t" { next } \
+		{ name = $$0; sub(/^ *[0-9a-f]+ +[0-9]+ +[Tt] /, "", name); k = name SUBSEP (++seen[FILENAME, name]) } \
+		FNR == NR { addr[k] = $$1; size[k] = $$2; next } \
+		{ \
+			p = pkg(name); n++; \
+			if (!(k in addr)) { add[p]++; hit[p] = 1; next } \
+			if (addr[k] != $$1 || size[k] != $$2) { chg[p]++; hit[p] = 1 } \
+			if (size[k] != $$2) rsz[p]++; \
+			delete addr[k] \
+		} \
+		END { \
+			for (k in addr) { split(k, f, SUBSEP); p = pkg(f[1]); del[p]++; hit[p] = 1 } \
+			printf "reqbench text symbols, working tree vs %s (changed: address or size differs):\n", base; \
+			printf "  %-44s %7s %7s %5s %7s\n", "package", "changed", "resized", "added", "removed"; \
+			for (p in hit) { \
+				printf "  %-44s %7d %7d %5d %7d\n", p, chg[p], rsz[p], add[p], del[p] | "sort"; \
+				c += chg[p]; r += rsz[p]; a += add[p]; d += del[p] \
+			} \
+			close("sort"); \
+			printf "  %-44s %7d %7d %5d %7d\n", "total", c, r, a, d; \
+			printf "%d of %d text symbols moved or resized\n", c, n \
+		}' "$$tmp/base.nm" "$$tmp/new.nm"
 
 # Regenerate the paper's evaluation (Tables 1-6, Figure 1, ablations,
 # packet filter). Minutes at paper scale; use quick-experiments for CI.

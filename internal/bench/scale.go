@@ -92,12 +92,12 @@ func scaleOps(cfg Config, id tech.ID) int {
 }
 
 // scaleWorkload is one of the four request types: a pool configuration
-// plus a binder that turns a checked-out instance into a request closure
+// plus a binder that turns a checked-out engine into a request closure
 // for one worker.
 type scaleWorkload struct {
 	name    string
 	poolCfg func(cfg Config) tech.PoolConfig
-	bind    func(cfg Config, id tech.ID, it *tech.Instance) (func() error, error)
+	bind    func(cfg Config, id tech.ID, g tech.Graft) (func() error, error)
 }
 
 // scaleEvictChain is the static LRU chain length baked into each
@@ -143,8 +143,8 @@ var scaleWorkloads = []scaleWorkload{
 				},
 			}
 		},
-		bind: func(cfg Config, id tech.ID, it *tech.Instance) (func() error, error) {
-			call := tech.ResolveDirect(it.Graft, "evict")
+		bind: func(cfg Config, id tech.ID, g tech.Graft) (func() error, error) {
+			call := tech.ResolveDirect(g, "evict")
 			var argBuf [1]uint32
 			return func() error {
 				argBuf[0] = grafts.PELRUNodeBase
@@ -175,11 +175,11 @@ var scaleWorkloads = []scaleWorkload{
 				},
 			}
 		},
-		bind: func(cfg Config, id tech.ID, it *tech.Instance) (func() error, error) {
-			if _, err := it.Graft.Invoke("md5_init"); err != nil {
+		bind: func(cfg Config, id tech.ID, g tech.Graft) (func() error, error) {
+			if _, err := g.Invoke("md5_init"); err != nil {
 				return nil, err
 			}
-			call := tech.ResolveDirect(it.Graft, "md5_update")
+			call := tech.ResolveDirect(g, "md5_update")
 			chunk := uint32(md5ChunkFor(id))
 			var argBuf [2]uint32
 			return func() error {
@@ -205,7 +205,7 @@ var scaleWorkloads = []scaleWorkload{
 				},
 			}
 		},
-		bind: func(cfg Config, id tech.ID, it *tech.Instance) (func() error, error) {
+		bind: func(cfg Config, id tech.ID, g tech.Graft) (func() error, error) {
 			frames, err := netsim.GenerateTrace(netsim.TraceConfig{
 				Packets: 32, MatchPort: 5001, MatchFrac: 0.25, PayloadLen: 64, Seed: 77,
 			})
@@ -220,7 +220,7 @@ var scaleWorkloads = []scaleWorkload{
 				}
 			}
 			d := netsim.NewDemux()
-			ep, err := d.RegisterBatch("pf", it, grafts.PacketFilterBatchConfig(id))
+			ep, err := d.RegisterBatch("pf", g, grafts.PacketFilterBatchConfig(id))
 			if err != nil {
 				return nil, err
 			}
@@ -243,9 +243,9 @@ var scaleWorkloads = []scaleWorkload{
 		poolCfg: func(cfg Config) tech.PoolConfig {
 			return tech.PoolConfig{MemSize: grafts.LDMemSize}
 		},
-		bind: func(cfg Config, id tech.ID, it *tech.Instance) (func() error, error) {
+		bind: func(cfg Config, id tech.ID, g tech.Graft) (func() error, error) {
 			blocks := uint32(cfg.ScaleLDBlocks)
-			gm, err := grafts.NewGraftMapper(it.Graft, blocks)
+			gm, err := grafts.NewGraftMapper(g, blocks)
 			if err != nil {
 				return nil, err
 			}
@@ -261,7 +261,7 @@ var scaleWorkloads = []scaleWorkload{
 }
 
 // runScaleCell drives one (pool, workload, worker count) measurement.
-// Each worker checks out an instance, binds its request closure, and the
+// Each worker checks out an engine, binds its request closure, and the
 // timed region starts only once every worker is ready — bind cost (map
 // initialization, entry resolution) is setup, not service.
 func runScaleCell(cfg Config, p *tech.Pool, w *scaleWorkload, id tech.ID, workers, ops int) (ScaleCell, error) {
@@ -277,14 +277,14 @@ func runScaleCell(cfg Config, p *tech.Pool, w *scaleWorkload, id tech.ID, worker
 		done.Add(1)
 		go func(wk int) {
 			defer done.Done()
-			it, err := p.Get()
+			g, release, err := p.Acquire()
 			if err != nil {
 				errs[wk] = err
 				ready.Done()
 				return
 			}
-			defer p.Put(it)
-			op, err := w.bind(cfg, id, it)
+			defer release()
+			op, err := w.bind(cfg, id, g)
 			if err != nil {
 				errs[wk] = err
 				ready.Done()

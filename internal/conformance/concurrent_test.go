@@ -56,7 +56,7 @@ func TestConcurrentPooledConformance(t *testing.T) {
 					go func(w int) {
 						defer wg.Done()
 						for i := 0; i < iters; i++ {
-							v, err := pool.Invoke("main", p.args...)
+							v, err := invokePooled(pool, p.args)
 							if err := agreeWithOracle(want, v, err); err != nil {
 								errs[w] = fmt.Errorf("worker %d iter %d: %w", w, i, err)
 								return
@@ -78,6 +78,16 @@ func TestConcurrentPooledConformance(t *testing.T) {
 			})
 		}
 	}
+}
+
+// invokePooled checks an engine out of pool for one call to main.
+func invokePooled(pool *tech.Pool, args []uint32) (uint32, error) {
+	g, release, err := pool.Acquire()
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	return g.Invoke("main", args...)
 }
 
 // agreeWithOracle compares one pooled invocation's result against the

@@ -11,6 +11,7 @@ import (
 	"graftlab/internal/tech"
 	"graftlab/internal/telemetry"
 	"graftlab/internal/upcall"
+	"graftlab/internal/vclock"
 	"graftlab/internal/workload"
 )
 
@@ -65,11 +66,11 @@ func TestMD5ProfileLineAttribution(t *testing.T) {
 }
 
 // TestNestedSpansAcrossStack drives the full Table-2-plus-pool stack —
-// ShardedPager faults consulting a PooledEvictionPolicy whose pooled
-// engines live behind upcall domains — with span tracing on, and
-// asserts one eviction exports as the nested causal chain
-// kernel -> policy -> engine -> upcall, all on one track, and that the
-// export is loadable Chrome trace-event JSON.
+// Pager faults consulting a GraftEvictionPolicy whose engine is checked
+// out of a tech.Pool and lives behind an upcall domain — with span
+// tracing on, and asserts one eviction exports as the nested causal
+// chain kernel -> policy -> engine -> upcall, all on one track, and
+// that the export is loadable Chrome trace-event JSON.
 func TestNestedSpansAcrossStack(t *testing.T) {
 	telemetry.SetEnabled(true)
 	st := telemetry.EnableSpans(1 << 10)
@@ -85,25 +86,35 @@ func TestNestedSpansAcrossStack(t *testing.T) {
 
 	pool, err := tech.NewPool(tech.NativeSafe, PageEvict, tech.Options{}, tech.PoolConfig{
 		MemSize: PEMemSize,
-		Setup:   SetupHotList([]kernel.PageID{10, 11}),
-		Wrap:    upcall.PoolWrapper(10 * time.Microsecond),
+		Setup: func(m *mem.Memory) error {
+			NewHotList(m).Set([]kernel.PageID{10, 11})
+			return nil
+		},
+		Wrap: upcall.PoolWrapper(10 * time.Microsecond),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pool.Close)
-
-	sp, err := kernel.NewShardedPager(kernel.ShardedPagerConfig{Shards: 1, Frames: 3})
+	g, release, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.SetPolicy(NewPooledEvictionPolicy(pool))
+	t.Cleanup(release)
+
+	pg, err := kernel.NewPager(kernel.PagerConfig{
+		Frames: 3, Mem: g.Memory(), NodeBase: PELRUNodeBase,
+	}, &vclock.Clock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.SetPolicy(NewGraftEvictionPolicy(g))
 	for _, p := range []kernel.PageID{10, 11, 12, 13} {
-		if _, err := sp.Access(p); err != nil {
+		if _, err := pg.Access(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sp.Resident(12) {
+	if pg.Resident(12) {
 		t.Fatal("graft did not steer the eviction to 12")
 	}
 

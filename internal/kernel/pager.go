@@ -338,70 +338,9 @@ func (p *Pager) policyVictim(candidate PageID) (PageID, error) {
 // LRUPages returns the resident pages in eviction order (head first);
 // primarily for tests and native-Go policies.
 func (p *Pager) LRUPages() []PageID {
-	return p.AppendLRU(nil)
-}
-
-// AppendLRU appends the resident pages in eviction order (head first)
-// to dst and returns it; the allocation-free form of LRUPages for
-// callers that snapshot the chain repeatedly (the sharded pager does it
-// once per eviction, before dropping the shard lock).
-func (p *Pager) AppendLRU(dst []PageID) []PageID {
+	var pages []PageID
 	for f := p.head; f >= 0; f = p.next[f] {
-		dst = append(dst, p.pageOf[f])
+		pages = append(pages, p.pageOf[f])
 	}
-	return dst
-}
-
-// The three primitives below expose the pager's frame machinery so a
-// layer above can drive the fault path itself — the sharded pager needs
-// to release its shard lock between picking an eviction candidate and
-// committing the eviction (the Prioritization hook runs outside the
-// lock), which means the grab-a-frame/choose/evict/install sequence
-// cannot stay fused inside Access. They preserve every invariant
-// (LRU chain, graft-memory mirror, read-ahead bookkeeping) and do no
-// counting: policy accounting belongs to whoever drives them.
-
-// TakeFreeFrame pops a free frame if one exists. The caller must follow
-// up with InstallPage (there is no way to return a frame).
-func (p *Pager) TakeFreeFrame() (int, bool) {
-	if n := len(p.freeList); n > 0 {
-		f := p.freeList[n-1]
-		p.freeList = p.freeList[:n-1]
-		return f, true
-	}
-	return 0, false
-}
-
-// Candidate reports the kernel's default eviction choice: the LRU head.
-func (p *Pager) Candidate() (PageID, bool) {
-	if p.head < 0 {
-		return InvalidPage, false
-	}
-	return p.pageOf[p.head], true
-}
-
-// EvictResident removes page from residency and returns its now-free
-// frame for reuse. It reports false (touching nothing) if page is not
-// resident — the revalidation a caller needs after choosing a victim
-// with the lock dropped.
-func (p *Pager) EvictResident(page PageID) (int, bool) {
-	f, ok := p.frameOf[page]
-	if !ok {
-		return 0, false
-	}
-	if p.touched[f] == 0 {
-		p.raStats.Wasted++
-	}
-	delete(p.frameOf, page)
-	p.lruRemove(f)
-	return f, true
-}
-
-// InstallPage makes page resident in frame f (obtained from
-// TakeFreeFrame or EvictResident) as the most recently used page.
-func (p *Pager) InstallPage(f int, page PageID) {
-	p.pageOf[f] = page
-	p.frameOf[page] = f
-	p.touched[f] = -1 // demand page
-	p.lruPushTail(f)
+	return pages
 }

@@ -6,12 +6,10 @@
 // descendant of them — eBPF program replacement, VFIO driver upgrade,
 // loadable-module refresh — has to answer the harder operational
 // question of replacing a live extension without dropping the traffic
-// it is serving. This package answers it with the same optimistic
-// revalidation idiom the sharded pager uses for eviction proposals
-// (kernel.ShardedPager): the data plane reads the current live set with
-// one atomic load, runs the invocation without any lock, and then
-// revalidates that the live set it chose is still current before
-// recording the result. An invocation that raced a swap is re-executed
+// it is serving. This package answers it with optimistic revalidation:
+// the data plane reads the current live set with one atomic load, runs
+// the invocation without any lock, and then revalidates that the live
+// set it chose is still current before recording the result. An invocation that raced a swap is re-executed
 // against the new incumbent — never lost, never recorded against a
 // retired version, and never torn across two versions, because the
 // single atomic pointer store in Promote/Rollback/Demote is the only

@@ -561,13 +561,13 @@ func TestStressConcurrentBatchDemux(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				inst, err := pool.Get()
+				g, release, err := pool.Acquire()
 				if err != nil {
 					errCh <- err
 					return
 				}
 				d := netsim.NewDemux()
-				ep, err := d.RegisterBatch("graft", inst, grafts.PacketFilterBatchConfig(tech.Bytecode))
+				ep, err := d.RegisterBatch("graft", g, grafts.PacketFilterBatchConfig(tech.Bytecode))
 				if err != nil {
 					errCh <- err
 					return
@@ -577,7 +577,7 @@ func TestStressConcurrentBatchDemux(t *testing.T) {
 					errCh <- fmt.Errorf("worker matched %d (errors %d), want %d", ep.Matched, ep.Errors, want)
 					return
 				}
-				pool.Put(inst)
+				release()
 			}
 		}()
 	}

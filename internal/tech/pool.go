@@ -22,10 +22,10 @@ import (
 // eBPF runs the same verified program on every CPU with per-CPU maps for
 // the mutable state; here the per-CPU state is the instance.
 //
-// Get/Put are sync.Pool-backed, so idle instances are dropped under
-// memory pressure and re-created on demand; Close tears down every
-// instance ever created (required for the wrapped/domain-per-worker
-// mode, whose instances own goroutines).
+// Acquire is the one checkout path. Idle instances sit in a sync.Pool,
+// so they are dropped under memory pressure and re-created on demand;
+// Close tears down every instance ever created (required for the
+// wrapped/domain-per-worker mode, whose instances own goroutines).
 type Pool struct {
 	id   ID
 	src  Source
@@ -40,12 +40,12 @@ type Pool struct {
 
 	free sync.Pool
 
-	// closed is atomic so Get's fast path (a free-list hit) can refuse
-	// checkouts after Close without taking mu.
+	// closed is atomic so Acquire's fast path (a free-list hit) can
+	// refuse checkouts after Close without taking mu.
 	closed atomic.Bool
 
 	mu      sync.Mutex
-	all     []*Instance // every instance ever created, for Close
+	all     []*instance // every instance ever created, for Close
 	created int
 }
 
@@ -67,25 +67,25 @@ type PoolConfig struct {
 	Wrap func(g Graft) (Graft, func())
 }
 
-// Instance is one pooled graft: a private engine over a private linear
-// memory. It implements Graft; use it from one goroutine at a time and
-// return it with Pool.Put when done. A trap does not poison an instance:
-// every engine resets its invocation state on entry, so a trapped
-// instance is reusable as-is (the linear memory keeps whatever the
-// faulting invocation wrote, exactly like a real extension's state).
-type Instance struct {
-	Graft // bound to the instance's private memory
-	close func()
-	put   func() // Put(this instance), bound once so Acquire allocates nothing
+// instance is one pooled graft: a private engine over a private linear
+// memory. A trap does not poison an instance: every engine resets its
+// invocation state on entry, so a trapped instance is reusable as-is
+// (the linear memory keeps whatever the faulting invocation wrote,
+// exactly like a real extension's state).
+type instance struct {
+	g       Graft // bound to the instance's private memory
+	close   func()
+	release func() // returns this instance to the free list, bound once so Acquire allocates nothing
 }
 
 // NewPool validates the source under the technology by building one
-// instance eagerly (so a bad program fails at pool construction, not
-// first Get) and returns the pool. Like Load, the telemetry decision is
-// made once here: instances created while telemetry is enabled are
-// instrumented, each with its own single-writer batch counter flushing
-// into the shared per-(graft,technology) accumulator. Artifact.NewPool
-// builds the pool of bare engines a lifecycle deployment uses.
+// instance eagerly (so a bad program fails at pool construction, not at
+// the first Acquire) and returns the pool. Like Load, the telemetry
+// decision is made once here: instances created while telemetry is
+// enabled are instrumented, each with its own single-writer batch
+// counter flushing into the shared per-(graft,technology) accumulator.
+// Artifact.NewPool builds the pool of bare engines a lifecycle
+// deployment uses.
 func NewPool(id ID, src Source, opts Options, cfg PoolConfig) (*Pool, error) {
 	return newPool(id, src, opts, cfg, telemetry.Enabled())
 }
@@ -121,7 +121,7 @@ func newPool(id ID, src Source, opts Options, cfg PoolConfig, instrument bool) (
 }
 
 // newInstance builds one fresh instance from the shared artifacts.
-func (p *Pool) newInstance() (*Instance, error) {
+func (p *Pool) newInstance() (*instance, error) {
 	m := mem.New(p.cfg.MemSize)
 	if p.cfg.Setup != nil {
 		if err := p.cfg.Setup(m); err != nil {
@@ -133,15 +133,15 @@ func (p *Pool) newInstance() (*Instance, error) {
 		return nil, err
 	}
 	attachProfile(g, p.src.Name, p.id)
-	it := &Instance{}
-	it.put = func() { p.Put(it) }
+	it := &instance{}
+	it.release = func() { p.free.Put(it) }
 	if p.cfg.Wrap != nil {
 		g, it.close = p.cfg.Wrap(g)
 	}
 	if p.instrument {
 		g = instrument(g, p.src.Name, p.id, p.opts.Fuel > 0)
 	}
-	it.Graft = g
+	it.g = g
 
 	p.mu.Lock()
 	if p.closed.Load() {
@@ -173,66 +173,26 @@ func (p *Pool) loadEngine(m *mem.Memory) (Graft, error) {
 	return newModuleEngine(p.id, p.mod, m, cfg, p.opts)
 }
 
-// Get returns an idle instance, creating one if the pool is empty.
-// After Close, Get fails even when the free list still holds instances.
-func (p *Pool) Get() (*Instance, error) {
-	if p.closed.Load() {
-		return nil, fmt.Errorf("tech: pool for %q is closed", p.src.Name)
-	}
-	if it, ok := p.free.Get().(*Instance); ok {
-		return it, nil
-	}
-	return p.newInstance()
-}
-
 // Acquire checks out an instance and returns its engine with the
 // release that puts the instance back, bound once per instance so a
-// checkout allocates nothing: a Pool is a lifecycle carrier.
+// checkout allocates nothing: a Pool is a lifecycle carrier. The engine
+// is for one goroutine at a time and must not be used after release.
+// Its memory is NOT cleared between checkouts: like a real extension's
+// state, it carries over to the next one, so callers that need a
+// pristine memory per checkout reinitialize it themselves. After Close,
+// Acquire fails even when the free list still holds instances.
 func (p *Pool) Acquire() (Graft, func(), error) {
-	it, err := p.Get()
-	if err != nil {
-		return nil, nil, err
+	if p.closed.Load() {
+		return nil, nil, fmt.Errorf("tech: pool for %q is closed", p.src.Name)
 	}
-	return it.Graft, it.put, nil
-}
-
-// Put returns an instance to the pool. Instances must not be used after
-// Put. The instance's memory is NOT cleared: like a real extension's
-// state, it carries over to the next invocation — callers that need a
-// pristine memory per checkout reinitialize via their Setup conventions.
-func (p *Pool) Put(it *Instance) {
-	if it == nil {
-		return
-	}
-	p.free.Put(it)
-}
-
-// Invoke checks out an instance, invokes entry on it, and returns it:
-// the convenience path for callers without a per-worker checkout. When
-// span tracing is enabled the checkout is recorded as a "pool" root
-// span with the engine invocation nested inside it.
-func (p *Pool) Invoke(entry string, args ...uint32) (uint32, error) {
-	sp := telemetry.RootSpan("pool:"+p.src.Name, "pool")
-	it, err := p.Get()
-	if err != nil {
-		if sp.Active() {
-			sp.End(0, 1)
+	it, ok := p.free.Get().(*instance)
+	if !ok {
+		var err error
+		if it, err = p.newInstance(); err != nil {
+			return nil, nil, err
 		}
-		return 0, err
 	}
-	var v uint32
-	if sp.Active() {
-		v, err = InvokeSpan(it.Graft, sp.Ctx(), entry, args...)
-		var errBit uint64
-		if err != nil {
-			errBit = 1
-		}
-		sp.End(uint64(len(args)), errBit)
-	} else {
-		v, err = it.Graft.Invoke(entry, args...)
-	}
-	p.Put(it)
-	return v, err
+	return it.g, it.release, nil
 }
 
 // Created reports how many instances the pool has ever built (a
@@ -246,10 +206,10 @@ func (p *Pool) Created() int {
 
 // Close tears down every instance the pool ever created — in the
 // wrapped (domain-per-worker) mode each instance owns a server
-// goroutine, and sync.Pool alone would leak any it drops. Get after
-// Close fails; instances already checked out remain usable until Put,
-// but their wrappers are closed, so domain-backed invocations will
-// return errors.
+// goroutine, and sync.Pool alone would leak any it drops. Acquire after
+// Close fails; engines already checked out remain usable until
+// released, but their wrappers are closed, so domain-backed invocations
+// will return errors.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	if p.closed.Load() {

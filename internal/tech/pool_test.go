@@ -40,16 +40,16 @@ func TestPoolTrapLeavesInstanceClean(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pool.Close()
-			it, err := pool.Get()
+			g, release, err := pool.Acquire()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer pool.Put(it)
+			defer release()
 			for i := uint32(0); i < 10; i++ {
-				if _, err := it.Invoke("boom", 0); err == nil {
+				if _, err := g.Invoke("boom", 0); err == nil {
 					t.Fatalf("round %d: division by zero did not trap", i)
 				}
-				v, err := it.Invoke("ok", i, 7)
+				v, err := g.Invoke("ok", i, 7)
 				if err != nil {
 					t.Fatalf("round %d: instance poisoned after trap: %v", i, err)
 				}
@@ -79,13 +79,13 @@ func TestPoolConcurrentTrapMix(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				if i%3 == 0 {
-					if _, err := pool.Invoke("boom", 0); err == nil {
+					if _, err := invokeOnce(pool, "boom", 0); err == nil {
 						errs[w] = errMissingTrap
 						return
 					}
 					continue
 				}
-				v, err := pool.Invoke("ok", uint32(i), 1)
+				v, err := invokeOnce(pool, "ok", uint32(i), 1)
 				if err != nil {
 					errs[w] = err
 					return
@@ -103,6 +103,17 @@ func TestPoolConcurrentTrapMix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// invokeOnce is the checkout-per-call pattern: acquire an engine,
+// invoke entry on it, and release it.
+func invokeOnce(p *Pool, entry string, args ...uint32) (uint32, error) {
+	g, release, err := p.Acquire()
+	if err != nil {
+		return 0, err
+	}
+	defer release()
+	return g.Invoke(entry, args...)
 }
 
 var (
@@ -139,7 +150,7 @@ func TestPoolGOMAXPROCS1(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				v, err := pool.Invoke("main", 3, 5, 7)
+				v, err := invokeOnce(pool, "main", 3, 5, 7)
 				if err != nil {
 					errs[w] = err
 					return
@@ -186,11 +197,11 @@ func TestPoolScriptVariableIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	a, err := pool.Get()
+	a, releaseA, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pool.Get()
+	b, releaseB, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +218,8 @@ func TestPoolScriptVariableIsolation(t *testing.T) {
 	if _, err := b.Invoke("getg"); err == nil {
 		t.Fatal("global leaked between pooled script interpreters")
 	}
-	pool.Put(a)
-	pool.Put(b)
+	releaseA()
+	releaseB()
 }
 
 // TestPoolWrapLifecycle pins the Wrap hook: every instance is wrapped
@@ -230,13 +241,13 @@ func TestPoolWrapLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := pool.Get()
-	b, err := pool.Get()
+	_, releaseA, _ := pool.Acquire()
+	_, releaseB, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Put(a)
-	pool.Put(b)
+	releaseA()
+	releaseB()
 	created := pool.Created()
 	pool.Close()
 	mu.Lock()
@@ -247,14 +258,14 @@ func TestPoolWrapLifecycle(t *testing.T) {
 	if closed != created {
 		t.Fatalf("Close closed %d of %d wrappers", closed, created)
 	}
-	if _, err := pool.Get(); err == nil {
-		t.Fatal("Get after Close succeeded")
+	if _, _, err := pool.Acquire(); err == nil {
+		t.Fatal("Acquire after Close succeeded")
 	}
 	pool.Close() // idempotent
 }
 
 // TestPoolValidation pins eager validation: a bad program or a missing
-// memory size fails at NewPool, not at first Get.
+// memory size fails at NewPool, not at first Acquire.
 func TestPoolValidation(t *testing.T) {
 	if _, err := NewPool(NativeSafe, stressSrc, Options{}, PoolConfig{}); err == nil {
 		t.Fatal("pool without MemSize accepted")

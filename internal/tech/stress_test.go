@@ -54,8 +54,8 @@ func stressScale(t *testing.T) (workers, iters int) {
 	return 8, 60
 }
 
-// TestStressPoolInvoke hammers Pool.Invoke (checkout per call) from
-// many goroutines and requires every result to match the
+// TestStressPoolInvoke hammers a checkout per call (Acquire, Invoke,
+// release) from many goroutines and requires every result to match the
 // single-threaded oracle.
 func TestStressPoolInvoke(t *testing.T) {
 	workers, iters := stressScale(t)
@@ -83,7 +83,7 @@ func TestStressPoolInvoke(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < iters; i++ {
-						v, err := pool.Invoke("main", args...)
+						v, err := invokeOnce(pool, "main", args...)
 						if err != nil {
 							errs[w] = fmt.Errorf("iter %d: %v", i, err)
 							return
@@ -133,13 +133,13 @@ func TestStressPoolCheckout(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					it, err := pool.Get()
+					g, release, err := pool.Acquire()
 					if err != nil {
 						errs[w] = err
 						return
 					}
-					defer pool.Put(it)
-					call := ResolveDirect(it.Graft, "main")
+					defer release()
+					call := ResolveDirect(g, "main")
 					buf := append([]uint32(nil), args...)
 					for i := 0; i < iters; i++ {
 						v, err := call(buf)
@@ -181,17 +181,17 @@ func TestStressPoolTelemetry(t *testing.T) {
 	}
 	defer pool.Close()
 
-	it, err := pool.Get()
+	g, release, err := pool.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const held = 600
 	for i := 0; i < held; i++ {
-		if _, err := it.Invoke("main", 1, 2, 3); err != nil {
+		if _, err := g.Invoke("main", 1, 2, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pool.Put(it)
+	release()
 	met := telemetry.Register(stressSrc.Name, string(NativeUnsafe))
 	if got := met.Invocations(); got < 512 || got > held {
 		t.Fatalf("held checkout: %d invocations recorded, want 512..%d", got, held)
@@ -205,7 +205,7 @@ func TestStressPoolTelemetry(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := pool.Invoke("main", uint32(w), uint32(i), 5); err != nil {
+				if _, err := invokeOnce(pool, "main", uint32(w), uint32(i), 5); err != nil {
 					errs[w] = err
 					return
 				}
