@@ -7,7 +7,7 @@
 //	graftbench [-quick] [-experiment all|table1..table6|figure1|ablation|pktfilter|pktfilter-batch|scale]
 //	           [-warmup N] [-seed N] [-report-dir dir]
 //	           [-figure1-csv out.csv] [-vm opt|baseline] [-json] [-json-out out.json]
-//	           [-telemetry] [-trace-out trace.jsonl]
+//	           [-telemetry]
 //	           [-metrics-addr :9090] [-metrics-hold 30s]
 //	           [-profile-out p.folded] [-profile-interval N]
 //	           [-spans-out spans.json] [-span-sample N]
@@ -26,17 +26,16 @@
 //
 // -telemetry enables per-graft invocation metrics (counters, traps, fuel,
 // sampled latency histograms; see docs/observability.md); the snapshots
-// are printed after the run and attached to the JSON report. -trace-out
-// additionally records kernel events (page faults, eviction decisions,
-// stream-filter passes, upcalls, LD segment flushes) into a bounded ring
-// and dumps them as JSONL to the given path (last line is an accounting
-// footer with emitted/retained/dropped counts).
+// are printed after the run and attached to the JSON report.
 //
 // -profile-out enables the fuel-attributed sampling profiler and writes
 // a folded-stack (flamegraph-ready) profile; -profile-interval sets the
-// fuel units between samples. -spans-out enables causal span tracing and
-// writes Chrome trace-event JSON loadable at ui.perfetto.dev;
-// -span-sample records one root span in N. All of these imply
+// fuel units between samples. -spans-out enables the kernel trace ring —
+// page faults, eviction decisions, stream-filter passes, upcalls, LD
+// segment flushes and scheduler picks, each a causal span with its
+// nested policy, engine and upcall children — and writes it as Chrome
+// trace-event JSON loadable at ui.perfetto.dev; -span-sample records one
+// root span in N (1 records every kernel operation). All of these imply
 // -telemetry; see docs/observability.md for the workflow.
 //
 // Every matrix cell runs -warmup discarded warmup runs (default 3 at
@@ -97,7 +96,6 @@ func main() {
 		jsonP  = flag.String("json-out", "", "write machine-readable results to this path (implies -json)")
 		vmMode = flag.String("vm", "", `bytecode engine: "opt" (default) or "baseline"`)
 		telem  = flag.Bool("telemetry", false, "record per-graft invocation metrics and print/export them")
-		trace  = flag.String("trace-out", "", "record kernel events and dump them as JSONL to this path (implies -telemetry)")
 		checkP = flag.String("check-against", "", "compare results against this baseline BENCH_*.json; exit non-zero on regression")
 		tolF   = flag.Float64("check-tolerance", 0.30, "relative tolerance for -check-against (0.30 = 30%)")
 		effF   = flag.Float64("check-effect", stats.EffectLarge, "Cohen's d threshold for -check-against: smaller effects read as noise, not regression")
@@ -108,8 +106,8 @@ func main() {
 
 		profOut      = flag.String("profile-out", "", "sample graft fuel and write a folded-stack (flamegraph) profile to this path (implies -telemetry)")
 		profInterval = flag.Int64("profile-interval", telemetry.DefaultProfileInterval, "fuel units between profiler samples")
-		spansOut     = flag.String("spans-out", "", "record causal spans and write Chrome trace-event JSON (Perfetto-loadable) to this path (implies -telemetry)")
-		spanSample   = flag.Int("span-sample", 64, "sample every Nth root span for -spans-out")
+		spansOut     = flag.String("spans-out", "", "record kernel operations as causal spans and write Chrome trace-event JSON (Perfetto-loadable) to this path (implies -telemetry)")
+		spanSample   = flag.Int("span-sample", 64, "sample every Nth root span for -spans-out (1 records every kernel operation)")
 
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live /metrics (Prometheus text), /debug/telemetry.json, and SSE /stream on this address during the run (implies -telemetry)")
@@ -142,10 +140,6 @@ func main() {
 	jsonPath := *jsonP
 	if jsonPath == "" && *jsonB {
 		jsonPath = defaultJSONPath(exp)
-	}
-	if *trace != "" {
-		*telem = true
-		telemetry.EnableTrace(traceRingCapacity)
 	}
 	if *profOut != "" {
 		*telem = true
@@ -212,12 +206,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "graftbench: %v\n", checkErr)
 		os.Exit(1)
 	}
-	if *trace != "" {
-		if err := dumpTrace(*trace); err != nil {
-			fmt.Fprintf(os.Stderr, "graftbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *profOut != "" {
 		if err := dumpProfile(*profOut); err != nil {
 			fmt.Fprintf(os.Stderr, "graftbench: %v\n", err)
@@ -232,11 +220,7 @@ func main() {
 	}
 }
 
-// traceRingCapacity bounds the kernel event ring; at ~48 bytes per event
-// this is a few MB, plenty for a full paper-scale run's kernel activity.
-const traceRingCapacity = 1 << 16
-
-// spanRingCapacity bounds the causal span ring. Spans are sampled (one
+// spanRingCapacity bounds the kernel trace ring. Spans are sampled (one
 // root in -span-sample), so this holds minutes of paper-scale activity.
 const spanRingCapacity = 1 << 15
 
@@ -354,28 +338,6 @@ func writeReportArtifacts(dir string, report *bench.Report, cmp *bench.Compariso
 		}
 	}
 	fmt.Printf("suite artifacts (results.json, results.csv, REPORT.md) written to %s\n", dir)
-	return nil
-}
-
-// dumpTrace writes the retained kernel events as JSONL.
-func dumpTrace(path string) error {
-	tr := telemetry.CurrentTrace()
-	if tr == nil {
-		return fmt.Errorf("no trace recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("kernel event trace written to %s (%d events retained, %d overwritten)\n",
-		path, tr.Len(), tr.Overwritten())
 	return nil
 }
 

@@ -223,16 +223,15 @@ func TestVMBaselineSelectable(t *testing.T) {
 	}
 }
 
-// TestObservabilityExportFlags drives the full -profile-out / -spans-out /
-// -trace-out pipeline at micro scale: enable every collector the CLI
-// flags would enable, run one direct-dispatch experiment (profiler
-// samples) and one kernel-mediated experiment (span roots), and require
-// each dump to be well-formed — folded stacks with integer weights,
-// Chrome trace JSON with complete duration events, and a JSONL trace
-// whose last line is the accounting footer.
+// TestObservabilityExportFlags drives the full -profile-out / -spans-out
+// pipeline at micro scale: enable every collector the CLI flags would
+// enable, run one direct-dispatch experiment (profiler samples) and one
+// kernel-mediated experiment (span roots), and require each dump to be
+// well-formed — folded stacks with integer weights, and Chrome trace
+// JSON with complete duration events that include the Logical Disk's
+// writes.
 func TestObservabilityExportFlags(t *testing.T) {
 	dir := t.TempDir()
-	telemetry.EnableTrace(1 << 12)
 	if _, err := telemetry.EnableProfiler(256); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +244,6 @@ func TestObservabilityExportFlags(t *testing.T) {
 		telemetry.SetEnabled(false)
 		telemetry.DisableSpans()
 		telemetry.DisableProfiler()
-		telemetry.DisableTrace()
 		_ = telemetry.SetSpanSampleEvery(64)
 		telemetry.ResetMetrics()
 	})
@@ -304,29 +302,16 @@ func TestObservabilityExportFlags(t *testing.T) {
 	if len(chrome.TraceEvents) == 0 {
 		t.Fatal("span export recorded no events from the LD run")
 	}
+	writes := 0
 	for _, e := range chrome.TraceEvents {
 		if e.Ph != "X" || e.Name == "" {
 			t.Fatalf("malformed trace event %+v", e)
 		}
+		if e.Name == "ld:write" {
+			writes++
+		}
 	}
-
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	if err := dumpTrace(tracePath); err != nil {
-		t.Fatal(err)
-	}
-	tdata, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tlines := strings.Split(strings.TrimSpace(string(tdata)), "\n")
-	var footer struct {
-		Footer  bool   `json:"footer"`
-		Emitted uint64 `json:"emitted"`
-	}
-	if err := json.Unmarshal([]byte(tlines[len(tlines)-1]), &footer); err != nil || !footer.Footer {
-		t.Fatalf("trace JSONL does not end with the accounting footer: %q", tlines[len(tlines)-1])
-	}
-	if footer.Emitted == 0 {
-		t.Error("trace footer reports zero emitted events after a traced run")
+	if writes == 0 {
+		t.Error("span export carries no ld:write span after the LD run")
 	}
 }

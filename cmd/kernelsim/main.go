@@ -10,10 +10,11 @@
 //
 // -telemetry turns on the observability layer for the run: per-graft
 // invocation counters (printed as a table afterwards) and the kernel
-// event trace (summarized by event kind). -metrics-addr additionally
-// serves the live export surface (/metrics, /debug/telemetry.json, SSE
-// /stream) for the duration of the run, so graftmon or a Prometheus
-// scraper can watch the scenarios execute. See docs/observability.md.
+// trace ring, which records every kernel operation as a span (counted
+// by span name). -metrics-addr additionally serves the live export
+// surface (/metrics, /debug/telemetry.json, SSE /stream) for the
+// duration of the run, so graftmon or a Prometheus scraper can watch
+// the scenarios execute. See docs/observability.md.
 //
 // The interesting regime is a working set slightly larger than memory,
 // rescanned: pure LRU then evicts exactly the pages about to be needed
@@ -46,7 +47,7 @@ func main() {
 		scenario = flag.String("scenario", "pageevict",
 			"which hook point to drive: pageevict, sched, cache, readahead, swap, canary, watchdog, all")
 		telem = flag.Bool("telemetry", false,
-			"record per-graft counters and kernel events; print them after the run")
+			"record per-graft counters and every kernel operation as a span; print them after the run")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live /metrics (Prometheus text), /debug/telemetry.json, and SSE /stream on this address during the run (implies -telemetry)")
 	)
@@ -56,7 +57,11 @@ func main() {
 	}
 	if *telem {
 		telemetry.SetEnabled(true)
-		telemetry.EnableTrace(1 << 14)
+		if err := telemetry.SetSpanSampleEvery(1); err != nil {
+			fmt.Fprintf(os.Stderr, "kernelsim: %v\n", err)
+			os.Exit(1)
+		}
+		telemetry.EnableSpans(1 << 14)
 	}
 	if *metricsAddr != "" {
 		srv, err := telemetry.ServeMetrics(*metricsAddr)
@@ -111,7 +116,8 @@ func main() {
 }
 
 // printTelemetry renders the live counters view: one row per (graft,
-// technology) pair, then the cumulative kernel event counts by kind.
+// technology) pair, then the retained kernel trace spans counted by
+// name.
 func printTelemetry() {
 	snaps := telemetry.SnapshotAll()
 	t := &stats.Table{
@@ -131,16 +137,19 @@ func printTelemetry() {
 			stats.FormatDuration(s.LatencyMax))
 	}
 	fmt.Println(t)
-	if tr := telemetry.CurrentTrace(); tr != nil {
-		fmt.Printf("kernel events (%d retained, %d dropped by ring overwrite):\n", tr.Len(), tr.Overwritten())
-		counts := tr.CountByKind()
-		kinds := make([]string, 0, len(counts))
-		for kind := range counts {
-			kinds = append(kinds, kind)
+	if st := telemetry.CurrentSpans(); st != nil {
+		fmt.Printf("kernel trace spans (%d retained, %d dropped by ring overwrite):\n", st.Len(), st.Dropped())
+		counts := map[string]int{}
+		for _, s := range st.Spans() {
+			counts[s.Name]++
 		}
-		sort.Strings(kinds)
-		for _, kind := range kinds {
-			fmt.Printf("  %-16s %d\n", kind, counts[kind])
+		names := make([]string, 0, len(counts))
+		for name := range counts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Printf("  %-24s %d\n", name, counts[name])
 		}
 	}
 }

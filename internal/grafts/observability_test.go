@@ -68,8 +68,8 @@ func TestMD5ProfileLineAttribution(t *testing.T) {
 // TestNestedSpansAcrossStack drives the full Table-2-plus-pool stack —
 // Pager faults consulting a GraftEvictionPolicy whose engine is checked
 // out of a tech.Pool and lives behind an upcall domain — with span
-// tracing on, and asserts one eviction exports as the nested causal
-// chain kernel -> policy -> engine -> upcall, all on one track, and
+// tracing on, and asserts one fault exports as the nested causal chain
+// fault -> evict -> policy -> engine -> upcall, all on one track, and
 // that the export is loadable Chrome trace-event JSON.
 func TestNestedSpansAcrossStack(t *testing.T) {
 	telemetry.SetEnabled(true)
@@ -137,11 +137,15 @@ func TestNestedSpansAcrossStack(t *testing.T) {
 	if !ok || pol.Cat != "policy" || pol.Name != "policy:evict" {
 		t.Fatalf("engine's parent is %+v, want policy:evict", pol)
 	}
-	root, ok := byID[pol.Parent]
-	if !ok || root.Cat != "kernel" || root.Name != "kernel:evict" || root.Parent != 0 {
-		t.Fatalf("policy's parent is %+v, want the kernel:evict root", root)
+	ev, ok := byID[pol.Parent]
+	if !ok || ev.Cat != "kernel" || ev.Name != "kernel:evict" || ev.C != kernel.EvictOverride || ev.B != 12 {
+		t.Fatalf("policy's parent is %+v, want the kernel:evict override choosing page 12", ev)
 	}
-	for _, s := range []telemetry.SpanRecord{up, eng, pol} {
+	root, ok := byID[ev.Parent]
+	if !ok || root.Name != "kernel:fault" || root.Parent != 0 || root.A != 13 {
+		t.Fatalf("eviction's parent is %+v, want the kernel:fault root for page 13", root)
+	}
+	for _, s := range []telemetry.SpanRecord{up, eng, pol, ev} {
 		if s.Track != root.Track {
 			t.Errorf("span %q on track %d, root on %d", s.Name, s.Track, root.Track)
 		}
@@ -160,7 +164,7 @@ func TestNestedSpansAcrossStack(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatalf("span export is not valid Chrome trace JSON: %v", err)
 	}
-	if len(trace.TraceEvents) < 4 {
+	if len(trace.TraceEvents) < 5 {
 		t.Fatalf("trace has %d events, want the full chain", len(trace.TraceEvents))
 	}
 }

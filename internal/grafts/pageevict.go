@@ -232,7 +232,7 @@ func (p *GraftEvictionPolicy) ChooseVictim(pg *kernel.Pager, candidate kernel.Pa
 // ChooseVictimSpan implements kernel.SpanEvictionPolicy: the policy
 // step is recorded as a child of the kernel eviction span, and the
 // context is forwarded into the engine so the trace nests
-// kernel->policy->engine(->upcall).
+// fault->evict->policy->engine(->upcall).
 func (p *GraftEvictionPolicy) ChooseVictimSpan(ctx telemetry.SpanCtx, pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
 	head := pg.HeadAddr()
 	if head == 0 {
@@ -247,7 +247,7 @@ func (p *GraftEvictionPolicy) ChooseVictimSpan(ctx telemetry.SpanCtx, pg *kernel
 	if err != nil {
 		errBit = 1
 	}
-	sp.End(uint64(candidate), errBit)
+	sp.End(uint64(candidate), errBit, 0)
 	if err != nil {
 		return kernel.InvalidPage, err
 	}

@@ -43,10 +43,10 @@ func (f EvictionPolicyFunc) ChooseVictim(p *Pager, candidate PageID) (PageID, er
 }
 
 // SpanEvictionPolicy is the optional span-aware variant of
-// EvictionPolicy: when causal tracing has sampled the current eviction,
-// the kernel hands the policy its span context so the policy (and the
-// engine below it) can record nested child spans. Policies that don't
-// implement it are called through ChooseVictim as usual.
+// EvictionPolicy: when causal tracing has sampled the current fault,
+// the kernel hands the policy its eviction span's context so the policy
+// (and the engine below it) can record nested child spans. Policies
+// that don't implement it are called through ChooseVictim as usual.
 type SpanEvictionPolicy interface {
 	ChooseVictimSpan(ctx telemetry.SpanCtx, p *Pager, candidate PageID) (PageID, error)
 }
@@ -245,29 +245,33 @@ func (p *Pager) Access(page PageID) (hit bool, err error) {
 	p.stats.Faults++
 	p.clock.Advance(p.cfg.FaultTime)
 
-	f, err := p.grabFrame()
-	if err != nil {
-		return false, err
+	// The fault is the root of its trace: the eviction decision and any
+	// prefetch evictions nest under it, and its span times the whole
+	// service.
+	sp := telemetry.RootSpan("kernel:fault", "kernel")
+	f, err := p.grabFrame(sp.Ctx())
+	if err == nil {
+		p.pageOf[f] = page
+		p.frameOf[page] = f
+		p.touched[f] = -1 // demand page
+		p.lruPushTail(f)
+		err = p.prefetchAfterFault(sp.Ctx(), page)
 	}
-	p.pageOf[f] = page
-	p.frameOf[page] = f
-	p.touched[f] = -1 // demand page
-	p.lruPushTail(f)
-	telemetry.Emit(telemetry.EvPageFault, uint64(page), uint64(f), 0)
-	if err := p.prefetchAfterFault(page); err != nil {
-		return false, err
+	if sp.Active() {
+		sp.End(uint64(page), uint64(f), 0)
 	}
-	return false, nil
+	return false, err
 }
 
-// grabFrame returns a free frame, evicting if necessary.
-func (p *Pager) grabFrame() (int, error) {
+// grabFrame returns a free frame, evicting if necessary; fault is the
+// span context of the fault being serviced.
+func (p *Pager) grabFrame(fault telemetry.SpanCtx) (int, error) {
 	if n := len(p.freeList); n > 0 {
 		f := p.freeList[n-1]
 		p.freeList = p.freeList[:n-1]
 		return f, nil
 	}
-	victim, err := p.chooseVictim()
+	victim, err := p.chooseVictim(fault)
 	if err != nil {
 		return 0, err
 	}
@@ -281,58 +285,61 @@ func (p *Pager) grabFrame() (int, error) {
 	return f, nil
 }
 
+// Eviction outcome codes, the C operand of a "kernel:evict" span.
+const (
+	EvictDefault  = 0 // no policy installed; kernel LRU candidate used
+	EvictAccepted = 1 // policy declined or proposed the candidate
+	EvictOverride = 2 // policy proposal accepted
+	EvictRejected = 3 // policy proposal invalid; candidate used
+	EvictErrored  = 4 // policy trapped; candidate used
+)
+
 // chooseVictim applies the Prioritization hook, validating its proposal
 // exactly as the paper requires: "the kernel keeps track of candidate
 // pages and graft-proposed alternates ... to ensure that an application
 // does not manipulate the VM system" (§3.1). An invalid or trapping
-// policy falls back to strict LRU.
-func (p *Pager) chooseVictim() (PageID, error) {
+// policy falls back to strict LRU. When the fault is traced, the
+// decision is a "kernel:evict" child span carrying the candidate, the
+// chosen page and the outcome code, and only then is the policy probed
+// for span awareness, so the trace nests fault->evict->policy->engine.
+func (p *Pager) chooseVictim(fault telemetry.SpanCtx) (PageID, error) {
 	if p.head < 0 {
 		return InvalidPage, fmt.Errorf("kernel: no evictable frame")
 	}
 	candidate := p.pageOf[p.head]
-	if p.policy == nil {
-		telemetry.Emit(telemetry.EvEvictDecision, uint64(candidate), uint64(candidate), telemetry.EvictDefault)
-		return candidate, nil
-	}
-	p.stats.PolicyCalls++
-	proposal, err := p.policyVictim(candidate)
-	if err != nil {
-		p.stats.PolicyErrors++
-		telemetry.Emit(telemetry.EvEvictDecision, uint64(candidate), uint64(candidate), telemetry.EvictErrored)
-		return candidate, nil
-	}
-	if proposal == InvalidPage || proposal == candidate {
-		telemetry.Emit(telemetry.EvEvictDecision, uint64(candidate), uint64(candidate), telemetry.EvictAccepted)
-		return candidate, nil
-	}
-	if _, resident := p.frameOf[proposal]; !resident {
-		p.stats.PolicyRejected++
-		telemetry.Emit(telemetry.EvEvictDecision, uint64(candidate), uint64(candidate), telemetry.EvictRejected)
-		return candidate, nil
-	}
-	p.stats.PolicyOverrides++
-	telemetry.Emit(telemetry.EvEvictDecision, uint64(candidate), uint64(proposal), telemetry.EvictOverride)
-	return proposal, nil
-}
-
-// policyVictim consults the Prioritization hook, opening a
-// "kernel:evict" root span around the call when causal tracing samples
-// this eviction and handing the context down through span-aware
-// policies so one trace shows kernel->policy->engine->upcall nested.
-func (p *Pager) policyVictim(candidate PageID) (PageID, error) {
-	sp := telemetry.RootSpan("kernel:evict", "kernel")
-	if sp.Active() {
-		if sep, ok := p.policy.(SpanEvictionPolicy); ok {
-			proposal, err := sep.ChooseVictimSpan(sp.Ctx(), p, candidate)
-			sp.End(uint64(candidate), uint64(proposal))
-			return proposal, err
+	sp := telemetry.ChildSpan(fault, "kernel:evict", "kernel")
+	victim, outcome := candidate, uint64(EvictDefault)
+	if p.policy != nil {
+		p.stats.PolicyCalls++
+		var sep SpanEvictionPolicy
+		if sp.Active() {
+			sep, _ = p.policy.(SpanEvictionPolicy)
 		}
-		proposal, err := p.policy.ChooseVictim(p, candidate)
-		sp.End(uint64(candidate), uint64(proposal))
-		return proposal, err
+		var proposal PageID
+		var err error
+		if sep != nil {
+			proposal, err = sep.ChooseVictimSpan(sp.Ctx(), p, candidate)
+		} else {
+			proposal, err = p.policy.ChooseVictim(p, candidate)
+		}
+		switch {
+		case err != nil:
+			p.stats.PolicyErrors++
+			outcome = EvictErrored
+		case proposal == InvalidPage || proposal == candidate:
+			outcome = EvictAccepted
+		case !p.Resident(proposal):
+			p.stats.PolicyRejected++
+			outcome = EvictRejected
+		default:
+			p.stats.PolicyOverrides++
+			victim, outcome = proposal, EvictOverride
+		}
 	}
-	return p.policy.ChooseVictim(p, candidate)
+	if sp.Active() {
+		sp.End(uint64(candidate), uint64(victim), outcome)
+	}
+	return victim, nil
 }
 
 // LRUPages returns the resident pages in eviction order (head first);

@@ -15,6 +15,8 @@ package kernel
 
 import (
 	"time"
+
+	"graftlab/internal/telemetry"
 )
 
 // ReadAheadPolicy proposes pages to prefetch after faulting page in.
@@ -55,8 +57,9 @@ func (p *Pager) SetReadAhead(policy ReadAheadPolicy, perPageCost time.Duration) 
 // ReadAheadStats returns a copy of the prefetch counters.
 func (p *Pager) ReadAheadStats() ReadAheadStats { return p.raStats }
 
-// prefetchAfterFault runs the hook for the page just faulted in.
-func (p *Pager) prefetchAfterFault(page PageID) error {
+// prefetchAfterFault runs the hook for the page just faulted in; fault
+// is that fault's span context, which prefetch evictions nest under.
+func (p *Pager) prefetchAfterFault(fault telemetry.SpanCtx, page PageID) error {
 	if p.readAhead == nil {
 		return nil
 	}
@@ -72,7 +75,7 @@ func (p *Pager) prefetchAfterFault(page PageID) error {
 		if _, resident := p.frameOf[pre]; resident {
 			continue
 		}
-		f, err := p.grabFrame()
+		f, err := p.grabFrame(fault)
 		if err != nil {
 			return err
 		}

@@ -76,11 +76,13 @@ func (s *Scheduler) Runnable() []*Proc { return s.runq }
 
 // Tick dispatches one quantum and returns the process that ran. The
 // default policy is round-robin: the head of the queue runs and moves to
-// the tail.
+// the tail. A traced dispatch is a "kernel:sched" root span carrying the
+// pid, the run-queue index picked and 1 if the policy overrode.
 func (s *Scheduler) Tick() (*Proc, error) {
 	if len(s.runq) == 0 {
 		return nil, fmt.Errorf("kernel: empty run queue")
 	}
+	sp := telemetry.RootSpan("kernel:sched", "kernel")
 	idx := 0
 	override := uint64(0)
 	if s.policy != nil {
@@ -102,12 +104,14 @@ func (s *Scheduler) Tick() (*Proc, error) {
 		}
 	}
 	p := s.runq[idx]
-	telemetry.Emit(telemetry.EvSchedPick, uint64(p.PID), uint64(idx), override)
 	s.runq = append(s.runq[:idx], s.runq[idx+1:]...)
 	s.runq = append(s.runq, p)
 	p.Runtime += s.quantum
 	s.clock.Advance(s.quantum)
 	s.stats.Dispatches++
+	if sp.Active() {
+		sp.End(uint64(p.PID), uint64(idx), override)
+	}
 	return p, nil
 }
 

@@ -36,35 +36,39 @@ func NewChain(sink func(p []byte) error, filters ...Filter) *Chain {
 }
 
 // Write pushes p through every filter and into the sink. When causal
-// tracing samples this write, each filter pass is recorded as a child
-// of a "kernel:stream" root span.
+// tracing samples this write, each filter pass is recorded as a
+// "filter:<name>" child of a "kernel:stream" root span, carrying the
+// filter index and the bytes in and out; the span name is built only
+// then.
 func (c *Chain) Write(p []byte) (int, error) {
 	data := p
 	var err error
 	root := telemetry.RootSpan("kernel:stream", "kernel")
 	for i, f := range c.filters {
 		in := len(data)
-		fs := telemetry.ChildSpan(root.Ctx(), "filter:"+f.Name(), "stream")
+		var fs telemetry.Span
+		if root.Active() {
+			fs = telemetry.ChildSpan(root.Ctx(), "filter:"+f.Name(), "stream")
+		}
 		data, err = f.Process(data)
 		if fs.Active() {
-			fs.End(uint64(in), uint64(len(data)))
+			fs.End(uint64(i), uint64(in), uint64(len(data)))
 		}
 		if err != nil {
 			if root.Active() {
-				root.End(uint64(len(p)), 1)
+				root.End(uint64(len(p)), 0, 1)
 			}
 			return 0, fmt.Errorf("kernel: stream filter %q: %w", f.Name(), err)
 		}
-		telemetry.Emit(telemetry.EvStreamPass, uint64(i), uint64(in), uint64(len(data)))
 		if len(data) == 0 {
 			if root.Active() {
-				root.End(uint64(len(p)), 0)
+				root.End(uint64(len(p)), 0, 0)
 			}
 			return len(p), nil // filter buffered everything
 		}
 	}
 	if root.Active() {
-		root.End(uint64(len(p)), uint64(len(data)))
+		root.End(uint64(len(p)), uint64(len(data)), 0)
 	}
 	c.written += uint64(len(data))
 	if err := c.sink(data); err != nil {

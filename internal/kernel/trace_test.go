@@ -9,15 +9,34 @@ import (
 	"graftlab/internal/vclock"
 )
 
-// withTrace turns the global event trace on for one test.
-func withTrace(t *testing.T, capacity int) {
+// withSpans turns the kernel trace ring on for one test, recording every
+// root.
+func withSpans(t *testing.T, capacity int) *telemetry.SpanTrace {
 	t.Helper()
-	telemetry.EnableTrace(capacity)
-	t.Cleanup(telemetry.DisableTrace)
+	st := telemetry.EnableSpans(capacity)
+	if err := telemetry.SetSpanSampleEvery(1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		telemetry.DisableSpans()
+		_ = telemetry.SetSpanSampleEvery(64)
+	})
+	return st
+}
+
+// spansNamed returns the retained spans called name, oldest first.
+func spansNamed(st *telemetry.SpanTrace, name string) []telemetry.SpanRecord {
+	var out []telemetry.SpanRecord
+	for _, s := range st.Spans() {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 func TestPagerEmitsTraceEvents(t *testing.T) {
-	withTrace(t, 1024)
+	st := withSpans(t, 1024)
 	clock := &vclock.Clock{}
 	p, err := NewPager(PagerConfig{Frames: 4, FaultTime: time.Millisecond}, clock)
 	if err != nil {
@@ -29,27 +48,36 @@ func TestPagerEmitsTraceEvents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	counts := telemetry.CurrentTrace().CountByKind()
-	if counts["page_fault"] != 8 {
-		t.Errorf("page_fault events = %d, want 8 (%v)", counts["page_fault"], counts)
+	faults := spansNamed(st, "kernel:fault")
+	if len(faults) != 8 {
+		t.Fatalf("kernel:fault spans = %d, want 8", len(faults))
 	}
-	if counts["evict_decision"] != 4 {
-		t.Errorf("evict_decision events = %d, want 4 (%v)", counts["evict_decision"], counts)
+	faultOf := map[telemetry.SpanID]telemetry.SpanRecord{}
+	for i, f := range faults {
+		if f.Parent != 0 || f.A != uint64(i) || f.B >= 4 {
+			t.Errorf("fault %d = %+v, want a root carrying page %d and a frame < 4", i, f, i)
+		}
+		faultOf[f.ID] = f
+	}
+	evicts := spansNamed(st, "kernel:evict")
+	if len(evicts) != 4 {
+		t.Fatalf("kernel:evict spans = %d, want 4", len(evicts))
 	}
 	// No policy installed: every decision is EvictDefault with chosen ==
-	// candidate.
-	for _, e := range telemetry.CurrentTrace().Events() {
-		if e.Kind != telemetry.EvEvictDecision {
-			continue
+	// candidate, under the fault of a page that found no free frame.
+	for _, e := range evicts {
+		parent, ok := faultOf[e.Parent]
+		if !ok || parent.A < 4 || e.Track != parent.Track {
+			t.Errorf("eviction %+v is not a child of a fault that needed a frame (parent %+v)", e, parent)
 		}
-		if e.C != telemetry.EvictDefault || e.A != e.B {
-			t.Fatalf("policy-less eviction event %+v, want default outcome", e)
+		if e.C != EvictDefault || e.A != e.B {
+			t.Errorf("policy-less eviction %+v, want default outcome", e)
 		}
 	}
 }
 
 func TestEvictDecisionOutcomeCodes(t *testing.T) {
-	withTrace(t, 64)
+	st := withSpans(t, 64)
 	clock := &vclock.Clock{}
 	p, err := NewPager(PagerConfig{Frames: 2, FaultTime: time.Millisecond}, clock)
 	if err != nil {
@@ -59,9 +87,9 @@ func TestEvictDecisionOutcomeCodes(t *testing.T) {
 		policy EvictionPolicyFunc
 		want   uint64
 	}{
-		{func(p *Pager, c PageID) (PageID, error) { return InvalidPage, nil }, telemetry.EvictAccepted},
-		{func(p *Pager, c PageID) (PageID, error) { return PageID(9999), nil }, telemetry.EvictRejected},
-		{func(p *Pager, c PageID) (PageID, error) { return 0, fmt.Errorf("trap") }, telemetry.EvictErrored},
+		{func(p *Pager, c PageID) (PageID, error) { return InvalidPage, nil }, EvictAccepted},
+		{func(p *Pager, c PageID) (PageID, error) { return PageID(9999), nil }, EvictRejected},
+		{func(p *Pager, c PageID) (PageID, error) { return 0, fmt.Errorf("trap") }, EvictErrored},
 		{func(p *Pager, c PageID) (PageID, error) {
 			for _, r := range p.LRUPages() {
 				if r != c {
@@ -69,7 +97,7 @@ func TestEvictDecisionOutcomeCodes(t *testing.T) {
 				}
 			}
 			return InvalidPage, nil
-		}, telemetry.EvictOverride},
+		}, EvictOverride},
 	}
 	next := PageID(0)
 	fill := func() {
@@ -83,30 +111,27 @@ func TestEvictDecisionOutcomeCodes(t *testing.T) {
 	fill()
 	for _, tc := range outcomes {
 		p.SetPolicy(tc.policy)
-		before := telemetry.CurrentTrace().CountByKind()["evict_decision"]
+		before := len(spansNamed(st, "kernel:evict"))
 		if _, err := p.Access(next); err != nil {
 			t.Fatal(err)
 		}
 		next++
-		evs := telemetry.CurrentTrace().Events()
-		var last *telemetry.Event
-		for i := range evs {
-			if evs[i].Kind == telemetry.EvEvictDecision {
-				last = &evs[i]
-			}
+		evicts := spansNamed(st, "kernel:evict")
+		if len(evicts) != before+1 {
+			t.Fatalf("expected exactly one kernel:evict span, got %d", len(evicts)-before)
 		}
-		after := telemetry.CurrentTrace().CountByKind()["evict_decision"]
-		if after != before+1 {
-			t.Fatalf("expected exactly one evict_decision, got %d", after-before)
-		}
-		if last == nil || last.C != tc.want {
+		last := evicts[len(evicts)-1]
+		if last.C != tc.want {
 			t.Errorf("outcome = %+v, want code %d", last, tc.want)
+		}
+		if (last.C == EvictOverride) == (last.A == last.B) {
+			t.Errorf("outcome %d with candidate %d and chosen %d", last.C, last.A, last.B)
 		}
 	}
 }
 
 func TestStreamAndSchedEmitTraceEvents(t *testing.T) {
-	withTrace(t, 256)
+	st := withSpans(t, 256)
 	c := NewChain(nil, FilterFunc{FilterName: "id", Fn: func(p []byte) ([]byte, error) { return p, nil }})
 	if _, err := c.Write(make([]byte, 100)); err != nil {
 		t.Fatal(err)
@@ -121,37 +146,102 @@ func TestStreamAndSchedEmitTraceEvents(t *testing.T) {
 	if _, err := s.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	var stream, sched *telemetry.Event
-	for _, e := range telemetry.CurrentTrace().Events() {
-		e := e
-		switch e.Kind {
-		case telemetry.EvStreamPass:
-			stream = &e
-		case telemetry.EvSchedPick:
-			sched = &e
-		}
+	streams, filters := spansNamed(st, "kernel:stream"), spansNamed(st, "filter:id")
+	if len(streams) != 1 || len(filters) != 1 {
+		t.Fatalf("got %d kernel:stream and %d filter:id spans, want 1 each", len(streams), len(filters))
 	}
-	if stream == nil || stream.B != 100 || stream.C != 100 {
-		t.Errorf("stream_pass = %+v, want 100 bytes in and out", stream)
+	if f := filters[0]; f.Parent != streams[0].ID || f.A != 0 || f.B != 100 || f.C != 100 {
+		t.Errorf("filter:id = %+v, want filter 0 under kernel:stream with 100 bytes in and out", f)
 	}
-	if sched == nil || sched.C != 1 {
-		t.Errorf("sched_pick = %+v, want a policy override", sched)
+	scheds := spansNamed(st, "kernel:sched")
+	if len(scheds) != 1 || scheds[0].Parent != 0 || scheds[0].B != 1 || scheds[0].C != 1 {
+		t.Errorf("kernel:sched = %+v, want one root picking index 1 as a policy override", scheds)
 	}
 }
 
 func TestTraceDisabledEmitsNothing(t *testing.T) {
-	telemetry.EnableTrace(16)
-	telemetry.DisableTrace()
-	before := telemetry.CurrentTrace().Len()
+	telemetry.EnableSpans(16)
+	telemetry.DisableSpans()
+	before := telemetry.CurrentSpans().Len()
 	clock := &vclock.Clock{}
-	p, err := NewPager(PagerConfig{Frames: 2, FaultTime: time.Millisecond}, clock)
+	p, err := NewPager(PagerConfig{Frames: 1, FaultTime: time.Millisecond}, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Access(1); err != nil {
+	for pg := PageID(1); pg <= 2; pg++ {
+		if _, err := p.Access(pg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewChain(nil).Write([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if got := telemetry.CurrentTrace().Len(); got != before {
-		t.Errorf("disabled trace grew from %d to %d events", before, got)
+	s := NewScheduler(time.Millisecond, clock)
+	s.Spawn("a", 0)
+	if _, err := s.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if got := telemetry.CurrentSpans().Len(); got != before {
+		t.Errorf("disabled ring grew from %d to %d spans", before, got)
+	}
+}
+
+// TestUntracedSitesDoNotAllocate: with the trace ring off, a kernel
+// trace site costs an atomic load and nothing else — in particular no
+// span name is built for a write nobody samples.
+func TestUntracedSitesDoNotAllocate(t *testing.T) {
+	telemetry.DisableSpans()
+	clock := &vclock.Clock{}
+	p, err := NewPager(PagerConfig{Frames: 4, FaultTime: time.Millisecond}, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetPolicy(EvictionPolicyFunc(func(*Pager, PageID) (PageID, error) { return InvalidPage, nil }))
+	page := PageID(0)
+	for ; page < 4; page++ {
+		if _, err := p.Access(page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewChain(nil, FilterFunc{FilterName: "id", Fn: func(b []byte) ([]byte, error) { return b, nil }})
+	block := make([]byte, 64)
+	s := NewScheduler(time.Millisecond, clock)
+	s.Spawn("a", 0)
+	s.Spawn("b", 0)
+	s.SetPolicy(SchedPolicyFunc(func(runnable []*Proc) (int, error) { return len(runnable) - 1, nil }))
+
+	for _, row := range []struct {
+		name string
+		op   func() error
+	}{
+		{"evicting fault", func() error {
+			page++
+			_, err := p.Access(page)
+			return err
+		}},
+		{"one-filter stream write", func() error {
+			_, err := c.Write(block)
+			return err
+		}},
+		{"policy scheduler tick", func() error {
+			_, err := s.Tick()
+			return err
+		}},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(200, func() {
+			if e := row.op(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per operation while untraced, want 0", row.name, allocs)
+		}
+	}
+	if st := p.Stats(); st.Evictions < 200 {
+		t.Errorf("only %d evictions: the fault row did not evict", st.Evictions)
 	}
 }

@@ -114,7 +114,9 @@ func (l *LD) Stats() Stats { return l.stats }
 // Write accepts a write to lblock: bookkeeping through the Mapper, then a
 // segment flush to the device whenever 16 blocks have accumulated. When
 // causal tracing samples this write, the remap call is recorded under a
-// "ld:write" root span (with the segment flush as a sibling child).
+// "ld:write" root span, with the segment flush as a sibling
+// "ld:segment-flush" child carrying the segment, its first physical
+// block and the blocks written.
 func (l *LD) Write(lblock uint32) error {
 	var p uint32
 	var err error
@@ -128,11 +130,11 @@ func (l *LD) Write(lblock uint32) error {
 		p, err = l.mapper.MapWrite(lblock)
 	}
 	if ms.Active() {
-		ms.End(uint64(lblock), uint64(p))
+		ms.End(uint64(lblock), uint64(p), 0)
 	}
 	if err != nil {
 		if root.Active() {
-			root.End(uint64(lblock), 1)
+			root.End(uint64(lblock), 0, 1)
 		}
 		return err
 	}
@@ -144,20 +146,19 @@ func (l *LD) Write(lblock uint32) error {
 		d, err := l.dev.Write(l.seg*SegmentBlocks, SegmentBlocks)
 		if err != nil {
 			if root.Active() {
-				root.End(uint64(lblock), 1)
+				root.End(uint64(lblock), 0, 1)
 			}
 			return err
 		}
 		if fs.Active() {
-			fs.End(uint64(l.seg), SegmentBlocks)
+			fs.End(uint64(l.seg), uint64(l.seg*SegmentBlocks), SegmentBlocks)
 		}
 		l.stats.DiskTime += d
 		l.stats.SegmentFlush++
 		l.fill = 0
-		telemetry.Emit(telemetry.EvLDSegment, uint64(l.seg), uint64(l.seg*SegmentBlocks), SegmentBlocks)
 	}
 	if root.Active() {
-		root.End(uint64(lblock), uint64(p))
+		root.End(uint64(lblock), uint64(p), 0)
 	}
 	return nil
 }

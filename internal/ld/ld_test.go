@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graftlab/internal/disk"
+	"graftlab/internal/telemetry"
 	"graftlab/internal/vclock"
 	"graftlab/internal/workload"
 )
@@ -153,5 +154,68 @@ func TestLDTimedMapper(t *testing.T) {
 	}
 	if l.Stats().MapTime <= 0 {
 		t.Error("timed mapper recorded no time")
+	}
+}
+
+// TestUntracedWriteDoesNotAllocate is the Logical Disk row of the kernel's
+// untraced-site check: with the trace ring off, a write (segment flushes
+// included) allocates nothing.
+func TestUntracedWriteDoesNotAllocate(t *testing.T) {
+	telemetry.DisableSpans()
+	dev, _ := smallDisk()
+	l := New(dev, NewNativeMapper(dev.Geometry().Blocks), false)
+	var lblock uint32
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		if e := l.Write(lblock % 64); e != nil {
+			err = e
+		}
+		lblock++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per untraced write, want 0", allocs)
+	}
+	if l.Stats().SegmentFlush == 0 {
+		t.Error("no segment flush among the measured writes")
+	}
+}
+
+func TestSegmentFlushSpan(t *testing.T) {
+	st := telemetry.EnableSpans(256)
+	if err := telemetry.SetSpanSampleEvery(1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		telemetry.DisableSpans()
+		_ = telemetry.SetSpanSampleEvery(64)
+	})
+	dev, _ := smallDisk()
+	l := New(dev, NewNativeMapper(dev.Geometry().Blocks), false)
+	for i := uint32(0); i < 2*SegmentBlocks; i++ {
+		if err := l.Write(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes := map[telemetry.SpanID]bool{}
+	var flushes []telemetry.SpanRecord
+	for _, s := range st.Spans() {
+		switch s.Name {
+		case "ld:write":
+			writes[s.ID] = true
+		case "ld:segment-flush":
+			flushes = append(flushes, s)
+		}
+	}
+	if len(flushes) != 2 {
+		t.Fatalf("got %d segment-flush spans, want 2", len(flushes))
+	}
+	for seg, f := range flushes {
+		if !writes[f.Parent] || f.A != uint64(seg) || f.B != uint64(seg*SegmentBlocks) || f.C != SegmentBlocks {
+			t.Errorf("flush %d = %+v, want segment %d at block %d, %d blocks, under an ld:write",
+				seg, f, seg, seg*SegmentBlocks, SegmentBlocks)
+		}
 	}
 }

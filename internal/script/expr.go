@@ -339,7 +339,7 @@ func (e *exprParser) parseUnary() (uint32, error) {
 	switch e.src[e.off] {
 	case '-':
 		e.off++
-		v, err := e.parseUnary()
+		v, err := e.nested(e.parseUnary)
 		return -v, err
 	case '!':
 		// distinguish from != handled in equality; a bare ! here is unary
@@ -347,14 +347,24 @@ func (e *exprParser) parseUnary() (uint32, error) {
 			return 0, fmt.Errorf("script: expr: unexpected !=")
 		}
 		e.off++
-		v, err := e.parseUnary()
+		v, err := e.nested(e.parseUnary)
 		return b2uScript(v == 0), err
 	case '~':
 		e.off++
-		v, err := e.parseUnary()
+		v, err := e.nested(e.parseUnary)
 		return ^v, err
 	}
 	return e.parsePrimary()
+}
+
+// nested runs parse one nesting level deeper (see Interp.enter).
+func (e *exprParser) nested(parse func() (uint32, error)) (uint32, error) {
+	if err := e.in.enter(); err != nil {
+		return 0, err
+	}
+	v, err := parse()
+	e.in.nest--
+	return v, err
 }
 
 func (e *exprParser) parsePrimary() (uint32, error) {
@@ -393,14 +403,14 @@ func (e *exprParser) parsePrimary() (uint32, error) {
 		if e.skip {
 			return 0, nil
 		}
-		res, _, err := e.in.eval(scriptSrc)
+		res, err := e.in.evalNested(scriptSrc)
 		if err != nil {
 			return 0, err
 		}
 		return parseU32(res)
 	case c == '(':
 		e.off++
-		v, err := e.parseLOr()
+		v, err := e.nested(e.parseLOr)
 		if err != nil {
 			return 0, err
 		}

@@ -25,6 +25,7 @@
 package script
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -72,7 +73,8 @@ type Interp struct {
 	CacheParse bool
 	parseCache map[string]*cachedScript
 
-	depth int
+	depth int // proc call depth, bounded by MaxCallDepth
+	nest  int // substitution, parenthesis and unary depth, bounded by MaxNesting
 
 	// Sampling-profiler state (see SetProfile). The script interpreter's
 	// fuel unit is one command, so the countdown ticks per command and
@@ -97,6 +99,36 @@ func (in *Interp) SetProfile(s *telemetry.ProfScope, every int64) {
 // MaxCallDepth bounds proc recursion.
 const MaxCallDepth = 128
 
+// MaxNesting bounds the nesting fuel cannot reach — [command]
+// substitution, expr parentheses and unary operators, which recurse
+// before any command is charged — at Tcl's own nesting limit.
+const MaxNesting = 1000
+
+// ErrNesting is wrapped by the error a script gets for nesting deeper
+// than MaxNesting.
+var ErrNesting = errors.New("script: nesting too deep")
+
+// enter counts one level of nesting, refusing the level past
+// MaxNesting; the caller decrements in.nest when it leaves.
+func (in *Interp) enter() error {
+	if in.nest >= MaxNesting {
+		return fmt.Errorf("%w (limit %d)", ErrNesting, MaxNesting)
+	}
+	in.nest++
+	return nil
+}
+
+// evalNested evaluates a [command] substitution one nesting level
+// deeper.
+func (in *Interp) evalNested(src string) (string, error) {
+	if err := in.enter(); err != nil {
+		return "", err
+	}
+	res, _, err := in.eval(src)
+	in.nest--
+	return res, err
+}
+
 // New creates an interpreter over m. The policy applies to the memory
 // commands; an interpreter is inherently safe, so PolicyUnsafe still
 // bounds-checks (as the paper notes, interpretation "allows complete
@@ -118,6 +150,7 @@ func (in *Interp) Memory() *mem.Memory { return in.mem }
 // definitions (the graft source).
 func (in *Interp) Load(src string) error {
 	in.fuel = in.Fuel // loading is not charged against invocation fuel
+	in.nest = 0
 	_, _, err := in.eval(src)
 	return err
 }
@@ -139,6 +172,7 @@ func (in *Interp) Invoke(entry string, args ...uint32) (uint32, error) {
 	}
 	in.fuel = in.Fuel
 	in.depth = 0
+	in.nest = 0
 	res, _, err := in.invokeWords(words)
 	if err != nil {
 		return 0, err

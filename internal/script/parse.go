@@ -181,7 +181,7 @@ func (p *wordParser) substChar(sb *strings.Builder) error {
 		if err != nil {
 			return err
 		}
-		res, _, err := p.in.eval(script)
+		res, err := p.in.evalNested(script)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"graftlab/internal/mem"
 )
@@ -343,5 +344,53 @@ func TestDeepRecursionBounded(t *testing.T) {
 	var trap *mem.Trap
 	if !errors.As(err, &trap) || trap.Kind != mem.TrapStackOverflow {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestNestingBounded: the nesting that recurses before any command is
+// charged — expr parentheses, unary operators and [command]
+// substitution — is refused past MaxNesting with ErrNesting, with fuel
+// set and in bounded time, and the next call starts from zero.
+func TestNestingBounded(t *testing.T) {
+	nest := func(open, inner, close string, n int) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"2M parentheses", "return [expr {" + nest("(", "1", ")", 2_000_000) + "}]"},
+		{"2000 unary operators", "return [expr {" + nest("-", "1", "", 2000) + "}]"},
+		{"2000 substitutions", "return " + nest("[set x ", "1", "]", 2000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := newInterp(t)
+			in.Fuel = 1000
+			if err := in.Load("proc main {} {" + tc.body + "}\nproc ok {} { return [expr {(7)}] }"); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err := in.Invoke("main")
+			if !errors.Is(err, ErrNesting) {
+				t.Fatalf("err = %v, want ErrNesting", err)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Errorf("refusal took %v", d)
+			}
+			if v, err := in.Invoke("ok"); err != nil || v != 7 {
+				t.Errorf("call after the refusal = %d, %v; want 7", v, err)
+			}
+		})
+	}
+}
+
+func TestNestingJustUnderBoundEvaluates(t *testing.T) {
+	in := newInterp(t)
+	in.Fuel = 1000
+	src := "proc main {} { return [expr {" + strings.Repeat("(", 998) + "5" + strings.Repeat(")", 998) + "}] }"
+	if err := in.Load(src); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := in.Invoke("main"); err != nil || v != 5 {
+		t.Fatalf("998 nested parentheses = %d, %v; want 5", v, err)
 	}
 }

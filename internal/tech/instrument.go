@@ -169,7 +169,7 @@ func (ig *instrumented) InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...
 	if err != nil {
 		errBit = 1
 	}
-	sp.End(fuelUsed, errBit)
+	sp.End(fuelUsed, errBit, 0)
 	return v, err
 }
 

@@ -42,7 +42,7 @@ func TestInstrumentedInvokeSpan(t *testing.T) {
 	if v != 45 {
 		t.Fatalf("got %d, want 45", v)
 	}
-	root.End(0, 0)
+	root.End(0, 0, 0)
 
 	var engine *telemetry.SpanRecord
 	for _, s := range st.Spans() {

@@ -100,7 +100,7 @@ func newPool(id ID, src Source, opts Options, cfg PoolConfig, instrument bool) (
 	// it, so concurrent instance creation is safe.
 	switch id {
 	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull, Bytecode, AOT:
-		mod, err := compileGEL(id, src.GEL, opts.Optimize)
+		mod, err := compileGEL(id, src.GEL)
 		if err != nil {
 			return nil, err
 		}

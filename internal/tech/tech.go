@@ -18,8 +18,8 @@
 //	AOT           eBPF-style verified native  translated + interval proofs
 //	              (post-paper practice)       eliding proven checks
 //
-// Every GEL class shares one front end: parse, check, optionally fold,
-// and compile.Compile to verified bytecode. "Translated" is the closure
+// Every GEL class shares one front end: parse, check, and
+// compile.Compile to verified bytecode. "Translated" is the closure
 // backend in internal/aot; the runtime-codegen classes use it with
 // proof-based elision off, so each access pays its policy. Fuel is
 // therefore one unit — bytecode instructions, charged per basic block —
@@ -247,10 +247,6 @@ type Options struct {
 	// commands for the script interpreter; instructions for the domain
 	// interpreter. 0 disables metering.
 	Fuel int64
-	// Optimize runs constant folding on GEL sources before code
-	// generation. Behaviour is unchanged (the fold keeps runtime traps);
-	// only speed differs.
-	Optimize bool
 	// VM selects the bytecode engine ("" = VMOpt). Behaviour is
 	// equivalent (differentially tested); only speed differs.
 	VM VMMode
@@ -335,7 +331,7 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 		}
 		return src.Compiled(cfg, m)
 	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull, Bytecode, AOT:
-		mod, err := compileGEL(id, src.GEL, opts.Optimize)
+		mod, err := compileGEL(id, src.GEL)
 		if err != nil {
 			return nil, err
 		}
@@ -369,15 +365,12 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 }
 
 // compileGEL is the front end every bytecode-lowered class shares:
-// parse, check, optionally fold, compile to a verified module. The
-// module is immutable, so Pool builds it once for all instances.
-func compileGEL(id ID, src string, optimize bool) (*bytecode.Module, error) {
+// parse, check, compile to a verified module. The module is immutable,
+// so Pool builds it once for all instances.
+func compileGEL(id ID, src string) (*bytecode.Module, error) {
 	prog, err := gel.ParseAndCheck(src)
 	if err != nil {
 		return nil, fmt.Errorf("tech %s: %w", id, err)
-	}
-	if optimize {
-		gel.Fold(prog)
 	}
 	mod, err := compile.Compile(prog)
 	if err != nil {

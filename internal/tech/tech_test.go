@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"graftlab/internal/compile"
+	"graftlab/internal/gel"
 	"graftlab/internal/mem"
 )
 
@@ -372,18 +374,39 @@ func TestFoldedProgramsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := Load(id, src, mem.New(memSize), Options{Optimize: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			folded := loadFolded(t, id, src.GEL)
 			v1, e1 := plain.Invoke("main", args...)
-			v2, e2 := opt.Invoke("main", args...)
+			v2, e2 := folded.Invoke("main", args...)
 			if v1 != v2 || (e1 != nil) != (e2 != nil) {
 				t.Fatalf("program %d under %s: plain=(%d,%v) folded=(%d,%v)\n%s",
 					i, id, v1, e1, v2, e2, src.GEL)
 			}
 		}
 	}
+}
+
+// loadFolded binds an engine for id to src with gel.Fold run between the
+// checker and the compiler, as graftc -O does.
+func loadFolded(t *testing.T, id ID, src string) Graft {
+	t.Helper()
+	prog, err := gel.ParseAndCheck(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gel.Fold(prog)
+	mod, err := compile.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Config(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := newModuleEngine(id, mod, mem.New(memSize), cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestTrapsAreRecoverable(t *testing.T) {

@@ -51,7 +51,7 @@ func BenchmarkObservabilityHotPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sp := RootSpan("bench", "bench")
 			if sp.Active() {
-				sp.End(0, 0)
+				sp.End(0, 0, 0)
 			}
 		}
 	})
@@ -67,8 +67,8 @@ func BenchmarkObservabilityHotPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sp := RootSpan("bench", "bench")
 			cs := ChildSpan(sp.Ctx(), "child", "bench")
-			cs.End(0, 0)
-			sp.End(0, 0)
+			cs.End(0, 0, 0)
+			sp.End(0, 0, 0)
 		}
 	})
 	b.Run("profscope-hit", func(b *testing.B) {

@@ -9,20 +9,23 @@ import (
 	"time"
 )
 
-// Causal span tracing. A root span opens at a kernel emit point (pager
-// eviction, stream pass, LD segment flush, pool worker checkout) and
-// its context — parent span ID plus a track for rendering — is threaded
-// through the tech instrumentation into the engine and across the
-// upcall boundary, so one sampled eviction exports as nested
-// kernel→policy→engine→upcall events a Chrome trace viewer or Perfetto
-// renders as a flame of spans.
+// Causal span tracing: the one kernel trace ring. A root span opens at
+// a kernel operation (page fault, stream write, LD write, scheduler
+// dispatch, a crossing with no parent) and its context — parent span ID
+// plus a track for rendering — is threaded down through the eviction
+// decision, the policy, the tech instrumentation into the engine and
+// across the upcall boundary, so one sampled fault exports as nested
+// fault→evict→policy→engine→upcall spans a Chrome trace viewer or
+// Perfetto renders as a flame. Each span carries three kind-specific
+// operands (A, B, C; see docs/observability.md).
 //
 // The overhead contract mirrors the rest of the package: with tracing
-// off, a root-span site costs one atomic load and child-span sites cost
-// one zero-test of a value already in hand (an inactive context), so
-// the kernel hot paths stay inside the ≤2% budget. With tracing on,
-// only every SpanSampleEvery-th root is recorded; children of an
-// unsampled root are free.
+// off, a root-span site costs one atomic load and a child-span site one
+// zero-test of a value already in hand (an inactive context), both
+// inlined into the site, so the kernel hot paths stay inside the ≤2%
+// budget. With tracing on, only every SetSpanSampleEvery-th root is
+// recorded (1 records every kernel operation); children of an unsampled
+// root are free.
 
 // SpanID names one recorded span; 0 is "no span".
 type SpanID uint64
@@ -64,19 +67,19 @@ func (s Span) Ctx() SpanCtx {
 
 // SpanRecord is one completed span as stored in the ring.
 type SpanRecord struct {
-	ID     SpanID
-	Parent SpanID
-	Name   string
-	Cat    string
-	Track  uint64
-	Start  int64 // ns, monotonic within the trace
-	Dur    int64 // ns
-	A, B   uint64
+	ID      SpanID
+	Parent  SpanID
+	Name    string
+	Cat     string
+	Track   uint64
+	Start   int64 // ns, monotonic within the trace
+	Dur     int64 // ns
+	A, B, C uint64
 }
 
-// SpanTrace is the bounded ring completed spans land in; like the
-// kernel event trace it overwrites the oldest record when full and
-// reports how many were dropped.
+// SpanTrace is the bounded ring completed spans land in; like a kernel
+// trace buffer it overwrites the oldest record when full and reports
+// how many were dropped.
 type SpanTrace struct {
 	mu  sync.Mutex
 	buf []SpanRecord
@@ -152,6 +155,7 @@ type chromeEventArgs struct {
 	Parent uint64 `json:"parent"`
 	A      uint64 `json:"a"`
 	B      uint64 `json:"b"`
+	C      uint64 `json:"c"`
 }
 
 // chromeTrace is the JSON object format Perfetto and chrome://tracing
@@ -183,7 +187,7 @@ func (st *SpanTrace) WriteChromeTrace(w io.Writer) error {
 			Dur:  float64(s.Dur) / 1e3,
 			PID:  1,
 			TID:  s.Track,
-			Args: chromeEventArgs{Span: uint64(s.ID), Parent: uint64(s.Parent), A: s.A, B: s.B},
+			Args: chromeEventArgs{Span: uint64(s.ID), Parent: uint64(s.Parent), A: s.A, B: s.B, C: s.C},
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -226,9 +230,6 @@ func EnableSpans(capacity int) *SpanTrace {
 // readable via CurrentSpans.
 func DisableSpans() { spansOn.Store(false) }
 
-// SpansEnabled reports whether root spans are being opened.
-func SpansEnabled() bool { return spansOn.Load() }
-
 // CurrentSpans returns the installed ring, or nil.
 func CurrentSpans() *SpanTrace { return spanTrace.Load() }
 
@@ -243,15 +244,21 @@ func SetSpanSampleEvery(n int) error {
 	return nil
 }
 
-// RootSpan opens a new causal trace at a kernel emit point. With
-// tracing off this is one atomic load. The span's track (Chrome tid)
-// is its own ID, so each sampled trace renders on a clean lane with
-// children nested by time containment; shard or worker identity
-// belongs in the End args.
+// RootSpan opens a new causal trace at a kernel operation. With
+// tracing off this is one atomic load, inlined into the caller. The
+// span's track (Chrome tid) is its own ID, so each sampled trace
+// renders on a clean lane with children nested by time containment;
+// shard or worker identity belongs in the End args.
 func RootSpan(name, cat string) Span {
 	if !spansOn.Load() {
 		return Span{}
 	}
+	return sampleRoot(name, cat)
+}
+
+// sampleRoot is RootSpan past its on/off check, out of line so that the
+// check inlines into every root site.
+func sampleRoot(name, cat string) Span {
 	if every := spanEvery.Load(); every > 1 && spanRoots.Add(1)%every != 0 {
 		return Span{}
 	}
@@ -259,12 +266,18 @@ func RootSpan(name, cat string) Span {
 	return Span{id: id, track: uint64(id), name: name, cat: cat, start: spanNow()}
 }
 
-// ChildSpan opens a span under ctx; inactive contexts yield inactive
-// spans without touching any global state.
+// ChildSpan opens a span under ctx; an inactive context yields an
+// inactive span after one zero test, inlined into the caller.
 func ChildSpan(ctx SpanCtx, name, cat string) Span {
 	if ctx.Parent == 0 {
 		return Span{}
 	}
+	return openChild(ctx, name, cat)
+}
+
+// openChild is ChildSpan past its zero test, out of line like
+// sampleRoot.
+func openChild(ctx SpanCtx, name, cat string) Span {
 	return Span{
 		id:     SpanID(spanSeq.Add(1)),
 		parent: ctx.Parent,
@@ -275,10 +288,11 @@ func ChildSpan(ctx SpanCtx, name, cat string) Span {
 	}
 }
 
-// End closes the span, attaching two free-form args (candidate page and
-// outcome for evictions, byte counts for streams, …), and records it in
-// the current ring.
-func (s Span) End(a, b uint64) {
+// End closes the span, attaching its three kind-specific operands
+// (candidate, chosen page and outcome for evictions; filter index and
+// byte counts for stream passes; …), and records it in the current
+// ring.
+func (s Span) End(a, b, c uint64) {
 	if s.id == 0 {
 		return
 	}
@@ -296,5 +310,6 @@ func (s Span) End(a, b uint64) {
 		Dur:    spanNow() - s.start,
 		A:      a,
 		B:      b,
+		C:      c,
 	})
 }

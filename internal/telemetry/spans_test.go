@@ -41,8 +41,8 @@ func TestSpansDisabledAreInert(t *testing.T) {
 	if cs.Active() {
 		t.Fatal("child of inactive span is active")
 	}
-	cs.End(1, 2) // must not panic or record
-	sp.End(3, 4)
+	cs.End(1, 2, 3) // must not panic or record
+	sp.End(4, 5, 6)
 }
 
 func TestSpanNesting(t *testing.T) {
@@ -58,9 +58,9 @@ func TestSpanNesting(t *testing.T) {
 	}
 	child := ChildSpan(root.Ctx(), "policy:evict", "policy")
 	grand := ChildSpan(child.Ctx(), "engine:bytecode", "engine")
-	grand.End(0, 0)
-	child.End(0, 0)
-	root.End(100, 105)
+	grand.End(0, 0, 0)
+	child.End(0, 0, 0)
+	root.End(100, 105, 2)
 
 	spans := st.Spans()
 	if len(spans) != 3 {
@@ -74,8 +74,8 @@ func TestSpanNesting(t *testing.T) {
 	if c.Track != r.Track || g.Track != r.Track || r.Track != uint64(r.ID) {
 		t.Errorf("tracks diverge: %d %d %d", r.Track, c.Track, g.Track)
 	}
-	if r.A != 100 || r.B != 105 {
-		t.Errorf("root args = %d,%d", r.A, r.B)
+	if r.A != 100 || r.B != 105 || r.C != 2 {
+		t.Errorf("root args = %d,%d,%d", r.A, r.B, r.C)
 	}
 	// Children start no earlier and end no later than the root.
 	if g.Start < r.Start || g.Start+g.Dur > r.Start+r.Dur {
@@ -95,7 +95,7 @@ func TestSpanSampling(t *testing.T) {
 		sp := RootSpan("kernel:evict", "kernel")
 		if sp.Active() {
 			active++
-			sp.End(0, 0)
+			sp.End(0, 0, 0)
 		}
 	}
 	if active != 8 {
@@ -116,7 +116,7 @@ func TestSpanRingWrap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sp := RootSpan("kernel:evict", "kernel")
 		last = sp.ID()
-		sp.End(uint64(i), 0)
+		sp.End(uint64(i), 0, 0)
 	}
 	if st.Len() != 4 {
 		t.Errorf("ring holds %d, want 4", st.Len())
@@ -147,8 +147,8 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 	root := RootSpan("kernel:evict", "kernel")
 	child := ChildSpan(root.Ctx(), "policy:evict", "policy")
-	child.End(7, 0)
-	root.End(100, 105)
+	child.End(7, 0, 0)
+	root.End(100, 105, 2)
 
 	var buf bytes.Buffer
 	if err := st.WriteChromeTrace(&buf); err != nil {
@@ -167,6 +167,9 @@ func TestChromeTraceSchema(t *testing.T) {
 			Args struct {
 				Span   uint64 `json:"span"`
 				Parent uint64 `json:"parent"`
+				A      uint64 `json:"a"`
+				B      uint64 `json:"b"`
+				C      uint64 `json:"c"`
 			} `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -195,6 +198,9 @@ func TestChromeTraceSchema(t *testing.T) {
 			t.Errorf("event %q: args.span missing", ev.Name)
 		}
 		ids[ev.Args.Span] = true
+		if ev.Name == "kernel:evict" && (ev.Args.A != 100 || ev.Args.B != 105 || ev.Args.C != 2) {
+			t.Errorf("root operands = %d,%d,%d, want 100,105,2", ev.Args.A, ev.Args.B, ev.Args.C)
+		}
 	}
 	for _, ev := range trace.TraceEvents {
 		if p := ev.Args.Parent; p != 0 && !ids[p] {

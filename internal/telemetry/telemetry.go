@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer threaded through the
 // technology classes and kernel hook points: per-graft invocation
-// counters, log-bucketed latency histograms, and a bounded kernel event
-// trace. It is the repo's equivalent of what production extension
+// counters, log-bucketed latency histograms, and a bounded kernel trace
+// ring of causal spans (spans.go). It is the repo's equivalent of what production extension
 // runtimes treat as a first-class subsystem — eBPF exposes per-program
 // run counts and cumulative runtime via `bpftool prog`, and Rex keeps
 // per-extension resource accounting — scaled to this simulation.
@@ -10,9 +10,10 @@
 // paper-scale measurement runs, so every hot-path operation is either a
 // single uncontended atomic add or nothing at all:
 //
-//   - The whole subsystem sits behind one flag. When Disabled() reports
-//     true (the default), tech.Load returns raw grafts and the kernel
-//     hook points skip their Emit calls after one atomic load.
+//   - The metrics sit behind one flag. When Disabled() reports true
+//     (the default), tech.Load returns raw grafts. The span ring has its
+//     own switch (EnableSpans); while it is off, a kernel trace site
+//     costs one atomic load.
 //   - Per-invocation latency is sampled (every SampleInterval-th
 //     invocation is timed), so the two clock reads amortize to well
 //     under a nanosecond per call.

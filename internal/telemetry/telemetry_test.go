@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -148,127 +146,16 @@ func TestHistogramConstantSamples(t *testing.T) {
 	}
 }
 
-func TestTraceRing(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 6; i++ {
-		tr.Emit(EvPageFault, uint64(i), 0, 0)
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
-	}
-	if tr.Overwritten() != 2 {
-		t.Fatalf("Overwritten = %d, want 2", tr.Overwritten())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 || evs[0].A != 2 || evs[3].A != 5 {
-		t.Fatalf("Events = %+v", evs)
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Errorf("seq not monotonic: %d then %d", evs[i-1].Seq, evs[i].Seq)
-		}
-	}
-	if n := tr.CountByKind()["page_fault"]; n != 6 {
-		t.Errorf("CountByKind[page_fault] = %d, want 6 (cumulative)", n)
-	}
-}
-
-func TestTraceJSONL(t *testing.T) {
-	tr := NewTrace(16)
-	tr.Emit(EvEvictDecision, 100, 105, EvictOverride)
-	tr.Emit(EvLDSegment, 7, 112, 16)
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 2 events + footer", len(lines))
-	}
-	var ev struct {
-		Seq  uint64 `json:"seq"`
-		T    int64  `json:"t"`
-		Kind string `json:"kind"`
-		A    uint64 `json:"a"`
-		B    uint64 `json:"b"`
-		C    uint64 `json:"c"`
-	}
-	if err := json.Unmarshal(lines[0], &ev); err != nil {
-		t.Fatalf("line 0 is not valid JSON: %v", err)
-	}
-	if ev.Kind != "evict_decision" || ev.A != 100 || ev.B != 105 || ev.C != EvictOverride {
-		t.Errorf("decoded event = %+v", ev)
-	}
-	if ev.T == 0 {
-		t.Error("event timestamp missing")
-	}
-	if err := json.Unmarshal(lines[1], &ev); err != nil || ev.Kind != "ld_segment" {
-		t.Errorf("line 1: %v, kind %q", err, ev.Kind)
-	}
-	var foot struct {
-		Footer   bool   `json:"footer"`
-		Emitted  uint64 `json:"emitted"`
-		Retained int    `json:"retained"`
-		Dropped  uint64 `json:"dropped"`
-	}
-	if err := json.Unmarshal(lines[2], &foot); err != nil {
-		t.Fatalf("footer is not valid JSON: %v", err)
-	}
-	if !foot.Footer || foot.Emitted != 2 || foot.Retained != 2 || foot.Dropped != 0 {
-		t.Errorf("footer = %+v, want footer:true emitted:2 retained:2 dropped:0", foot)
-	}
-}
-
-func TestTraceJSONLFooterDropped(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Emit(EvPageFault, uint64(i), 0, 0)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	var foot struct {
-		Footer   bool   `json:"footer"`
-		Emitted  uint64 `json:"emitted"`
-		Retained int    `json:"retained"`
-		Dropped  uint64 `json:"dropped"`
-	}
-	if err := json.Unmarshal(lines[len(lines)-1], &foot); err != nil {
-		t.Fatalf("footer: %v", err)
-	}
-	if !foot.Footer || foot.Emitted != 10 || foot.Retained != 4 || foot.Dropped != 6 {
-		t.Errorf("footer = %+v, want emitted:10 retained:4 dropped:6", foot)
-	}
-}
-
-func TestGlobalTraceToggle(t *testing.T) {
-	defer DisableTrace()
-	DisableTrace()
-	Emit(EvSchedPick, 1, 0, 0) // must be a no-op, not a panic
-	EnableTrace(8)
-	if !TraceEnabled() {
-		t.Fatal("EnableTrace did not enable")
-	}
-	Emit(EvSchedPick, 1, 0, 0)
-	if got := CurrentTrace().Len(); got != 1 {
-		t.Fatalf("global trace Len = %d, want 1", got)
-	}
-	DisableTrace()
-	Emit(EvSchedPick, 2, 0, 0)
-	if got := CurrentTrace().Len(); got != 1 {
-		t.Fatalf("disabled trace still recorded: Len = %d", got)
-	}
-}
-
 // TestConcurrentRecording is the race-detector gate for the atomic
-// counters: many goroutines hammer one accumulator and the global trace
-// while a reader snapshots concurrently.
+// counters and the span ring: many goroutines hammer one accumulator
+// and the global ring while a reader snapshots concurrently.
 func TestConcurrentRecording(t *testing.T) {
 	defer ResetMetrics()
-	defer DisableTrace()
-	EnableTrace(128)
+	resetSpans(t)
+	st := EnableSpans(128)
+	if err := SetSpanSampleEvery(1); err != nil {
+		t.Fatal(err)
+	}
 	m := Register("concurrent", "x")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -284,7 +171,7 @@ func TestConcurrentRecording(t *testing.T) {
 				if i%100 == 0 {
 					m.RecordError(&mem.Trap{Kind: mem.TrapOOBStore})
 				}
-				Emit(EvPageFault, uint64(i), 0, 0)
+				RootSpan("kernel:fault", "kernel").End(uint64(i), 0, 0)
 			}
 		}()
 	}
@@ -293,7 +180,7 @@ func TestConcurrentRecording(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			_ = m.Snapshot()
-			_ = CurrentTrace().Events()
+			_ = st.Spans()
 		}
 	}()
 	wg.Wait()
@@ -304,7 +191,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if m.FuelConsumed() != workers*per {
 		t.Errorf("FuelConsumed = %d, want %d", m.FuelConsumed(), workers*per)
 	}
-	if got := CurrentTrace().CountByKind()["page_fault"]; got != workers*per {
-		t.Errorf("trace count = %d, want %d", got, workers*per)
+	if got := uint64(st.Len()) + st.Dropped(); got != workers*per {
+		t.Errorf("ring recorded %d spans, want %d", got, workers*per)
 	}
 }

@@ -95,13 +95,40 @@ func (d *Domain) serve() {
 }
 
 // Invoke performs a synchronous upcall: marshal the request to the server
-// domain, wait for the reply, and pay the crossing latency.
+// domain, wait for the reply, and pay the crossing latency. A traced
+// crossing with no parent context is an "upcall" root span.
 func (d *Domain) Invoke(entry string, args ...uint32) (uint32, error) {
-	traced := telemetry.TraceEnabled()
-	var t0 time.Time
-	if traced {
-		t0 = time.Now()
+	return d.invoke(telemetry.RootSpan("upcall", "upcall"), entry, args)
+}
+
+// InvokeSpan implements tech.SpanInvoker: the protection-boundary
+// crossing is recorded as an "upcall" child span of ctx, so a traced
+// eviction shows the crossing cost nested inside the engine span. An
+// inactive ctx opens a root instead, as Invoke does.
+func (d *Domain) InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...uint32) (uint32, error) {
+	if !ctx.Active() {
+		return d.Invoke(entry, args...)
 	}
+	return d.invoke(telemetry.ChildSpan(ctx, "upcall", "upcall"), entry, args)
+}
+
+// invoke is the crossing behind Invoke and InvokeSpan. sp, when active,
+// ends with the arg count, the synthetic latency and an error bit; its
+// duration is the measured round trip.
+func (d *Domain) invoke(sp telemetry.Span, entry string, args []uint32) (uint32, error) {
+	v, err := d.cross(entry, args)
+	if sp.Active() {
+		var errBit uint64
+		if err != nil {
+			errBit = 1
+		}
+		sp.End(uint64(len(args)), uint64(d.latency.Nanoseconds()), errBit)
+	}
+	return v, err
+}
+
+// cross delivers one call to the server domain and waits for its reply.
+func (d *Domain) cross(entry string, args []uint32) (uint32, error) {
 	if nth := d.dropEvery.Load(); nth > 0 {
 		if d.calls.Add(1)%nth == 0 {
 			return 0, ErrDelivery
@@ -117,28 +144,7 @@ func (d *Domain) Invoke(entry string, args ...uint32) (uint32, error) {
 		return 0, fmt.Errorf("upcall: domain is closed")
 	}
 	r := <-reply
-	if traced {
-		telemetry.Emit(telemetry.EvUpcall, uint64(len(args)),
-			uint64(d.latency.Nanoseconds()), uint64(time.Since(t0).Nanoseconds()))
-	}
 	return r.val, r.err
-}
-
-// InvokeSpan implements tech.SpanInvoker: the protection-boundary
-// crossing is recorded as an "upcall" child span of ctx, so a traced
-// eviction shows the crossing cost nested inside the engine span.
-func (d *Domain) InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...uint32) (uint32, error) {
-	sp := telemetry.ChildSpan(ctx, "upcall", "upcall")
-	if !sp.Active() {
-		return d.Invoke(entry, args...)
-	}
-	v, err := d.Invoke(entry, args...)
-	var errBit uint64
-	if err != nil {
-		errBit = 1
-	}
-	sp.End(uint64(d.latency.Nanoseconds()), errBit)
-	return v, err
 }
 
 // Memory exposes the server's graft memory; the kernel marshals inputs
