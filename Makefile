@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=$(FUZZTIME) -run XXX ./internal/aot
 	$(GO) test -fuzz=FuzzDeliver -fuzztime=$(FUZZTIME) -run XXX ./internal/netsim
 	$(GO) test -fuzz=FuzzSwap -fuzztime=$(FUZZTIME) -run XXX ./internal/lifecycle
+	$(GO) test -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) -run XXX ./internal/tech
 
 # One testing.B benchmark per paper table/figure, plus ablations.
 bench:

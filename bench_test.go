@@ -87,7 +87,7 @@ func BenchmarkTable1GoroutineCrossing(b *testing.B) {
 
 // evictSetup builds the Table 2 scenario: 64-entry hot list, LRU chain in
 // graft memory, candidate not hot.
-func evictSetup(b *testing.B, id tech.ID, opts tech.Options) (func(args []uint32) (uint32, error), uint32) {
+func evictSetup(b *testing.B, id tech.ID, opts tech.Options) (tech.Handle, uint32) {
 	b.Helper()
 	m := mem.New(grafts.PEMemSize)
 	g, err := tech.Load(id, grafts.PageEvict, m, opts)
@@ -112,7 +112,7 @@ func evictSetup(b *testing.B, id tech.ID, opts tech.Options) (func(args []uint32
 		pages[i] = kernel.PageID(500000 + i)
 	}
 	hot.Set(pages)
-	return tech.ResolveDirect(g, "evict"), pager.HeadAddr()
+	return tech.Resolve(g, "evict"), pager.HeadAddr()
 }
 
 func BenchmarkTable2PageEvict(b *testing.B) {
@@ -122,7 +122,7 @@ func BenchmarkTable2PageEvict(b *testing.B) {
 			args := []uint32{head}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := call(args); err != nil {
+				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -133,7 +133,7 @@ func BenchmarkTable2PageEvict(b *testing.B) {
 		args := []uint32{head}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := call(args); err != nil {
+			if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -364,14 +364,14 @@ func BenchmarkPacketFilter(b *testing.B) {
 				b.Fatal(err)
 			}
 			grafts.ConfigurePacketFilter(m, 5001)
-			call := tech.ResolveDirect(g, "filter")
+			call := tech.Resolve(g, "filter")
 			args := []uint32{0}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := trace[i%len(trace)]
 				m.WriteAt(grafts.PFBufAddr, p)
 				args[0] = uint32(len(p))
-				if _, err := call(args); err != nil {
+				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -436,7 +436,7 @@ func BenchmarkAblationNilCheck(b *testing.B) {
 			args := []uint32{head}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := call(args); err != nil {
+				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -486,7 +486,7 @@ func BenchmarkAblationTelemetry(b *testing.B) {
 		args := []uint32{head}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := call(args); err != nil {
+			if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -612,7 +612,7 @@ func BenchmarkAblationScriptParseCache(b *testing.B) {
 			args := []uint32{head}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := call(args); err != nil {
+				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -62,6 +62,10 @@ type exprFn func(r []uint32) uint32
 // current frame's registers.
 type stmtFn func(r []uint32)
 
+// handle is a resolved entry point in the tech.Handle convention: span
+// context and args in; value, fuel charged and error out.
+type handle = func(ctx telemetry.SpanCtx, args []uint32) (uint32, int64, error)
+
 // blockFn executes one basic block and returns the index of the next
 // block, or a negative value to return from the function.
 type blockFn func(r []uint32) int32
@@ -99,9 +103,10 @@ type Stats struct {
 // depth, and the frame arena are per-Prog state; concurrent callers go
 // through tech.Pool. Fuel is sampled once per invocation.
 type Prog struct {
-	mod *bytecode.Module
-	m   *mem.Memory
-	fns []afunc
+	mod     *bytecode.Module
+	m       *mem.Memory
+	fns     []afunc
+	handles []handle // one per function, built at load
 
 	// MaxCallDepth bounds recursion; 0 means DefaultMaxCallDepth.
 	MaxCallDepth int
@@ -152,6 +157,13 @@ func build(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, elide bool) (*Pr
 		}
 		p.fns[i] = af
 	}
+	p.handles = make([]handle, len(p.fns))
+	for i := range p.handles {
+		p.handles[i] = func(_ telemetry.SpanCtx, args []uint32) (uint32, int64, error) {
+			v, err := p.invoke(i, args)
+			return v, p.fuelUsed(), err
+		}
+	}
 	return p, nil
 }
 
@@ -174,10 +186,10 @@ func (p *Prog) SetProfile(s *telemetry.ProfScope, every int64) {
 	p.prof, p.profEvery, p.profTick = s, every, every
 }
 
-// FuelUsed reports the fuel consumed by the most recent invocation.
-// The translated form always meters (against unmeteredFuel when no
-// budget is set), block-granular like the optimizing VM.
-func (p *Prog) FuelUsed() int64 {
+// fuelUsed reports the fuel the most recent invocation consumed. The
+// translated form always meters (against unmeteredFuel when no budget is
+// set), block-granular like the optimizing VM.
+func (p *Prog) fuelUsed() int64 {
 	start := p.Fuel
 	if start <= 0 {
 		start = unmeteredFuel
@@ -192,27 +204,26 @@ func (p *Prog) FuelUsed() int64 {
 	return used
 }
 
-// Invoke runs the named function with args. A trap is returned as a
-// *mem.Trap error; the host survives.
-func (p *Prog) Invoke(entry string, args ...uint32) (uint32, error) {
-	idx, ok := p.mod.ByName[entry]
-	if !ok {
-		return 0, fmt.Errorf("aot: no function %q", entry)
-	}
-	return p.invoke(idx, args)
-}
-
-// Direct returns a pre-resolved entry point. Fuel is sampled when the
-// closure is called; the closure must not be called concurrently with
-// any other invocation on the same Prog.
-func (p *Prog) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
+// Resolve returns the named function's handle, built at load. Fuel is
+// read when the handle is called; like Invoke, a handle must not run
+// concurrently with another call on the same Prog.
+func (p *Prog) Resolve(entry string) (handle, bool) {
 	idx, ok := p.mod.ByName[entry]
 	if !ok {
 		return nil, false
 	}
-	return func(args []uint32) (uint32, error) {
-		return p.invoke(idx, args)
-	}, true
+	return p.handles[idx], true
+}
+
+// Invoke runs the named function with args through its handle. A trap
+// is returned as a *mem.Trap error; the host survives.
+func (p *Prog) Invoke(entry string, args ...uint32) (uint32, error) {
+	h, ok := p.Resolve(entry)
+	if !ok {
+		return 0, fmt.Errorf("aot: no function %q", entry)
+	}
+	v, _, err := h(telemetry.SpanCtx{}, args)
+	return v, err
 }
 
 func (p *Prog) invoke(idx int, args []uint32) (result uint32, err error) {

@@ -7,7 +7,8 @@ package aot
 // policy on results, trap identity (kind, pc, addr, code), memory side
 // effects, fault-plan access ordering, and fuel accounting. Because both
 // engines charge fuel per basic block from the same Leaders/BlockCosts
-// CFG, agreement is exact — including FuelUsed and the completion
+// CFG, agreement is exact — including the fuel each handle call reports
+// and the completion
 // threshold — with one cosmetic exception: on a fuel trap the optimizing
 // VM reports the pc of its first fused group's trap slot while this
 // engine reports the block leader; both pcs lie in the same block.
@@ -96,28 +97,33 @@ func newRef(t testing.TB, mod *bytecode.Module, cfg mem.Config, init []byte, fue
 }
 
 type engine interface {
-	Invoke(entry string, args ...uint32) (uint32, error)
+	Resolve(entry string) (handle, bool)
 	Memory() *mem.Memory
-	FuelUsed() int64
 }
 
-func runMain(t testing.TB, g engine, args []uint32) (uint32, *mem.Trap) {
+// runMain calls main through its handle, returning the value, the fuel
+// the call charged and the trap.
+func runMain(t testing.TB, g engine, args []uint32) (uint32, int64, *mem.Trap) {
 	t.Helper()
-	v, err := g.Invoke("main", args...)
+	h, ok := g.Resolve("main")
+	if !ok {
+		t.Fatal("main did not resolve")
+	}
+	v, fuel, err := h(telemetry.SpanCtx{}, args)
 	if err == nil {
-		return v, nil
+		return v, fuel, nil
 	}
 	tr, ok := err.(*mem.Trap)
 	if !ok {
 		t.Fatalf("non-trap error: %v", err)
 	}
-	return 0, tr
+	return 0, fuel, tr
 }
 
 // checkSameAsRef asserts exact agreement between the AOT run and the
 // reference run: value or full trap identity, memory bytes (both engines
 // charge fuel at block entry, so even fuel traps leave identical
-// memories), and FuelUsed.
+// memories), and the fuel the handles report.
 func checkSameAsRef(t *testing.T, label, src string,
 	rv uint32, rt *mem.Trap, rmem []byte, rfuel int64,
 	av uint32, at *mem.Trap, amem []byte, afuel int64) {
@@ -151,7 +157,7 @@ func checkSameAsRef(t *testing.T, label, src string,
 		fail("memory diverges")
 	}
 	if rfuel != afuel {
-		fail("FuelUsed: ref=%d aot=%d", rfuel, afuel)
+		fail("fuel: ref=%d aot=%d", rfuel, afuel)
 	}
 }
 
@@ -177,14 +183,14 @@ func TestAOTAgreesWithOptVMOnRandomPrograms(t *testing.T) {
 		rng.Read(init)
 		for _, pol := range aotPolicies {
 			ref := newRef(t, mod, pol.cfg, init, fuel)
-			rv, rt := runMain(t, ref, args)
+			rv, rfuel, rt := runMain(t, ref, args)
 			for _, tl := range translations {
 				p := buildProg(t, tl.build, mod, pol.cfg, init, fuel)
-				av, at := runMain(t, p, args)
+				av, afuel, at := runMain(t, p, args)
 				label := fmt.Sprintf("program %d policy %s %s fuel %d args %v", i, pol.name, tl.name, fuel, args)
 				checkSameAsRef(t, label, src,
-					rv, rt, ref.Memory().Data, ref.FuelUsed(),
-					av, at, p.Memory().Data, p.FuelUsed())
+					rv, rt, ref.Memory().Data, rfuel,
+					av, at, p.Memory().Data, afuel)
 			}
 		}
 	}
@@ -302,7 +308,7 @@ func TestFuelThresholdIdentical(t *testing.T) {
 
 	completes := func(fuel int64) bool {
 		v := newRef(t, mod, cfg, init, fuel)
-		_, tr := runMain(t, v, args)
+		_, _, tr := runMain(t, v, args)
 		if tr != nil && tr.Kind != mem.TrapFuel {
 			t.Fatalf("unexpected trap %v", tr)
 		}
@@ -324,14 +330,15 @@ func TestFuelThresholdIdentical(t *testing.T) {
 	t.Logf("reference minimal fuel: %d", minFuel)
 
 	ok := newProg(t, mod, cfg, init, minFuel)
-	if _, tr := runMain(t, ok, args); tr != nil {
+	_, used, tr := runMain(t, ok, args)
+	if tr != nil {
 		t.Errorf("aot trapped at reference threshold %d: %v", minFuel, tr)
 	}
-	if used := ok.FuelUsed(); used != minFuel {
-		t.Errorf("FuelUsed at exact threshold: got %d, want %d", used, minFuel)
+	if used != minFuel {
+		t.Errorf("fuel at exact threshold: got %d, want %d", used, minFuel)
 	}
 	starved := newProg(t, mod, cfg, init, minFuel-1)
-	if _, tr := runMain(t, starved, args); tr == nil || tr.Kind != mem.TrapFuel {
+	if _, _, tr := runMain(t, starved, args); tr == nil || tr.Kind != mem.TrapFuel {
 		t.Errorf("expected fuel trap at %d, got %v", minFuel-1, tr)
 	}
 }
@@ -365,9 +372,9 @@ func TestFuelCliffAtBlockBoundary(t *testing.T) {
 
 	// Ample fuel: same div-zero trap at the same pc as the reference.
 	ref := newRef(t, mod, cfg, nil, 1<<16)
-	_, rt := runMain(t, ref, args)
+	_, _, rt := runMain(t, ref, args)
 	p := newProg(t, mod, cfg, nil, 1<<16)
-	_, at := runMain(t, p, args)
+	_, _, at := runMain(t, p, args)
 	if rt == nil || at == nil || at.Kind != mem.TrapDivZero || rt.PC != at.PC {
 		t.Fatalf("ample fuel: ref=%v aot=%v", rt, at)
 	}
@@ -376,7 +383,7 @@ func TestFuelCliffAtBlockBoundary(t *testing.T) {
 	// entry, so the engine must preempt with a fuel trap instead.
 	tight := int64(divPC + 1)
 	p = newProg(t, mod, cfg, nil, tight)
-	_, at = runMain(t, p, args)
+	_, _, at = runMain(t, p, args)
 	if at == nil || at.Kind != mem.TrapFuel {
 		t.Fatalf("tight fuel: want fuel trap (bounded overshoot), got %v", at)
 	}
@@ -422,7 +429,7 @@ func TestVerifyStatsElision(t *testing.T) {
 		t.Errorf("nil-check policy: store above nil page should stay elided: %+v", st)
 	}
 	// And the denied region actually traps at run time.
-	if _, tr := runMain(t, p, []uint32{0, 0}); tr == nil || tr.Kind != mem.TrapNilDeref {
+	if _, _, tr := runMain(t, p, []uint32{0, 0}); tr == nil || tr.Kind != mem.TrapNilDeref {
 		t.Errorf("nil-page access: want TrapNilDeref, got %v", tr)
 	}
 
@@ -434,10 +441,10 @@ func TestVerifyStatsElision(t *testing.T) {
 	if st.Loads != 2 || st.ProvenLoads != 0 {
 		t.Errorf("wild addresses must not be proven: %+v", st)
 	}
-	if v, tr := runMain(t, p, []uint32{0, 4}); tr != nil || v != 0 {
+	if v, _, tr := runMain(t, p, []uint32{0, 4}); tr != nil || v != 0 {
 		t.Errorf("fallback load: v=%d trap=%v", v, tr)
 	}
-	if _, tr := runMain(t, p, []uint32{testMemSize - 3, 0}); tr == nil || tr.Kind != mem.TrapOOBLoad {
+	if _, _, tr := runMain(t, p, []uint32{testMemSize - 3, 0}); tr == nil || tr.Kind != mem.TrapOOBLoad {
 		t.Errorf("fallback load OOB: want TrapOOBLoad, got %v", tr)
 	}
 }
@@ -461,12 +468,12 @@ func TestElidedAccessStillExact(t *testing.T) {
 	rand.New(rand.NewSource(11)).Read(init)
 	for _, pol := range aotPolicies {
 		ref := newRef(t, mod, pol.cfg, init, 0)
-		rv, rt := runMain(t, ref, []uint32{3, 0})
+		rv, rfuel, rt := runMain(t, ref, []uint32{3, 0})
 		p := newProg(t, mod, pol.cfg, init, 0)
-		av, at := runMain(t, p, []uint32{3, 0})
+		av, afuel, at := runMain(t, p, []uint32{3, 0})
 		checkSameAsRef(t, "elided loop "+pol.name, src,
-			rv, rt, ref.Memory().Data, ref.FuelUsed(),
-			av, at, p.Memory().Data, p.FuelUsed())
+			rv, rt, ref.Memory().Data, rfuel,
+			av, at, p.Memory().Data, afuel)
 	}
 }
 
@@ -632,10 +639,10 @@ func main(a, b) { return r(a); }`
 	mod := compileGEL(t, src)
 	cfg := mem.Config{Policy: mem.PolicyChecked}
 	p := newProg(t, mod, cfg, nil, 0)
-	if _, tr := runMain(t, p, []uint32{1 << 20, 0}); tr == nil || tr.Kind != mem.TrapStackOverflow {
+	if _, _, tr := runMain(t, p, []uint32{1 << 20, 0}); tr == nil || tr.Kind != mem.TrapStackOverflow {
 		t.Fatalf("want stack-overflow trap, got %v", tr)
 	}
-	if v, tr := runMain(t, p, []uint32{100, 0}); tr != nil || v != 100 {
+	if v, _, tr := runMain(t, p, []uint32{100, 0}); tr != nil || v != 100 {
 		t.Fatalf("bounded recursion: v=%d trap=%v", v, tr)
 	}
 }
@@ -644,14 +651,14 @@ func main(a, b) { return r(a); }`
 func TestAbortCarriesCode(t *testing.T) {
 	mod := compileGEL(t, `func main(a, b) { abort(a + b); return 0; }`)
 	p := newProg(t, mod, mem.Config{Policy: mem.PolicyChecked}, nil, 0)
-	_, tr := runMain(t, p, []uint32{40, 2})
+	_, _, tr := runMain(t, p, []uint32{40, 2})
 	if tr == nil || tr.Kind != mem.TrapAbort || tr.Code != 42 {
 		t.Fatalf("want abort with code 42, got %v", tr)
 	}
 }
 
-// TestDirectFuelConsistency: the budget is sampled when the Direct
-// closure runs, not when it is resolved.
+// TestDirectFuelConsistency: the budget is sampled when the resolved
+// handle runs, not when it is resolved.
 func TestDirectFuelConsistency(t *testing.T) {
 	src := `func main(a, b) {
 	var i = 0;
@@ -660,22 +667,22 @@ func TestDirectFuelConsistency(t *testing.T) {
 }`
 	mod := compileGEL(t, src)
 	p := newProg(t, mod, mem.Config{Policy: mem.PolicyChecked}, nil, 0)
-	fn, ok := p.Direct("main")
+	fn, ok := p.Resolve("main")
 	if !ok {
-		t.Fatal("Direct failed")
+		t.Fatal("Resolve failed")
 	}
 	args := []uint32{0, 0}
-	if v, err := fn(args); err != nil || v != 10000 {
+	if v, _, err := fn(telemetry.SpanCtx{}, args); err != nil || v != 10000 {
 		t.Fatalf("unmetered: v=%d err=%v", v, err)
 	}
 	p.Fuel = 100
-	if _, err := fn(args); err == nil {
-		t.Fatal("starved closure completed; Fuel was sampled at resolve time")
+	if _, _, err := fn(telemetry.SpanCtx{}, args); err == nil {
+		t.Fatal("starved handle completed; Fuel was sampled at resolve time")
 	} else if tr, k := err.(*mem.Trap), true; !k || tr.Kind != mem.TrapFuel {
 		t.Fatalf("want fuel trap, got %v", err)
 	}
 	p.Fuel = 0
-	if v, err := fn(args); err != nil || v != 10000 {
+	if v, _, err := fn(telemetry.SpanCtx{}, args); err != nil || v != 10000 {
 		t.Fatalf("re-unmetered: v=%d err=%v", v, err)
 	}
 }
@@ -743,16 +750,16 @@ func main(a, b) {
 }`
 	mod := compileGEL(t, src)
 	p := newProg(t, mod, mem.Config{Policy: mem.PolicyChecked}, nil, 0)
-	fn, ok := p.Direct("main")
+	fn, ok := p.Resolve("main")
 	if !ok {
-		t.Fatal("Direct failed")
+		t.Fatal("Resolve failed")
 	}
 	args := []uint32{3, 0}
-	if _, err := fn(args); err != nil { // warm the arena
+	if _, _, err := fn(telemetry.SpanCtx{}, args); err != nil { // warm the arena
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := fn(args); err != nil {
+		if _, _, err := fn(telemetry.SpanCtx{}, args); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -771,7 +778,7 @@ func TestInvokeErrors(t *testing.T) {
 	if _, err := p.Invoke("main", 1); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if _, ok := p.Direct("nope"); ok {
-		t.Error("Direct resolved unknown entry")
+	if _, ok := p.Resolve("nope"); ok {
+		t.Error("Resolve resolved unknown entry")
 	}
 }

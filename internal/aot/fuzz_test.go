@@ -23,6 +23,7 @@ import (
 
 	"graftlab/internal/bytecode"
 	"graftlab/internal/mem"
+	"graftlab/internal/telemetry"
 	"graftlab/internal/vm"
 )
 
@@ -158,7 +159,8 @@ func FuzzVerify(f *testing.F) {
 				t.Fatalf("verified module refused by OptVM: %v", err)
 			}
 			ref.Fuel = fuzzFuel
-			rv, rerr := ref.Invoke("main", a, b)
+			rh, _ := ref.Resolve("main")
+			rv, rfuel, rerr := rh(telemetry.SpanCtx{}, []uint32{a, b})
 
 			for _, tl := range translations {
 				am := mem.New(fuzzMemSize)
@@ -168,7 +170,8 @@ func FuzzVerify(f *testing.F) {
 					t.Fatalf("verified module refused by aot (policy %s, %s): %v", pol.name, tl.name, err)
 				}
 				p.Fuel = fuzzFuel
-				av, aerr := p.Invoke("main", a, b)
+				ah, _ := p.Resolve("main")
+				av, afuel, aerr := ah(telemetry.SpanCtx{}, []uint32{a, b})
 
 				rt, _ := rerr.(*mem.Trap)
 				at, _ := aerr.(*mem.Trap)
@@ -192,8 +195,8 @@ func FuzzVerify(f *testing.F) {
 				if string(rm.Data) != string(am.Data) {
 					t.Fatalf("%s: memory diverges\n%s", label, dumpFunc(body))
 				}
-				if ref.FuelUsed() != p.FuelUsed() {
-					t.Fatalf("%s: FuelUsed ref=%d aot=%d\n%s", label, ref.FuelUsed(), p.FuelUsed(), dumpFunc(body))
+				if rfuel != afuel {
+					t.Fatalf("%s: fuel ref=%d aot=%d\n%s", label, rfuel, afuel, dumpFunc(body))
 				}
 			}
 		}

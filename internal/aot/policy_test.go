@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"graftlab/internal/mem"
+	"graftlab/internal/telemetry"
 )
 
 // everyPolicy lists the five runtime-codegen classes' memory configs.
@@ -209,29 +210,29 @@ func TestAllExpressionFormsUnderEveryPolicy(t *testing.T) {
 	}
 }
 
-// TestDirectFastPath: the pre-resolved entry validates arity and
+// TestDirectFastPath: the pre-resolved handle validates arity and
 // surfaces traps, and the program stays usable after one.
 func TestDirectFastPath(t *testing.T) {
 	p := codegenProg(t, `func main(a) { return a * 3; }`, 1<<12, mem.Config{})
-	fn, ok := p.Direct("main")
+	fn, ok := p.Resolve("main")
 	if !ok {
-		t.Fatal("Direct failed to resolve")
+		t.Fatal("Resolve failed")
 	}
-	if _, ok := p.Direct("missing"); ok {
-		t.Fatal("Direct resolved a missing entry")
+	if _, ok := p.Resolve("missing"); ok {
+		t.Fatal("Resolve resolved a missing entry")
 	}
-	if v, err := fn([]uint32{14}); err != nil || v != 42 {
+	if v, _, err := fn(telemetry.SpanCtx{}, []uint32{14}); err != nil || v != 42 {
 		t.Fatalf("direct call = %d, %v", v, err)
 	}
-	if _, err := fn([]uint32{1, 2}); err == nil {
-		t.Fatal("wrong arity accepted through Direct")
+	if _, _, err := fn(telemetry.SpanCtx{}, []uint32{1, 2}); err == nil {
+		t.Fatal("wrong arity accepted through the handle")
 	}
 	pt := codegenProg(t, `func main(a) { return 1 / a; }`, 1<<12, mem.Config{})
-	dt, _ := pt.Direct("main")
-	if _, err := dt([]uint32{0}); err == nil {
-		t.Fatal("trap not surfaced through Direct")
+	dt, _ := pt.Resolve("main")
+	if _, _, err := dt(telemetry.SpanCtx{}, []uint32{0}); err == nil {
+		t.Fatal("trap not surfaced through the handle")
 	}
-	if v, err := dt([]uint32{1}); err != nil || v != 1 {
+	if v, _, err := dt(telemetry.SpanCtx{}, []uint32{1}); err != nil || v != 1 {
 		t.Fatalf("post-trap direct call = %d, %v", v, err)
 	}
 }

@@ -7,13 +7,11 @@ import (
 	"graftlab/internal/compile"
 	"graftlab/internal/gel"
 	"graftlab/internal/grafts"
-	"graftlab/internal/kernel"
 	"graftlab/internal/md5x"
 	"graftlab/internal/mem"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
 	"graftlab/internal/telemetry"
-	"graftlab/internal/vclock"
 	"graftlab/internal/vm"
 	"graftlab/internal/workload"
 )
@@ -500,34 +498,6 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// newEvictHarnessWith builds the Table 2 scenario around an already
-// loaded graft (so the caller controls load options like fuel).
-func newEvictHarnessWith(cfg Config, g tech.Graft, m *mem.Memory) (*evictHarness, error) {
-	h := &evictHarness{g: g, closer: func() {}}
-	clock := &vclock.Clock{}
-	pager, err := kernel.NewPager(kernel.PagerConfig{
-		Frames: cfg.Frames, Mem: m, NodeBase: grafts.PELRUNodeBase,
-	}, clock)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Frames; i++ {
-		if _, err := pager.Access(kernel.PageID(100 + i)); err != nil {
-			return nil, err
-		}
-	}
-	hot := grafts.NewHotList(m)
-	hotPages := make([]kernel.PageID, cfg.HotListLen)
-	for i := range hotPages {
-		hotPages[i] = kernel.PageID(500000 + i)
-	}
-	hot.Set(hotPages)
-	h.headAddr = pager.HeadAddr()
-	h.wantPage = 100
-	h.call = tech.ResolveDirect(g, "evict")
-	return h, nil
 }
 
 // Table renders both ablations.

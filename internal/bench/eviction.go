@@ -10,6 +10,7 @@ import (
 	"graftlab/internal/mem"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 	"graftlab/internal/upcall"
 	"graftlab/internal/vclock"
 )
@@ -49,8 +50,7 @@ type EvictResult struct {
 // so each invocation performs exactly one full hot-list search — "the
 // mean time required to search a 64 element hot list" (Table 2 caption).
 type evictHarness struct {
-	g        tech.Graft
-	call     func(args []uint32) (uint32, error)
+	call     tech.Handle
 	argBuf   [1]uint32
 	headAddr uint32
 	wantPage uint32
@@ -63,47 +63,53 @@ func newEvictHarness(cfg Config, id tech.ID, useUpcall bool, upcallLatency time.
 	if err != nil {
 		return nil, err
 	}
-	h := &evictHarness{g: g, closer: func() {}}
-	if useUpcall {
-		d := upcall.NewDomain(g, upcallLatency)
-		h.g = d
-		h.closer = d.Close
+	if !useUpcall {
+		return newEvictHarnessWith(cfg, g, m)
 	}
+	d := upcall.NewDomain(g, upcallLatency)
+	h, err := newEvictHarnessWith(cfg, d, m)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	h.closer = d.Close
+	return h, nil
+}
 
-	clock := &vclock.Clock{}
+// newEvictHarnessWith builds the Table 2 scenario around an already
+// loaded graft (so the caller controls load options like fuel): resident
+// pages 100..100+Frames, none of them hot, and a hot list of distinct
+// non-resident pages.
+func newEvictHarnessWith(cfg Config, g tech.Graft, m *mem.Memory) (*evictHarness, error) {
 	pager, err := kernel.NewPager(kernel.PagerConfig{
-		Frames:   cfg.Frames,
-		Mem:      m,
-		NodeBase: grafts.PELRUNodeBase,
-	}, clock)
+		Frames: cfg.Frames, Mem: m, NodeBase: grafts.PELRUNodeBase,
+	}, &vclock.Clock{})
 	if err != nil {
 		return nil, err
 	}
-	// Resident pages 100..100+Frames; none are hot.
 	for i := 0; i < cfg.Frames; i++ {
 		if _, err := pager.Access(kernel.PageID(100 + i)); err != nil {
 			return nil, err
 		}
 	}
-	// Hot list of distinct, non-resident pages.
-	hot := grafts.NewHotList(m)
 	hotPages := make([]kernel.PageID, cfg.HotListLen)
 	for i := range hotPages {
 		hotPages[i] = kernel.PageID(500000 + i)
 	}
-	hot.Set(hotPages)
-
-	h.headAddr = pager.HeadAddr()
-	h.wantPage = 100 // LRU head: first page accessed
-	h.call = tech.ResolveDirect(h.g, "evict")
-	return h, nil
+	grafts.NewHotList(m).Set(hotPages)
+	return &evictHarness{
+		call:     tech.Resolve(g, "evict"),
+		headAddr: pager.HeadAddr(),
+		wantPage: 100, // LRU head: first page accessed
+		closer:   func() {},
+	}, nil
 }
 
 // invoke runs one eviction decision and validates the result. It calls
 // through the resolved entry, as a kernel hook point would.
 func (h *evictHarness) invoke() error {
 	h.argBuf[0] = h.headAddr
-	v, err := h.call(h.argBuf[:])
+	v, _, err := h.call(telemetry.SpanCtx{}, h.argBuf[:])
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"graftlab/internal/netsim"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 	"graftlab/internal/upcall"
 )
 
@@ -73,7 +74,7 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 		}
 		m := g.Memory()
 		grafts.ConfigurePacketFilter(m, 5001)
-		call := tech.ResolveDirect(g, "filter")
+		call := tech.Resolve(g, "filter")
 		args := make([]uint32, 1)
 		want := 0
 		for _, p := range packets {
@@ -87,7 +88,7 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 			for _, p := range packets {
 				m.WriteAt(grafts.PFBufAddr, p)
 				args[0] = uint32(len(p))
-				v, err := call(args)
+				v, _, err := call(telemetry.SpanCtx{}, args)
 				if err != nil {
 					return 0, err
 				}

@@ -12,6 +12,7 @@ import (
 	"graftlab/internal/netsim"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 	"graftlab/internal/workload"
 )
 
@@ -144,11 +145,11 @@ var scaleWorkloads = []scaleWorkload{
 			}
 		},
 		bind: func(cfg Config, id tech.ID, g tech.Graft) (func() error, error) {
-			call := tech.ResolveDirect(g, "evict")
+			call := tech.Resolve(g, "evict")
 			var argBuf [1]uint32
 			return func() error {
 				argBuf[0] = grafts.PELRUNodeBase
-				v, err := call(argBuf[:])
+				v, _, err := call(telemetry.SpanCtx{}, argBuf[:])
 				if err != nil {
 					return err
 				}
@@ -179,13 +180,13 @@ var scaleWorkloads = []scaleWorkload{
 			if _, err := g.Invoke("md5_init"); err != nil {
 				return nil, err
 			}
-			call := tech.ResolveDirect(g, "md5_update")
+			call := tech.Resolve(g, "md5_update")
 			chunk := uint32(md5ChunkFor(id))
 			var argBuf [2]uint32
 			return func() error {
 				argBuf[0] = grafts.MDBufAddr
 				argBuf[1] = chunk
-				_, err := call(argBuf[:])
+				_, _, err := call(telemetry.SpanCtx{}, argBuf[:])
 				return err
 			}, nil
 		},

@@ -5,6 +5,7 @@ import (
 
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // Graft-memory layout for the access-control-list graft.
@@ -165,8 +166,7 @@ type ACLEntry struct {
 type ACLTable struct {
 	m       *mem.Memory
 	entries []ACLEntry
-	g       tech.Graft
-	call    func(args []uint32) (uint32, error)
+	call    tech.Handle
 	args    [3]uint32
 }
 
@@ -177,7 +177,7 @@ func NewACLTable(g tech.Graft) (*ACLTable, error) {
 	if uint64(m.Size()) < need {
 		return nil, fmt.Errorf("grafts: acl needs %d bytes of graft memory, have %d", need, m.Size())
 	}
-	t := &ACLTable{m: m, g: g, call: tech.ResolveDirect(g, "check")}
+	t := &ACLTable{m: m, call: tech.Resolve(g, "check")}
 	t.Set(nil)
 	return t, nil
 }
@@ -200,7 +200,7 @@ func (t *ACLTable) Set(entries []ACLEntry) {
 // Check asks the graft.
 func (t *ACLTable) Check(uid, fileid, op uint32) (bool, error) {
 	t.args[0], t.args[1], t.args[2] = uid, fileid, op
-	v, err := t.call(t.args[:])
+	v, _, err := t.call(telemetry.SpanCtx{}, t.args[:])
 	return v != 0, err
 }
 

@@ -6,6 +6,7 @@ import (
 	"graftlab/internal/kernel"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // BlockFilter adapts any graft exporting
@@ -19,9 +20,8 @@ import (
 // GEL or Tcl and plugs it into any filter chain.
 type BlockFilter struct {
 	name    string
-	g       tech.Graft
 	m       *mem.Memory
-	call    func(args []uint32) (uint32, error)
+	call    tech.Handle
 	bufAddr uint32
 	bufCap  uint32
 	args    [2]uint32
@@ -35,8 +35,8 @@ func NewBlockFilter(name string, g tech.Graft, entry string, bufAddr, bufCap uin
 		return nil, fmt.Errorf("grafts: filter window [%#x,+%d) outside graft memory", bufAddr, bufCap)
 	}
 	return &BlockFilter{
-		name: name, g: g, m: m,
-		call:    tech.ResolveDirect(g, entry),
+		name: name, m: m,
+		call:    tech.Resolve(g, entry),
 		bufAddr: bufAddr, bufCap: bufCap,
 	}, nil
 }
@@ -55,7 +55,7 @@ func (f *BlockFilter) Process(p []byte) ([]byte, error) {
 		f.m.WriteAt(f.bufAddr, p[:n])
 		f.args[0] = f.bufAddr
 		f.args[1] = n
-		outLen, err := f.call(f.args[:])
+		outLen, _, err := f.call(telemetry.SpanCtx{}, f.args[:])
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"graftlab/internal/kernel"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // Graft-memory layout for the buffer-cache hook.
@@ -184,7 +185,7 @@ func (p *PinSet) Contains(block uint32) bool {
 // returned index back to a block.
 func NewGraftCacheHook(g tech.Graft) kernel.CacheHook {
 	m := g.Memory()
-	call := tech.ResolveDirect(g, "pickvictim")
+	call := tech.Resolve(g, "pickvictim")
 	args := make([]uint32, 1)
 	return func(order []uint32) uint32 {
 		n := len(order)
@@ -196,7 +197,7 @@ func NewGraftCacheHook(g tech.Graft) kernel.CacheHook {
 			m.St32U(uint32(BCBase+4*i), order[i])
 		}
 		args[0] = uint32(n)
-		v, err := call(args)
+		v, _, err := call(telemetry.SpanCtx{}, args)
 		if err != nil || v == BCDecline || v >= uint32(n) {
 			return kernel.NoBlock
 		}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"graftlab/internal/mem"
+	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // The compiled technology class. The paper did not run one graft binary
@@ -32,43 +34,26 @@ import (
 // being measured would vanish.
 
 // CompiledGraft adapts hand-written Go entry points to the tech.Graft
-// invocation protocol. Entries receive the argument slice and return the
-// result; traps propagate by panic and are recovered here.
+// invocation protocol. Each entry gets its handle at registration:
+// entries receive the argument slice and return the result, with only
+// the arity check and trap recovery between the kernel and the compiled
+// code (traps propagate by panic and are recovered there). The compiled
+// classes have no fuel, so their handles report 0.
 type CompiledGraft struct {
 	m       *mem.Memory
-	entries map[string]func(args []uint32) uint32
-	arity   map[string]int
+	handles map[string]tech.Handle
 }
 
 // NewCompiledGraft builds an empty compiled graft over m.
 func NewCompiledGraft(m *mem.Memory) *CompiledGraft {
-	return &CompiledGraft{
-		m:       m,
-		entries: make(map[string]func([]uint32) uint32),
-		arity:   make(map[string]int),
-	}
+	return &CompiledGraft{m: m, handles: make(map[string]tech.Handle)}
 }
 
 // Register adds an entry point.
 func (c *CompiledGraft) Register(name string, arity int, fn func(args []uint32) uint32) {
-	c.entries[name] = fn
-	c.arity[name] = arity
-}
-
-// Memory implements tech.Graft.
-func (c *CompiledGraft) Memory() *mem.Memory { return c.m }
-
-// Direct implements tech.DirectCaller: the resolved entry is called with
-// only trap recovery between the kernel and the compiled code.
-func (c *CompiledGraft) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
-	fn, ok := c.entries[entry]
-	if !ok {
-		return nil, false
-	}
-	arity := c.arity[entry]
-	return func(args []uint32) (result uint32, err error) {
+	c.handles[name] = func(_ telemetry.SpanCtx, args []uint32) (result uint32, fuel int64, err error) {
 		if len(args) != arity {
-			return 0, fmt.Errorf("compiled: %q takes %d args, got %d", entry, arity, len(args))
+			return 0, 0, fmt.Errorf("compiled: %q takes %d args, got %d", name, arity, len(args))
 		}
 		defer func() {
 			if r := recover(); r != nil {
@@ -79,29 +64,27 @@ func (c *CompiledGraft) Direct(entry string) (func(args []uint32) (uint32, error
 				panic(r)
 			}
 		}()
-		return fn(args), nil
-	}, true
+		return fn(args), 0, nil
+	}
+}
+
+// Memory implements tech.Graft.
+func (c *CompiledGraft) Memory() *mem.Memory { return c.m }
+
+// Resolve implements tech.Resolver.
+func (c *CompiledGraft) Resolve(entry string) (tech.Handle, bool) {
+	h, ok := c.handles[entry]
+	return h, ok
 }
 
 // Invoke implements tech.Graft.
-func (c *CompiledGraft) Invoke(entry string, args ...uint32) (result uint32, err error) {
-	fn, ok := c.entries[entry]
+func (c *CompiledGraft) Invoke(entry string, args ...uint32) (uint32, error) {
+	h, ok := c.handles[entry]
 	if !ok {
 		return 0, fmt.Errorf("compiled: no entry %q", entry)
 	}
-	if len(args) != c.arity[entry] {
-		return 0, fmt.Errorf("compiled: %q takes %d args, got %d", entry, c.arity[entry], len(args))
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if t, ok := r.(*mem.Trap); ok {
-				err = t
-				return
-			}
-			panic(r)
-		}
-	}()
-	return fn(args), nil
+	v, _, err := h(telemetry.SpanCtx{}, args)
+	return v, err
 }
 
 // ---- per-policy access primitives ----

@@ -6,6 +6,7 @@ import (
 	"graftlab/internal/ld"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // Graft-memory layout for the Logical Disk mapping graft.
@@ -93,9 +94,8 @@ proc ld_read {lblock} {
 // GraftMapper adapts a loaded ldmap graft to the ld.Mapper seam, calling
 // through resolved entry points as the kernel's block layer would.
 type GraftMapper struct {
-	g      tech.Graft
-	write  func(args []uint32) (uint32, error)
-	read   func(args []uint32) (uint32, error)
+	write  tech.Handle
+	read   tech.Handle
 	argBuf [1]uint32
 }
 
@@ -114,9 +114,8 @@ func NewGraftMapper(g tech.Graft, blocks uint32) (*GraftMapper, error) {
 		return nil, err
 	}
 	return &GraftMapper{
-		g:     g,
-		write: tech.ResolveDirect(g, "ld_write"),
-		read:  tech.ResolveDirect(g, "ld_read"),
+		write: tech.Resolve(g, "ld_write"),
+		read:  tech.Resolve(g, "ld_read"),
 	}, nil
 }
 
@@ -129,13 +128,15 @@ func fillUnmapped(m *mem.Memory, blocks uint32) {
 // MapWrite implements ld.Mapper.
 func (gm *GraftMapper) MapWrite(lblock uint32) (uint32, error) {
 	gm.argBuf[0] = lblock
-	return gm.write(gm.argBuf[:])
+	v, _, err := gm.write(telemetry.SpanCtx{}, gm.argBuf[:])
+	return v, err
 }
 
 // MapRead implements ld.Mapper.
 func (gm *GraftMapper) MapRead(lblock uint32) (uint32, error) {
 	gm.argBuf[0] = lblock
-	return gm.read(gm.argBuf[:])
+	v, _, err := gm.read(telemetry.SpanCtx{}, gm.argBuf[:])
+	return v, err
 }
 
 var _ ld.Mapper = (*GraftMapper)(nil)

@@ -7,6 +7,7 @@ import (
 	"graftlab/internal/md5x"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // Graft-memory layout for the MD5 stream graft.
@@ -280,15 +281,23 @@ func SetupMD5Memory(m *mem.Memory) {
 	}
 }
 
-// MD5Graft is the host adapter: a hash-like API over a loaded md5 graft.
+// MD5Graft is the host adapter: a hash-like API over a loaded md5 graft,
+// calling its three entries through resolved handles with an argument
+// buffer it owns.
 type MD5Graft struct {
-	g tech.Graft
-	m *mem.Memory
+	m                    *mem.Memory
+	init, update, finish tech.Handle
+	args                 [2]uint32
 }
 
 // NewMD5Graft prepares tables and initializes state in g's memory.
 func NewMD5Graft(g tech.Graft) (*MD5Graft, error) {
-	h := &MD5Graft{g: g, m: g.Memory()}
+	h := &MD5Graft{
+		m:      g.Memory(),
+		init:   tech.Resolve(g, "md5_init"),
+		update: tech.Resolve(g, "md5_update"),
+		finish: tech.Resolve(g, "md5_final"),
+	}
 	if h.m.Size() < MDMemSize {
 		return nil, fmt.Errorf("grafts: md5 needs %d bytes of graft memory, have %d", MDMemSize, h.m.Size())
 	}
@@ -298,7 +307,7 @@ func NewMD5Graft(g tech.Graft) (*MD5Graft, error) {
 
 // Reset reinitializes the digest state.
 func (h *MD5Graft) Reset() error {
-	_, err := h.g.Invoke("md5_init")
+	_, _, err := h.init(telemetry.SpanCtx{}, nil)
 	return err
 }
 
@@ -311,7 +320,8 @@ func (h *MD5Graft) Write(p []byte) (int, error) {
 			n = MDBufCap
 		}
 		h.m.WriteAt(MDBufAddr, p[:n])
-		if _, err := h.g.Invoke("md5_update", MDBufAddr, uint32(n)); err != nil {
+		h.args = [2]uint32{MDBufAddr, uint32(n)}
+		if _, _, err := h.update(telemetry.SpanCtx{}, h.args[:]); err != nil {
 			return 0, err
 		}
 		p = p[n:]
@@ -323,7 +333,8 @@ func (h *MD5Graft) Write(p []byte) (int, error) {
 // call Reset to reuse.
 func (h *MD5Graft) Sum() ([md5x.Size]byte, error) {
 	var out [md5x.Size]byte
-	if _, err := h.g.Invoke("md5_final", MDOutAddr); err != nil {
+	h.args[0] = MDOutAddr
+	if _, _, err := h.finish(telemetry.SpanCtx{}, h.args[:1]); err != nil {
 		return out, err
 	}
 	h.m.ReadAt(MDOutAddr, out[:])

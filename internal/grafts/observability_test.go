@@ -70,10 +70,12 @@ func TestMD5ProfileLineAttribution(t *testing.T) {
 // out of a tech.Pool and lives behind an upcall domain — with span
 // tracing on, and asserts one fault exports as the nested causal chain
 // fault -> evict -> policy -> engine -> upcall, all on one track, and
-// that the export is loadable Chrome trace-event JSON.
+// that the export is loadable Chrome trace-event JSON. The policy reads
+// the eviction span from the pager, so the chain holds as well when the
+// pager holds a function wrapping the policy's ChooseVictim, the shape
+// a caller that decorates the policy installs.
 func TestNestedSpansAcrossStack(t *testing.T) {
 	telemetry.SetEnabled(true)
-	st := telemetry.EnableSpans(1 << 10)
 	if err := telemetry.SetSpanSampleEvery(1); err != nil {
 		t.Fatal(err)
 	}
@@ -102,22 +104,39 @@ func TestNestedSpansAcrossStack(t *testing.T) {
 	}
 	t.Cleanup(release)
 
-	pg, err := kernel.NewPager(kernel.PagerConfig{
-		Frames: 3, Mem: g.Memory(), NodeBase: PELRUNodeBase,
-	}, &vclock.Clock{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		policy kernel.EvictionPolicy
+	}{
+		{"policy", NewGraftEvictionPolicy(g)},
+		{"wrapped policy", kernel.EvictionPolicyFunc(NewGraftEvictionPolicy(g).ChooseVictim)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := telemetry.EnableSpans(1 << 10)
+			pg, err := kernel.NewPager(kernel.PagerConfig{
+				Frames: 3, Mem: g.Memory(), NodeBase: PELRUNodeBase,
+			}, &vclock.Clock{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg.SetPolicy(tc.policy)
+			for _, p := range []kernel.PageID{10, 11, 12, 13} {
+				if _, err := pg.Access(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pg.Resident(12) {
+				t.Fatal("graft did not steer the eviction to 12")
+			}
+			checkNestedChain(t, st)
+		})
 	}
-	pg.SetPolicy(NewGraftEvictionPolicy(g))
-	for _, p := range []kernel.PageID{10, 11, 12, 13} {
-		if _, err := pg.Access(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pg.Resident(12) {
-		t.Fatal("graft did not steer the eviction to 12")
-	}
+}
 
+// checkNestedChain asserts that st holds one fault's full causal chain
+// and that its export is loadable Chrome trace-event JSON.
+func checkNestedChain(t *testing.T, st *telemetry.SpanTrace) {
+	t.Helper()
 	byID := map[telemetry.SpanID]telemetry.SpanRecord{}
 	byCat := map[string][]telemetry.SpanRecord{}
 	for _, s := range st.Spans() {

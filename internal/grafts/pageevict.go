@@ -204,50 +204,36 @@ func (hl *HotList) Contains(page kernel.PageID) bool {
 // Prioritization hook, calling through the resolved entry point with an
 // argument buffer it owns, as the kernel's fault path would.
 type GraftEvictionPolicy struct {
-	g      tech.Graft
-	evict  func(args []uint32) (uint32, error)
+	evict  tech.Handle
 	argBuf [1]uint32
 }
 
 // NewGraftEvictionPolicy wraps g (which must export "evict").
 func NewGraftEvictionPolicy(g tech.Graft) *GraftEvictionPolicy {
-	return &GraftEvictionPolicy{g: g, evict: tech.ResolveDirect(g, "evict")}
+	return &GraftEvictionPolicy{evict: tech.Resolve(g, "evict")}
 }
 
 // ChooseVictim implements kernel.EvictionPolicy: hand the graft the LRU
-// head address and let it propose a victim.
+// head address and let it propose a victim. When the fault is traced,
+// the policy step is a "policy:evict" child of the pager's eviction
+// span, and its context goes on into the engine, so the trace nests
+// fault->evict->policy->engine(->upcall) whether the pager holds this
+// policy or a function wrapping its ChooseVictim.
 func (p *GraftEvictionPolicy) ChooseVictim(pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
 	head := pg.HeadAddr()
 	if head == 0 {
 		return kernel.InvalidPage, nil
 	}
+	sp := telemetry.ChildSpan(pg.EvictSpan(), "policy:evict", "policy")
 	p.argBuf[0] = head
-	v, err := p.evict(p.argBuf[:])
-	if err != nil {
-		return kernel.InvalidPage, err
+	v, _, err := p.evict(sp.Ctx(), p.argBuf[:])
+	if sp.Active() {
+		var errBit uint64
+		if err != nil {
+			errBit = 1
+		}
+		sp.End(uint64(candidate), errBit, 0)
 	}
-	return kernel.PageID(v), nil
-}
-
-// ChooseVictimSpan implements kernel.SpanEvictionPolicy: the policy
-// step is recorded as a child of the kernel eviction span, and the
-// context is forwarded into the engine so the trace nests
-// fault->evict->policy->engine(->upcall).
-func (p *GraftEvictionPolicy) ChooseVictimSpan(ctx telemetry.SpanCtx, pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
-	head := pg.HeadAddr()
-	if head == 0 {
-		return kernel.InvalidPage, nil
-	}
-	sp := telemetry.ChildSpan(ctx, "policy:evict", "policy")
-	if !sp.Active() {
-		return p.ChooseVictim(pg, candidate)
-	}
-	v, err := tech.InvokeSpan(p.g, sp.Ctx(), "evict", head)
-	var errBit uint64
-	if err != nil {
-		errBit = 1
-	}
-	sp.End(uint64(candidate), errBit, 0)
 	if err != nil {
 		return kernel.InvalidPage, err
 	}

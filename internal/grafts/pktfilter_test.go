@@ -6,6 +6,7 @@ import (
 	"graftlab/internal/mem"
 	"graftlab/internal/netsim"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 var pfTechs = []tech.ID{
@@ -38,12 +39,12 @@ func TestPacketFilterMatchesReferenceOnTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			ConfigurePacketFilter(m, port)
-			call := tech.ResolveDirect(g, "filter")
+			call := tech.Resolve(g, "filter")
 			args := make([]uint32, 1)
 			for i, p := range trace[:n] {
 				m.WriteAt(PFBufAddr, p)
 				args[0] = uint32(len(p))
-				v, err := call(args)
+				v, _, err := call(telemetry.SpanCtx{}, args)
 				if err != nil {
 					t.Fatalf("packet %d: %v", i, err)
 				}

@@ -6,6 +6,7 @@ import (
 	"graftlab/internal/kernel"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // Graft-memory layout for the scheduler policy graft.
@@ -141,15 +142,14 @@ func scPick(d []byte, count uint32, ld func([]byte, uint32) uint32) uint32 {
 // GraftSchedPolicy adapts a loaded scheduler graft to the kernel hook:
 // it marshals the run queue into graft memory before each decision.
 type GraftSchedPolicy struct {
-	g    tech.Graft
 	m    *mem.Memory
-	call func(args []uint32) (uint32, error)
+	call tech.Handle
 	args [1]uint32
 }
 
 // NewGraftSchedPolicy wraps g (which must export "pick").
 func NewGraftSchedPolicy(g tech.Graft) *GraftSchedPolicy {
-	return &GraftSchedPolicy{g: g, m: g.Memory(), call: tech.ResolveDirect(g, "pick")}
+	return &GraftSchedPolicy{m: g.Memory(), call: tech.Resolve(g, "pick")}
 }
 
 // PickNext implements kernel.SchedPolicy.
@@ -167,7 +167,7 @@ func (p *GraftSchedPolicy) PickNext(runnable []*kernel.Proc) (int, error) {
 		p.m.St32U(base+8, uint32(pr.Runtime.Microseconds()))
 	}
 	p.args[0] = uint32(n)
-	v, err := p.call(p.args[:])
+	v, _, err := p.call(telemetry.SpanCtx{}, p.args[:])
 	if err != nil {
 		return -1, err
 	}

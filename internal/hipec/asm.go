@@ -58,6 +58,9 @@ func Assemble(src string) (*Program, error) {
 			continue
 		}
 		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+		if len(fields) == 0 {
+			return nil, fmt.Errorf("hipec: line %d: operands without an opcode", lineno+1)
+		}
 		opName := fields[0]
 		args := fields[1:]
 		in, lbl, err := assembleOne(opName, args)

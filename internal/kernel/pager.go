@@ -42,15 +42,6 @@ func (f EvictionPolicyFunc) ChooseVictim(p *Pager, candidate PageID) (PageID, er
 	return f(p, candidate)
 }
 
-// SpanEvictionPolicy is the optional span-aware variant of
-// EvictionPolicy: when causal tracing has sampled the current fault,
-// the kernel hands the policy its eviction span's context so the policy
-// (and the engine below it) can record nested child spans. Policies
-// that don't implement it are called through ChooseVictim as usual.
-type SpanEvictionPolicy interface {
-	ChooseVictimSpan(ctx telemetry.SpanCtx, p *Pager, candidate PageID) (PageID, error)
-}
-
 // PagerStats counts pager activity.
 type PagerStats struct {
 	Hits            uint64
@@ -92,8 +83,9 @@ type Pager struct {
 	head, tail int
 	next, prev []int
 
-	policy EvictionPolicy
-	stats  PagerStats
+	policy    EvictionPolicy
+	evictSpan telemetry.SpanCtx // the eviction span's context while the policy runs
+	stats     PagerStats
 
 	// read-ahead state (see readahead.go). touched[f]: -1 demand page,
 	// 0 prefetched and untouched, 1 prefetched and since hit.
@@ -169,6 +161,12 @@ func (p *Pager) HeadAddr() uint32 {
 	}
 	return p.nodeAddr(p.head)
 }
+
+// EvictSpan is the context of the "kernel:evict" span while the policy
+// runs inside an eviction decision, so a policy nests its own spans
+// under it; it is inactive when the fault is untraced, and outside the
+// policy call.
+func (p *Pager) EvictSpan() telemetry.SpanCtx { return p.evictSpan }
 
 // mirror writes frame f's node {page, next} into graft memory.
 func (p *Pager) mirror(f int) {
@@ -300,8 +298,8 @@ const (
 // does not manipulate the VM system" (§3.1). An invalid or trapping
 // policy falls back to strict LRU. When the fault is traced, the
 // decision is a "kernel:evict" child span carrying the candidate, the
-// chosen page and the outcome code, and only then is the policy probed
-// for span awareness, so the trace nests fault->evict->policy->engine.
+// chosen page and the outcome code, and the policy reads the span's
+// context through EvictSpan, so the trace nests fault->evict->policy->engine.
 func (p *Pager) chooseVictim(fault telemetry.SpanCtx) (PageID, error) {
 	if p.head < 0 {
 		return InvalidPage, fmt.Errorf("kernel: no evictable frame")
@@ -311,17 +309,9 @@ func (p *Pager) chooseVictim(fault telemetry.SpanCtx) (PageID, error) {
 	victim, outcome := candidate, uint64(EvictDefault)
 	if p.policy != nil {
 		p.stats.PolicyCalls++
-		var sep SpanEvictionPolicy
-		if sp.Active() {
-			sep, _ = p.policy.(SpanEvictionPolicy)
-		}
-		var proposal PageID
-		var err error
-		if sep != nil {
-			proposal, err = sep.ChooseVictimSpan(sp.Ctx(), p, candidate)
-		} else {
-			proposal, err = p.policy.ChooseVictim(p, candidate)
-		}
+		p.evictSpan = sp.Ctx()
+		proposal, err := p.policy.ChooseVictim(p, candidate)
+		p.evictSpan = telemetry.SpanCtx{}
 		switch {
 		case err != nil:
 			p.stats.PolicyErrors++

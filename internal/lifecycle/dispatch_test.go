@@ -1,6 +1,7 @@
 package lifecycle_test
 
 import (
+	"slices"
 	"testing"
 
 	"graftlab/internal/grafts"
@@ -10,6 +11,7 @@ import (
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
 	"graftlab/internal/telemetry"
+	"graftlab/internal/upcall"
 	"graftlab/internal/vclock"
 )
 
@@ -48,12 +50,15 @@ func pfConfig(m *mem.Memory) error {
 	return nil
 }
 
-// carriers builds a slot loader for each carrier: Single over one
-// configured engine, and Pooled, whose instances configure themselves.
-var carriers = []struct {
+// carrier names a slot loader over one kind of lifecycle.Carrier.
+type carrier struct {
 	name string
 	load func(id tech.ID, opts tech.Options) lifecycle.LoadFunc
-}{
+}
+
+// carriers builds a slot loader for each carrier: Single over one
+// configured engine, and Pooled, whose instances configure themselves.
+var carriers = []carrier{
 	{"single", func(id tech.ID, opts tech.Options) lifecycle.LoadFunc {
 		return lifecycle.Loader(id, grafts.PFMemSize, opts)
 	}},
@@ -93,10 +98,23 @@ func TestSlotInvokeSteadyStateAllocs(t *testing.T) {
 
 // TestFuelParitySingleAndPooled pins that the slot sees the engine's
 // fuel on every carrier, with telemetry off and on: Result.Fuel is what
-// the engine charged, and the versioned key records the same amount.
+// the engine charged, and the versioned key records the same amount. An
+// engine hosted behind an upcall domain reports its fuel through the
+// crossing.
 func TestFuelParitySingleAndPooled(t *testing.T) {
+	upcallSingle := func(id tech.ID, opts tech.Options) lifecycle.LoadFunc {
+		return func(a tech.Artifact) (lifecycle.Carrier, error) {
+			g, err := a.Load(id, mem.New(grafts.PFMemSize), opts)
+			if err != nil {
+				return nil, err
+			}
+			d := upcall.NewDomain(g, 0)
+			t.Cleanup(d.Close)
+			return lifecycle.Single(d), nil
+		}
+	}
 	withTelemetry(t, func(t *testing.T) {
-		for _, c := range carriers {
+		for _, c := range slices.Concat(carriers, []carrier{{"upcall-single", upcallSingle}}) {
 			s := lifecycle.NewSlot("fuel-"+c.name, tech.Bytecode, c.load(tech.Bytecode, tech.Options{Fuel: 1 << 20}))
 			if err := s.Activate(tech.NewArtifact(grafts.PacketFilter, 1), pfConfig); err != nil {
 				t.Fatalf("%s: %v", c.name, err)

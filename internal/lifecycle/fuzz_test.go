@@ -9,6 +9,7 @@ import (
 	"graftlab/internal/lifecycle"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // FuzzSwap is the differential fuzzer for the swap protocol: a random
@@ -68,17 +69,14 @@ func fuzzOutcome(srcVer int, x uint32) (kpOutcome, error) {
 		return out, nil
 	}
 	g := fuzzGrafts[srcVer]
-	val, err := g.Invoke("decide", x)
-	out = kpOutcome{val: val}
+	val, fuel, err := tech.Resolve(g, "decide")(telemetry.SpanCtx{}, []uint32{x})
+	out = kpOutcome{val: val, fuel: fuel}
 	if err != nil {
 		var tr *mem.Trap
 		if !errors.As(err, &tr) {
 			return out, fmt.Errorf("oracle v%d x=%d: %w", srcVer, x, err)
 		}
 		out.trap = tr.Kind
-	}
-	if fr, ok := g.(tech.FuelReporter); ok {
-		out.fuel = fr.FuelUsed()
 	}
 	fuzzMu.Lock()
 	fuzzOracle[key] = out

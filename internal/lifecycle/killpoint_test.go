@@ -10,6 +10,7 @@ import (
 	"graftlab/internal/lifecycle"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // The swap-atomicity kill-point suite. Each kill point interrupts the
@@ -92,17 +93,14 @@ func (o *kpOracle) outcome(t *testing.T, tc kpTech, ver int, x uint32) kpOutcome
 		return out
 	}
 	g := o.graft(t, tc, ver)
-	val, err := g.Invoke("decide", x)
-	out = kpOutcome{val: val}
+	val, fuel, err := tech.Resolve(g, "decide")(telemetry.SpanCtx{}, []uint32{x})
+	out = kpOutcome{val: val, fuel: fuel}
 	if err != nil {
 		var tr *mem.Trap
 		if !errors.As(err, &tr) {
 			t.Fatalf("oracle %s: non-trap error %v", key, err)
 		}
 		out.trap = tr.Kind
-	}
-	if fr, ok := g.(tech.FuelReporter); ok {
-		out.fuel = fr.FuelUsed()
 	}
 	o.mu.Lock()
 	o.runs[key] = out

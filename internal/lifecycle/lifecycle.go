@@ -573,14 +573,10 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 		if timed {
 			start = time.Now()
 		}
-		val, ierr := g.Invoke(entry, args...)
+		val, fuel, ierr := call(g, entry, args)
 		var lat time.Duration
 		if timed {
 			lat = time.Since(start)
-		}
-		var fuel int64
-		if fr, ok := g.(tech.FuelReporter); ok {
-			fuel = fr.FuelUsed()
 		}
 		release()
 		s.gateAt(PointInvoked)
@@ -602,6 +598,20 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 		s.gateAt(PointRecorded)
 		return res, ierr
 	}
+}
+
+// call runs entry on g through its handle, which returns the fuel the
+// engine charged with the value. A graft without a resolver (a foreign
+// tech.Graft) is called by name with fuel 0 rather than through
+// tech.Resolve's fallback, which would build a handle per call.
+func call(g tech.Graft, entry string, args []uint32) (uint32, int64, error) {
+	if r, ok := g.(tech.Resolver); ok {
+		if h, ok := r.Resolve(entry); ok {
+			return h(telemetry.SpanCtx{}, args)
+		}
+	}
+	v, err := g.Invoke(entry, args...)
+	return v, 0, err
 }
 
 // Accounting is the slot's conservation ledger: every issued invocation

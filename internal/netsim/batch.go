@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // The batched receive path: instead of one technology-boundary crossing
@@ -128,7 +129,7 @@ func (d *Demux) RegisterBatch(name string, g tech.Graft, cfg BatchConfig) (*Endp
 	if err != nil {
 		return nil, err
 	}
-	batchCall := tech.ResolveDirect(g, cfg.Entry)
+	batchCall := tech.Resolve(g, cfg.Entry)
 	args := make([]uint32, 1)
 	ep.maxBatch = int(max)
 	ep.hasVerdicts = cfg.HasVerdicts
@@ -145,7 +146,8 @@ func (d *Demux) RegisterBatch(name string, g tech.Graft, cfg BatchConfig) (*Endp
 	}
 	ep.batchCall = func(n uint32) (uint32, error) {
 		args[0] = n
-		return batchCall(args)
+		v, _, err := batchCall(telemetry.SpanCtx{}, args)
+		return v, err
 	}
 	ep.verdictAt = func(slot uint32) (uint32, bool) {
 		v := m.Ld32U(cfg.VerdictBase + slot*4)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // FilterFunc decides whether an endpoint accepts a frame already
@@ -68,7 +69,7 @@ func (d *Demux) Register(name string, g tech.Graft, entry string, bufAddr uint32
 		return nil, fmt.Errorf("netsim: buffer address %#x outside graft memory", bufAddr)
 	}
 	capacity := m.Size() - bufAddr
-	call := tech.ResolveDirect(g, entry)
+	call := tech.Resolve(g, entry)
 	args := make([]uint32, 1)
 	ep := &Endpoint{
 		Name: name,
@@ -81,7 +82,7 @@ func (d *Demux) Register(name string, g tech.Graft, entry string, bufAddr uint32
 		},
 		filter: func(frameLen uint32) (bool, error) {
 			args[0] = frameLen
-			v, err := call(args)
+			v, _, err := call(telemetry.SpanCtx{}, args)
 			return v != 0, err
 		},
 	}

@@ -58,8 +58,9 @@ type Interp struct {
 	vars []map[string]string // frame stack; index 0 is globals
 	// links[i] marks the names frame i has declared `global`; such names
 	// are copied in at declaration and copied back when the proc returns.
-	links []map[string]bool
-	proc  map[string]Proc
+	links   []map[string]bool
+	proc    map[string]Proc
+	handles map[string]handle // one per resolved proc (see Resolve)
 
 	// Fuel limits the number of commands executed per Invoke; 0 = unmetered.
 	Fuel int64
@@ -112,11 +113,13 @@ var ErrNesting = errors.New("script: nesting too deep")
 // MaxNesting; the caller decrements in.nest when it leaves.
 func (in *Interp) enter() error {
 	if in.nest >= MaxNesting {
-		return fmt.Errorf("%w (limit %d)", ErrNesting, MaxNesting)
+		return errNesting()
 	}
 	in.nest++
 	return nil
 }
+
+func errNesting() error { return fmt.Errorf("%w (limit %d)", ErrNesting, MaxNesting) }
 
 // evalNested evaluates a [command] substitution one nesting level
 // deeper.
@@ -135,11 +138,12 @@ func (in *Interp) evalNested(src string) (string, error) {
 // control over the behavior of the extension").
 func New(m *mem.Memory, cfg mem.Config) *Interp {
 	return &Interp{
-		mem:   m,
-		cfg:   cfg,
-		vars:  []map[string]string{make(map[string]string)},
-		links: []map[string]bool{nil},
-		proc:  make(map[string]Proc),
+		mem:     m,
+		cfg:     cfg,
+		vars:    []map[string]string{make(map[string]string)},
+		links:   []map[string]bool{nil},
+		proc:    make(map[string]Proc),
+		handles: make(map[string]handle),
 	}
 }
 
@@ -153,6 +157,28 @@ func (in *Interp) Load(src string) error {
 	in.nest = 0
 	_, _, err := in.eval(src)
 	return err
+}
+
+// handle is a resolved entry point in the tech.Handle convention: span
+// context and args in; value, fuel charged and error out.
+type handle = func(ctx telemetry.SpanCtx, args []uint32) (uint32, int64, error)
+
+// Resolve returns the handle for proc entry, built on the first resolve
+// of its name. Procs are defined by running the script, so the handle
+// calls its proc by name, as Invoke does (an undefined proc fails at
+// call time), and reports the commands the call charged against its
+// budget (0 when unmetered). Resolve reads no interpreter state, so a
+// server goroutine may run the interpreter while a caller resolves.
+func (in *Interp) Resolve(entry string) (handle, bool) {
+	h, ok := in.handles[entry]
+	if !ok {
+		h = func(_ telemetry.SpanCtx, args []uint32) (uint32, int64, error) {
+			v, err := in.Invoke(entry, args...)
+			return v, in.fuelUsed(), err
+		}
+		in.handles[entry] = h
+	}
+	return h, true
 }
 
 // Invoke calls a proc with numeric arguments, mirroring the entry-point
@@ -180,10 +206,9 @@ func (in *Interp) Invoke(entry string, args ...uint32) (uint32, error) {
 	return parseU32(res)
 }
 
-// FuelUsed reports the commands charged against the most recent
-// invocation's budget (0 when unmetered). Must not race a running
-// invocation.
-func (in *Interp) FuelUsed() int64 {
+// fuelUsed reports the commands charged against the most recent
+// invocation's budget (0 when unmetered).
+func (in *Interp) fuelUsed() int64 {
 	if in.Fuel <= 0 {
 		return 0
 	}

@@ -223,6 +223,12 @@ func (p *wordParser) varName() (string, error) {
 	return p.src[b:p.off], nil
 }
 
+// bracketScript scans a [command] substitution up to its matching
+// close-bracket; called just past '['. Evaluating the substitution
+// nests one level per bracket the scan passes, so a scan whose depth
+// would take the interpreter past MaxNesting stops there with
+// ErrNesting, before re-scanning the rest of the source at every
+// level. Brackets count wherever they stand, inside braces too.
 func (p *wordParser) bracketScript() (string, error) {
 	b := p.off
 	depth := 1
@@ -234,6 +240,9 @@ func (p *wordParser) bracketScript() (string, error) {
 			continue
 		case '[':
 			depth++
+			if p.in.nest+depth > MaxNesting {
+				return "", errNesting()
+			}
 		case ']':
 			depth--
 			if depth == 0 {

@@ -361,6 +361,7 @@ func TestNestingBounded(t *testing.T) {
 		{"2M parentheses", "return [expr {" + nest("(", "1", ")", 2_000_000) + "}]"},
 		{"2000 unary operators", "return [expr {" + nest("-", "1", "", 2000) + "}]"},
 		{"2000 substitutions", "return " + nest("[set x ", "1", "]", 2000)},
+		{"50000 substitutions", "return " + nest("[set x ", "1", "]", 50_000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := newInterp(t)

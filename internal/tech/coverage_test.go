@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graftlab/internal/mem"
+	"graftlab/internal/telemetry"
 )
 
 var hipecSum = Source{
@@ -37,19 +38,19 @@ func TestDomainClassLifecycle(t *testing.T) {
 	if g.Memory() == nil {
 		t.Error("Memory nil")
 	}
-	dc, ok := g.(DirectCaller)
+	r, ok := g.(Resolver)
 	if !ok {
-		t.Fatal("domain graft is not a DirectCaller")
+		t.Fatal("domain graft is not a Resolver")
 	}
-	fn, ok := dc.Direct("main")
+	fn, ok := r.Resolve("main")
 	if !ok {
-		t.Fatal("Direct failed")
+		t.Fatal("Resolve failed")
 	}
-	if v, err := fn([]uint32{10}); err != nil || v != 55 {
+	if v, _, err := fn(telemetry.SpanCtx{}, []uint32{10}); err != nil || v != 55 {
 		t.Fatalf("direct = %d, %v", v, err)
 	}
-	if _, ok := dc.Direct("missing"); ok {
-		t.Error("Direct resolved missing entry")
+	if _, ok := r.Resolve("missing"); ok {
+		t.Error("Resolve resolved missing entry")
 	}
 }
 
@@ -74,30 +75,33 @@ func TestDomainClassFuel(t *testing.T) {
 	}
 }
 
-func TestResolveDirectFallback(t *testing.T) {
-	// A Graft without DirectCaller uses the generic path.
+// invokeOnly hides every method of a Graft but Invoke and Memory.
+type invokeOnly struct{ Graft }
+
+func TestResolveFallback(t *testing.T) {
+	// A Graft without a resolver uses the generic path, with fuel 0.
 	g, err := Load(Script, Source{
 		Name: "s", Tcl: `proc main {a} { return [expr {$a + 1}] }`,
-	}, mem.New(1<<12), Options{})
+	}, mem.New(1<<12), Options{Fuel: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn := ResolveDirect(g, "main")
-	if v, err := fn([]uint32{41}); err != nil || v != 42 {
-		t.Fatalf("fallback = %d, %v", v, err)
+	fn := Resolve(invokeOnly{g}, "main")
+	if v, fuel, err := fn(telemetry.SpanCtx{}, []uint32{41}); err != nil || v != 42 || fuel != 0 {
+		t.Fatalf("fallback = %d, fuel %d, %v", v, fuel, err)
 	}
-	// And a DirectCaller short-circuits.
+	// And a resolver short-circuits.
 	g2, err := Load(Domain, hipecSum, mem.New(1<<12), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn2 := ResolveDirect(g2, "main")
-	if v, err := fn2([]uint32{3}); err != nil || v != 6 {
+	fn2 := Resolve(g2, "main")
+	if v, _, err := fn2(telemetry.SpanCtx{}, []uint32{3}); err != nil || v != 6 {
 		t.Fatalf("direct = %d, %v", v, err)
 	}
 	// Unknown entries degrade to the error-returning generic path.
-	fn3 := ResolveDirect(g2, "missing")
-	if _, err := fn3(nil); err == nil {
+	fn3 := Resolve(g2, "missing")
+	if _, _, err := fn3(telemetry.SpanCtx{}, nil); err == nil {
 		t.Fatal("missing entry succeeded")
 	}
 }

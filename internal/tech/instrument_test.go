@@ -77,13 +77,13 @@ func TestInstrumentedInvocationMetrics(t *testing.T) {
 		if _, ok := g.(*instrumented); !ok {
 			t.Fatalf("%s: Load did not instrument", id)
 		}
-		// Invoke path + Direct path both count.
+		// Invoke path + resolved handle both count.
 		if v, err := g.Invoke("main", 10); err != nil || v != 45 {
 			t.Fatalf("%s: invoke = %d, %v", id, v, err)
 		}
-		call := ResolveDirect(g, "main")
+		call := Resolve(g, "main")
 		for i := 0; i < 4; i++ {
-			if v, err := call([]uint32{10}); err != nil || v != 45 {
+			if v, _, err := call(telemetry.SpanCtx{}, []uint32{10}); err != nil || v != 45 {
 				t.Fatalf("%s: direct = %d, %v", id, v, err)
 			}
 		}

@@ -21,9 +21,10 @@ func withSpans(t *testing.T) *telemetry.SpanTrace {
 	return st
 }
 
-// InvokeSpan through an instrumented engine must record an "engine"
-// child under the caller's span and still produce the right result.
-func TestInstrumentedInvokeSpan(t *testing.T) {
+// A handle call through an instrumented engine with the caller's span
+// context must record an "engine" child under that span, carrying the
+// fuel the call charged, and still produce the right result.
+func TestInstrumentedHandleSpan(t *testing.T) {
 	withTelemetry(t)
 	st := withSpans(t)
 
@@ -35,7 +36,7 @@ func TestInstrumentedInvokeSpan(t *testing.T) {
 	if !root.Active() {
 		t.Fatal("root span inactive")
 	}
-	v, err := InvokeSpan(g, root.Ctx(), "main", 10)
+	v, fuel, err := Resolve(g, "main")(root.Ctx(), []uint32{10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +61,13 @@ func TestInstrumentedInvokeSpan(t *testing.T) {
 	if engine.Name != "engine:bytecode" {
 		t.Errorf("engine span name = %q", engine.Name)
 	}
-	if engine.A == 0 {
-		t.Error("engine span did not record fuel used")
+	if engine.A == 0 || engine.A != uint64(fuel) {
+		t.Errorf("engine span fuel = %d, want the handle's %d (> 0)", engine.A, fuel)
 	}
 }
 
-// An inactive context must fall straight through to Invoke with no
-// span recorded.
-func TestInvokeSpanInactiveContext(t *testing.T) {
+// An inactive context must run the call with no span recorded.
+func TestHandleSpanInactiveContext(t *testing.T) {
 	withTelemetry(t)
 	st := withSpans(t)
 
@@ -75,7 +75,7 @@ func TestInvokeSpanInactiveContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InvokeSpan(g, telemetry.SpanCtx{}, "main", 10); err != nil {
+	if _, _, err := Resolve(g, "main")(telemetry.SpanCtx{}, []uint32{10}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range st.Spans() {
@@ -115,10 +115,10 @@ func TestQuarantineDeniesDispatch(t *testing.T) {
 		}
 	}
 
-	// Direct closures share the denial.
-	call := ResolveDirect(g, "main")
-	if _, err := call([]uint32{5}); err == nil {
-		if _, err2 := call([]uint32{5}); !errors.Is(err2, telemetry.ErrQuarantined) {
+	// Resolved handles share the denial.
+	call := Resolve(g, "main")
+	if _, _, err := call(telemetry.SpanCtx{}, []uint32{5}); err == nil {
+		if _, _, err2 := call(telemetry.SpanCtx{}, []uint32{5}); !errors.Is(err2, telemetry.ErrQuarantined) {
 			t.Fatalf("direct path not denied after quarantine: %v", err2)
 		}
 	}

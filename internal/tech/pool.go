@@ -139,7 +139,7 @@ func (p *Pool) newInstance() (*instance, error) {
 		g, it.close = p.cfg.Wrap(g)
 	}
 	if p.instrument {
-		g = instrument(g, p.src.Name, p.id, p.opts.Fuel > 0)
+		g = instrument(g, p.src.Name, p.id)
 	}
 	it.g = g
 

@@ -139,10 +139,10 @@ func TestStressPoolCheckout(t *testing.T) {
 						return
 					}
 					defer release()
-					call := ResolveDirect(g, "main")
+					call := Resolve(g, "main")
 					buf := append([]uint32(nil), args...)
 					for i := 0; i < iters; i++ {
-						v, err := call(buf)
+						v, _, err := call(telemetry.SpanCtx{}, buf)
 						if err != nil {
 							errs[w] = fmt.Errorf("iter %d: %v", i, err)
 							return

@@ -53,25 +53,39 @@ type Graft interface {
 	Memory() *mem.Memory
 }
 
-// DirectCaller is an optional fast path: a kernel invoking a compiled
-// graft jumps through a resolved function pointer rather than looking the
-// entry up per call. Hook points that invoke a graft millions of times
-// (the pager's eviction hook, the logical disk's per-block bookkeeping)
-// resolve once and call through the returned function; args is reused
-// across calls, so implementations must not retain it.
-type DirectCaller interface {
-	Direct(entry string) (func(args []uint32) (uint32, error), bool)
+// Handle is a resolved entry point, the one calling convention between
+// a hook point and a graft: a kernel resolves each entry once and calls
+// through the handle, as eBPF hooks call a pre-resolved program. ctx is
+// the caller's span context (zero when untraced); the call returns the
+// entry's value, the fuel it charged (0 for classes without fuel) and
+// its error. args is reused across calls, so a handle must not retain
+// it. Handle aliases a plain func type so that engines outside this
+// package (vm, aot, script) build handles without importing it.
+type Handle = func(ctx telemetry.SpanCtx, args []uint32) (uint32, int64, error)
+
+// Resolver is the optional interface engines and wrappers implement to
+// hand out handles. Engines build theirs at load and wrappers on the
+// first resolve of each name, so resolving again allocates nothing. An
+// engine whose entries are fixed at load reports false for an entry it
+// does not export; a wrapper, or the script interpreter, whose procs
+// are defined as it runs, resolves any name and fails at call time.
+type Resolver interface {
+	Resolve(entry string) (Handle, bool)
 }
 
-// ResolveDirect returns the fastest call path g offers for entry.
-func ResolveDirect(g Graft, entry string) func(args []uint32) (uint32, error) {
-	if dc, ok := g.(DirectCaller); ok {
-		if fn, ok := dc.Direct(entry); ok {
-			return fn
+// Resolve returns the handle for entry on g. A graft that implements
+// only Graft (or that does not export entry) gets a handle over
+// g.Invoke that reports fuel 0, so an unknown entry fails at call time
+// with the graft's own error.
+func Resolve(g Graft, entry string) Handle {
+	if r, ok := g.(Resolver); ok {
+		if h, ok := r.Resolve(entry); ok {
+			return h
 		}
 	}
-	return func(args []uint32) (uint32, error) {
-		return g.Invoke(entry, args...)
+	return func(_ telemetry.SpanCtx, args []uint32) (uint32, int64, error) {
+		v, err := g.Invoke(entry, args...)
+		return v, 0, err
 	}
 }
 
@@ -273,7 +287,7 @@ func Load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 	if err != nil || telemetry.Disabled() {
 		return g, err
 	}
-	return instrument(g, src.Name, id, opts.Fuel > 0), nil
+	return instrument(g, src.Name, id), nil
 }
 
 // ProfileSetter is the optional engine interface the sampling profiler
@@ -296,26 +310,6 @@ func attachProfile(g Graft, graft string, id ID) {
 	if ps, ok := g.(ProfileSetter); ok {
 		ps.SetProfile(p.Scope(graft, string(id)), p.Interval())
 	}
-}
-
-// SpanInvoker is the optional interface wrappers implement to thread a
-// causal span context through an invocation (the instrumented metrics
-// wrapper and upcall.Domain do; raw engines do not need to — the engine
-// span is recorded by the wrapper around them).
-type SpanInvoker interface {
-	InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...uint32) (uint32, error)
-}
-
-// InvokeSpan invokes entry on g, threading ctx when g supports it and
-// falling back to a plain Invoke when it does not (or when ctx is
-// inactive, in which case the span-aware path would be a no-op anyway).
-func InvokeSpan(g Graft, ctx telemetry.SpanCtx, entry string, args ...uint32) (uint32, error) {
-	if ctx.Active() {
-		if si, ok := g.(SpanInvoker); ok {
-			return si.InvokeSpan(ctx, entry, args...)
-		}
-	}
-	return g.Invoke(entry, args...)
 }
 
 // load is the uninstrumented loader behind Load.
@@ -351,15 +345,7 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 		if len(src.Hipec) == 0 {
 			return nil, fmt.Errorf("tech %s: graft %q is not expressible in the domain language", id, src.Name)
 		}
-		g := &hipecGraft{m: m, fuel: opts.Fuel, progs: make(map[string]*hipec.Program, len(src.Hipec))}
-		for entry, asm := range src.Hipec {
-			p, err := hipec.Assemble(asm)
-			if err != nil {
-				return nil, fmt.Errorf("tech %s: entry %q: %w", id, entry, err)
-			}
-			g.progs[entry] = p
-		}
-		return g, nil
+		return newHipecGraft(id, src, m, opts.Fuel)
 	}
 	return nil, fmt.Errorf("tech: unknown technology %q", id)
 }
@@ -422,36 +408,47 @@ func newVMEngine(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, opts Optio
 	return v, nil
 }
 
-// hipecGraft adapts verified HiPEC-class programs to the Graft interface.
+// hipecGraft adapts verified HiPEC-class programs to the Graft
+// interface, one handle per entry, built at load. The domain class has
+// no fuel of its own to report, so its handles return fuel 0.
 type hipecGraft struct {
-	m     *mem.Memory
-	progs map[string]*hipec.Program
-	fuel  int64
+	m       *mem.Memory
+	handles map[string]Handle
+}
+
+func newHipecGraft(id ID, src Source, m *mem.Memory, fuel int64) (Graft, error) {
+	g := &hipecGraft{m: m, handles: make(map[string]Handle, len(src.Hipec))}
+	for entry, asm := range src.Hipec {
+		p, err := hipec.Assemble(asm)
+		if err != nil {
+			return nil, fmt.Errorf("tech %s: entry %q: %w", id, entry, err)
+		}
+		g.handles[entry] = func(_ telemetry.SpanCtx, args []uint32) (uint32, int64, error) {
+			v, err := p.Run(m, fuel, args...)
+			return v, 0, err
+		}
+	}
+	return g, nil
+}
+
+// Resolve implements Resolver.
+func (g *hipecGraft) Resolve(entry string) (Handle, bool) {
+	h, ok := g.handles[entry]
+	return h, ok
 }
 
 // Invoke implements Graft.
 func (g *hipecGraft) Invoke(entry string, args ...uint32) (uint32, error) {
-	p, ok := g.progs[entry]
+	h, ok := g.handles[entry]
 	if !ok {
 		return 0, fmt.Errorf("domain: no entry %q", entry)
 	}
-	return p.Run(g.m, g.fuel, args...)
+	v, _, err := h(telemetry.SpanCtx{}, args)
+	return v, err
 }
 
 // Memory implements Graft.
 func (g *hipecGraft) Memory() *mem.Memory { return g.m }
-
-// Direct implements DirectCaller.
-func (g *hipecGraft) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
-	p, ok := g.progs[entry]
-	if !ok {
-		return nil, false
-	}
-	m, fuel := g.m, g.fuel
-	return func(args []uint32) (uint32, error) {
-		return p.Run(m, fuel, args...)
-	}, true
-}
 
 // MustLoad loads a known-good compiled-in graft, panicking on error.
 func MustLoad(id ID, src Source, m *mem.Memory, opts Options) Graft {

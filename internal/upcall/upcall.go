@@ -25,21 +25,27 @@ import (
 	"graftlab/internal/telemetry"
 )
 
+// call is one crossing: the server runs the inner graft's handle h
+// with the crossing span's context.
 type call struct {
-	entry string
+	h     tech.Handle
+	ctx   telemetry.SpanCtx
 	args  []uint32
 	reply chan result
 }
 
 type result struct {
-	val uint32
-	err error
+	val  uint32
+	fuel int64
+	err  error
 }
 
-// Domain runs a graft in a separate goroutine "protection domain"; Invoke
-// performs a synchronous upcall into it. Domain implements tech.Graft, so
-// a hook point cannot tell a server-hosted graft from an in-kernel one —
-// only the latency differs.
+// Domain runs a graft in a separate goroutine "protection domain"; each
+// call through one of its handles performs a synchronous upcall into
+// it. Domain implements tech.Graft and tech.Resolver, so a hook point
+// cannot tell a server-hosted graft from an in-kernel one — only the
+// latency differs — and the fuel the engine charged comes back with the
+// reply.
 type Domain struct {
 	inner   tech.Graft
 	latency time.Duration
@@ -47,6 +53,10 @@ type Domain struct {
 	quit    chan struct{}
 	done    chan struct{}
 	once    sync.Once
+
+	mu      sync.Mutex             // guards handles: callers on many goroutines resolve
+	handles map[string]tech.Handle // one crossing handle per resolved entry
+	replies sync.Pool              // reply channels, each reused by one crossing at a time
 
 	// Delivery-fault injection (conformance tests): dropEvery > 0 makes
 	// every Nth upcall fail with ErrDelivery before reaching the server,
@@ -74,6 +84,7 @@ func NewDomain(g tech.Graft, latency time.Duration) *Domain {
 		inner:   g,
 		latency: latency,
 		req:     make(chan call),
+		handles: make(map[string]tech.Handle),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -86,37 +97,50 @@ func (d *Domain) serve() {
 	for {
 		select {
 		case c := <-d.req:
-			v, err := d.inner.Invoke(c.entry, c.args...)
-			c.reply <- result{val: v, err: err}
+			v, fuel, err := c.h(c.ctx, c.args)
+			c.reply <- result{val: v, fuel: fuel, err: err}
 		case <-d.quit:
 			return
 		}
 	}
 }
 
-// Invoke performs a synchronous upcall: marshal the request to the server
-// domain, wait for the reply, and pay the crossing latency. A traced
-// crossing with no parent context is an "upcall" root span.
-func (d *Domain) Invoke(entry string, args ...uint32) (uint32, error) {
-	return d.invoke(telemetry.RootSpan("upcall", "upcall"), entry, args)
-}
-
-// InvokeSpan implements tech.SpanInvoker: the protection-boundary
-// crossing is recorded as an "upcall" child span of ctx, so a traced
-// eviction shows the crossing cost nested inside the engine span. An
-// inactive ctx opens a root instead, as Invoke does.
-func (d *Domain) InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...uint32) (uint32, error) {
-	if !ctx.Active() {
-		return d.Invoke(entry, args...)
+// Resolve implements tech.Resolver: the handle crosses into the server
+// domain and runs the inner graft's handle for entry there. It is built
+// on the first resolve of entry and reused after. A traced call is an
+// "upcall" child span of the caller's context, or an "upcall" root when
+// the caller passes none; the span's context goes on into the inner
+// handle.
+func (d *Domain) Resolve(entry string) (tech.Handle, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	h, ok := d.handles[entry]
+	if !ok {
+		inner := tech.Resolve(d.inner, entry)
+		h = func(ctx telemetry.SpanCtx, args []uint32) (uint32, int64, error) {
+			return d.cross(ctx, inner, args)
+		}
+		d.handles[entry] = h
 	}
-	return d.invoke(telemetry.ChildSpan(ctx, "upcall", "upcall"), entry, args)
+	return h, true
 }
 
-// invoke is the crossing behind Invoke and InvokeSpan. sp, when active,
+// Invoke performs a synchronous upcall through entry's handle.
+func (d *Domain) Invoke(entry string, args ...uint32) (uint32, error) {
+	h, _ := d.Resolve(entry)
+	v, _, err := h(telemetry.SpanCtx{}, args)
+	return v, err
+}
+
+// cross is the crossing behind every handle. Its span, when active,
 // ends with the arg count, the synthetic latency and an error bit; its
 // duration is the measured round trip.
-func (d *Domain) invoke(sp telemetry.Span, entry string, args []uint32) (uint32, error) {
-	v, err := d.cross(entry, args)
+func (d *Domain) cross(ctx telemetry.SpanCtx, h tech.Handle, args []uint32) (uint32, int64, error) {
+	sp := telemetry.ChildSpan(ctx, "upcall", "upcall")
+	if !ctx.Active() {
+		sp = telemetry.RootSpan("upcall", "upcall")
+	}
+	v, fuel, err := d.deliver(sp.Ctx(), h, args)
 	if sp.Active() {
 		var errBit uint64
 		if err != nil {
@@ -124,27 +148,31 @@ func (d *Domain) invoke(sp telemetry.Span, entry string, args []uint32) (uint32,
 		}
 		sp.End(uint64(len(args)), uint64(d.latency.Nanoseconds()), errBit)
 	}
-	return v, err
+	return v, fuel, err
 }
 
-// cross delivers one call to the server domain and waits for its reply.
-func (d *Domain) cross(entry string, args []uint32) (uint32, error) {
+// deliver hands one call to the server domain and waits for its reply.
+func (d *Domain) deliver(ctx telemetry.SpanCtx, h tech.Handle, args []uint32) (uint32, int64, error) {
 	if nth := d.dropEvery.Load(); nth > 0 {
 		if d.calls.Add(1)%nth == 0 {
-			return 0, ErrDelivery
+			return 0, 0, ErrDelivery
 		}
 	}
 	if d.latency > 0 {
 		spin(d.latency)
 	}
-	reply := make(chan result, 1)
+	reply, _ := d.replies.Get().(chan result)
+	if reply == nil {
+		reply = make(chan result, 1)
+	}
 	select {
-	case d.req <- call{entry: entry, args: args, reply: reply}:
+	case d.req <- call{h: h, ctx: ctx, args: args, reply: reply}:
 	case <-d.done:
-		return 0, fmt.Errorf("upcall: domain is closed")
+		return 0, 0, fmt.Errorf("upcall: domain is closed")
 	}
 	r := <-reply
-	return r.val, r.err
+	d.replies.Put(reply) // the server sends one reply per call and keeps no reference
+	return r.val, r.fuel, r.err
 }
 
 // Memory exposes the server's graft memory; the kernel marshals inputs

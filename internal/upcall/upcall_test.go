@@ -1,12 +1,15 @@
 package upcall
 
 import (
+	"fmt"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 )
 
 // TestMain lets this test binary double as the signal-measurement child.
@@ -211,5 +214,78 @@ func TestMeasureSignalValidatesArgs(t *testing.T) {
 	}
 	if _, err := MeasureSignal("/nonexistent-exe", 20, 1); err == nil {
 		t.Error("bad exe accepted")
+	}
+}
+
+// TestDomainConcurrentResolve: callers on several goroutines resolve
+// and call entries through one domain, their first resolves of each
+// name racing one another, and every call reaches its own entry.
+func TestDomainConcurrentResolve(t *testing.T) {
+	g, err := tech.Load(tech.NativeUnsafe, tech.Source{Name: "three", GEL: `
+func a(x) { return x + 1; }
+func b(x) { return x + 2; }
+func c(x) { return x + 3; }`}, mem.New(4096), tech.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDomain(g, 0)
+	defer d.Close()
+	entries := []string{"a", "b", "c"}
+	const workers = 8
+	errs := make(chan error, workers) // each worker sends at most once
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				k := (w + i) % len(entries)
+				v, _, err := tech.Resolve(d, entries[k])(telemetry.SpanCtx{}, []uint32{10})
+				if err != nil || v != uint32(11+k) {
+					errs <- fmt.Errorf("worker %d: %s(10) = %d, %v; want %d", w, entries[k], v, err, 11+k)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go), where
+// sync.Pool drops a quarter of its Puts on purpose, so a crossing cannot
+// be allocation-free.
+var raceEnabled bool
+
+// TestCrossingAllocs: once warm, a call through a domain's resolved
+// handle allocates nothing — the reply channel is reused — and brings
+// back the fuel its engine charged.
+func TestCrossingAllocs(t *testing.T) {
+	g, err := tech.Load(tech.Bytecode, tech.Source{
+		Name: "incr", GEL: `func main(a) { return a + 1; }`,
+	}, mem.New(4096), tech.Options{Fuel: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDomain(g, 0)
+	defer d.Close()
+	h := tech.Resolve(d, "main")
+	args := []uint32{1}
+	if v, fuel, err := h(telemetry.SpanCtx{}, args); err != nil || v != 2 || fuel <= 0 {
+		t.Fatalf("crossing = %d, fuel %d, %v; want 2 and the engine's fuel", v, fuel, err)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := h(telemetry.SpanCtx{}, args); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a crossing allocates %v times, want 0", allocs)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"graftlab/internal/compile"
 	"graftlab/internal/gel"
 	"graftlab/internal/mem"
+	"graftlab/internal/telemetry"
 )
 
 const diffMemSize = 1 << 16
@@ -49,6 +50,7 @@ func compileGEL(t testing.TB, src string) *bytecode.Module {
 
 type engine interface {
 	Invoke(entry string, args ...uint32) (uint32, error)
+	Resolve(entry string) (handle, bool)
 	Memory() *mem.Memory
 }
 
@@ -397,9 +399,9 @@ func main(a, b) { return r(a); }`
 	}
 }
 
-// TestDirectFuelConsistency is the regression test for the Direct
-// stale-fuel hazard: the budget must be sampled when the closure is
-// invoked, not when it is resolved, for both engines.
+// TestDirectFuelConsistency is the regression test for the resolved
+// handle's stale-fuel hazard: the budget must be sampled when the handle
+// is called, not when it is resolved, for both engines.
 func TestDirectFuelConsistency(t *testing.T) {
 	src := `func main(a, b) {
 	var i = 0;
@@ -418,32 +420,25 @@ func TestDirectFuelConsistency(t *testing.T) {
 		{"baseline", base, func(f int64) { base.Fuel = f }},
 		{"opt", opt, func(f int64) { opt.Fuel = f }},
 	} {
-		var fn func([]uint32) (uint32, error)
-		var ok bool
-		switch g := tc.g.(type) {
-		case *VM:
-			fn, ok = g.Direct("main")
-		case *OptVM:
-			fn, ok = g.Direct("main")
-		}
+		fn, ok := tc.g.Resolve("main")
 		if !ok {
-			t.Fatalf("%s: Direct failed", tc.name)
+			t.Fatalf("%s: Resolve failed", tc.name)
 		}
 		args := []uint32{0, 0}
 		// Resolved while unmetered: runs to completion.
-		if v, err := fn(args); err != nil || v != 10000 {
+		if v, _, err := fn(telemetry.SpanCtx{}, args); err != nil || v != 10000 {
 			t.Fatalf("%s unmetered: v=%d err=%v", tc.name, v, err)
 		}
 		// Fuel set after resolution must take effect on the next call.
 		tc.set(100)
-		if _, err := fn(args); err == nil {
-			t.Fatalf("%s: starved closure completed; Fuel was sampled at resolve time", tc.name)
+		if _, _, err := fn(telemetry.SpanCtx{}, args); err == nil {
+			t.Fatalf("%s: starved handle completed; Fuel was sampled at resolve time", tc.name)
 		} else if tr, k := err.(*mem.Trap), true; !k || tr.Kind != mem.TrapFuel {
 			t.Fatalf("%s: want fuel trap, got %v", tc.name, err)
 		}
 		// And clearing it must unmeter again.
 		tc.set(0)
-		if v, err := fn(args); err != nil || v != 10000 {
+		if v, _, err := fn(telemetry.SpanCtx{}, args); err != nil || v != 10000 {
 			t.Fatalf("%s re-unmetered: v=%d err=%v", tc.name, v, err)
 		}
 	}
@@ -526,16 +521,16 @@ func main(a, b) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, ok := v.Direct("main")
+	fn, ok := v.Resolve("main")
 	if !ok {
-		t.Fatal("Direct failed")
+		t.Fatal("Resolve failed")
 	}
 	args := []uint32{3, 0}
-	if _, err := fn(args); err != nil { // warm the arena
+	if _, _, err := fn(telemetry.SpanCtx{}, args); err != nil { // warm the arena
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := fn(args); err != nil {
+		if _, _, err := fn(telemetry.SpanCtx{}, args); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -211,14 +211,14 @@ type OptConfig struct {
 const unmeteredFuel = int64(1) << 62
 
 // OptVM executes a translated module. It is a drop-in alternative to VM:
-// same Invoke/Direct/Memory surface, same trap semantics (differentially
+// same Invoke/Resolve/Memory surface, same trap semantics (differentially
 // tested), same Fuel/MaxCallDepth knobs.
 //
 // Concurrency: like VM, an OptVM is NOT safe for concurrent use — the fuel
 // counter, call depth, and frame arena are all per-VM state. Fuel is
 // sampled exactly once at the start of each invocation.
 type OptVM struct {
-	mod *bytecode.Module
+	entries
 	mem *mem.Memory
 	fns []xfunc
 
@@ -266,7 +266,7 @@ func NewOpt(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, oc OptConfig) (
 		// an unarmed memory keeps the fused fast path untouched.
 		oc.NoFuse = true
 	}
-	v := &OptVM{mod: mod, mem: m}
+	v := &OptVM{entries: entries{mod: mod}, mem: m}
 	v.fns = make([]xfunc, len(mod.Funcs))
 	for i, f := range mod.Funcs {
 		xf, err := translate(f, shapes[i].MaxStack, cfg, oc)
@@ -274,6 +274,13 @@ func NewOpt(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, oc OptConfig) (
 			return nil, err
 		}
 		v.fns[i] = xf
+	}
+	v.handles = make([]handle, len(v.fns))
+	for i := range v.handles {
+		v.handles[i] = func(_ telemetry.SpanCtx, args []uint32) (uint32, int64, error) {
+			r, err := v.invoke(i, args)
+			return r, v.fuelUsed(), err
+		}
 	}
 	return v, nil
 }
@@ -305,35 +312,11 @@ func (v *OptVM) invoke(idx int, args []uint32) (result uint32, err error) {
 	return v.call(idx, args), nil
 }
 
-// Invoke runs the named function with args. A trap is returned as a
-// *mem.Trap error; the host survives.
-func (v *OptVM) Invoke(entry string, args ...uint32) (uint32, error) {
-	idx, ok := v.mod.ByName[entry]
-	if !ok {
-		return 0, fmt.Errorf("vm: no function %q", entry)
-	}
-	return v.invoke(idx, args)
-}
-
-// Direct returns a pre-resolved entry point. Fuel is sampled when the
-// closure is called, not when it is resolved; the closure must not be
-// called concurrently with any other invocation on the same VM.
-func (v *OptVM) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
-	idx, ok := v.mod.ByName[entry]
-	if !ok {
-		return nil, false
-	}
-	return func(args []uint32) (uint32, error) {
-		return v.invoke(idx, args)
-	}, true
-}
-
-// FuelUsed reports the fuel consumed by the most recent invocation. The
-// optimized engine always meters (against unmeteredFuel when no budget is
-// set), so this approximates instructions retired — block-granular, like
-// the metering itself — even for unmetered grafts. Must not race a
-// running invocation.
-func (v *OptVM) FuelUsed() int64 {
+// fuelUsed reports the fuel the most recent invocation consumed. The
+// optimized engine always meters (against unmeteredFuel when no budget
+// is set), so this approximates instructions retired — block-granular,
+// like the metering itself — even for unmetered grafts.
+func (v *OptVM) fuelUsed() int64 {
 	start := v.Fuel
 	if start <= 0 {
 		start = unmeteredFuel

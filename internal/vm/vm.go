@@ -44,8 +44,8 @@ func faultCheck(f *mem.FaultPlan, store bool, addr uint32, pc int) {
 
 // VM executes one loaded module against one linear memory.
 //
-// Concurrency: a VM is NOT safe for concurrent use. Invoke, Direct
-// closures, and the Fuel/MaxCallDepth fields all share the fuel counter
+// Concurrency: a VM is NOT safe for concurrent use. Invoke, handles,
+// and the Fuel/MaxCallDepth fields all share the fuel counter
 // and call-depth state; grafts are invoked from one kernel context at a
 // time, matching how a kernel serializes calls at a single hook point.
 // Callers that want parallelism must create one VM (and one Memory) per
@@ -53,7 +53,7 @@ func faultCheck(f *mem.FaultPlan, store bool, addr uint32, pc int) {
 // mutating v.Fuel mid-invocation (e.g. from another goroutine) is a data
 // race and has no defined effect on the running graft.
 type VM struct {
-	mod *bytecode.Module
+	entries
 	mem *mem.Memory
 	cfg mem.Config
 
@@ -63,8 +63,8 @@ type VM struct {
 	// MaxCallDepth bounds recursion; 0 means DefaultMaxCallDepth.
 	MaxCallDepth int
 	// Fuel is the instruction budget per Invoke; 0 means unmetered. It is
-	// read once per invocation (Invoke or a Direct closure call), so
-	// adjusting it between invocations takes effect on the next call.
+	// read once per invocation (Invoke or a handle call), so adjusting
+	// it between invocations takes effect on the next call.
 	Fuel int64
 
 	fuel    int64
@@ -96,10 +96,17 @@ func New(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &VM{mod: mod, mem: m, cfg: cfg}
+	v := &VM{entries: entries{mod: mod}, mem: m, cfg: cfg}
 	v.maxStack = make([]int, len(mod.Funcs))
 	for i, s := range shapes {
 		v.maxStack[i] = s.MaxStack
+	}
+	v.handles = make([]handle, len(mod.Funcs))
+	for i := range v.handles {
+		v.handles[i] = func(_ telemetry.SpanCtx, args []uint32) (uint32, int64, error) {
+			r, err := v.invoke(i, args)
+			return r, v.fuelUsed(), err
+		}
 	}
 	return v, nil
 }
@@ -107,8 +114,8 @@ func New(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*VM, error) {
 // Memory returns the linear memory the VM executes against.
 func (v *VM) Memory() *mem.Memory { return v.mem }
 
-// invoke is the single entry path shared by Invoke and Direct closures,
-// so fuel metering is decided in exactly one place per invocation.
+// invoke is the single entry path behind every handle, so fuel
+// metering is decided in exactly one place per invocation.
 func (v *VM) invoke(idx int, args []uint32) (result uint32, err error) {
 	f := v.mod.Funcs[idx]
 	if len(args) != f.NArgs {
@@ -129,40 +136,43 @@ func (v *VM) invoke(idx int, args []uint32) (result uint32, err error) {
 	return v.call(idx, args), nil
 }
 
-// Invoke runs the named function with args. A trap is returned as a
-// *mem.Trap error; the host survives.
-func (v *VM) Invoke(entry string, args ...uint32) (uint32, error) {
-	idx, ok := v.mod.ByName[entry]
-	if !ok {
-		return 0, fmt.Errorf("vm: no function %q", entry)
-	}
-	return v.invoke(idx, args)
+// handle is a resolved entry point in the tech.Handle convention: span
+// context and args in; value, fuel charged and error out.
+type handle = func(ctx telemetry.SpanCtx, args []uint32) (uint32, int64, error)
+
+// entries is the entry surface both VMs share: the module and one
+// handle per function, built at load.
+type entries struct {
+	mod     *bytecode.Module
+	handles []handle
 }
 
-// Direct returns a pre-resolved entry point (the tech.DirectCaller fast
-// path). The interpreter loop dominates, but skipping the per-call map
-// lookup keeps hot hook points uniform across technologies.
-//
-// The closure shares all VM state, including Fuel: the budget is sampled
-// when the closure is called, not when it is resolved, so a Direct handle
-// obtained while the VM was unmetered meters correctly once Fuel is set
-// (and vice versa). Like Invoke, the closure must not be called
-// concurrently with itself or any other invocation on the same VM.
-func (v *VM) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
-	idx, ok := v.mod.ByName[entry]
+// Resolve returns the named function's handle, built at load. Fuel is
+// read when the handle is called, not when it is resolved; like Invoke,
+// a handle must not run concurrently with another call on the same VM.
+func (e *entries) Resolve(entry string) (handle, bool) {
+	idx, ok := e.mod.ByName[entry]
 	if !ok {
 		return nil, false
 	}
-	return func(args []uint32) (uint32, error) {
-		return v.invoke(idx, args)
-	}, true
+	return e.handles[idx], true
 }
 
-// FuelUsed reports the fuel consumed by the most recent invocation
-// (0 when unmetered — the baseline interpreter only decrements fuel when
-// a budget is set). Telemetry reads it after each invocation; like every
-// other VM accessor it must not race a running invocation.
-func (v *VM) FuelUsed() int64 {
+// Invoke runs the named function with args through its handle. A trap
+// is returned as a *mem.Trap error; the host survives.
+func (e *entries) Invoke(entry string, args ...uint32) (uint32, error) {
+	h, ok := e.Resolve(entry)
+	if !ok {
+		return 0, fmt.Errorf("vm: no function %q", entry)
+	}
+	r, _, err := h(telemetry.SpanCtx{}, args)
+	return r, err
+}
+
+// fuelUsed reports the fuel the most recent invocation consumed (0 when
+// unmetered — the baseline interpreter only decrements fuel when a
+// budget is set).
+func (v *VM) fuelUsed() int64 {
 	if !v.metered {
 		return 0
 	}
