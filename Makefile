@@ -78,26 +78,32 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run XXX .
 
-# Regression gate: rerun Table 5, the batched packet filter, and the
-# lifecycle swap-under-load experiment at quick scale and compare against
-# the committed baseline. A cell fails only when it is more than 45%
-# worse AND the move is significant against both samples' variance
-# (Cohen's |d| >= 0.8) — shared-runner noise reads `noise`, not
-# `regression`. See docs/benchmarking.md for the gate's rules.
+# The regression gate, defined once for bench-check, bench-report and
+# bench-baseline: the experiments the committed baseline holds (Table 5,
+# the batched packet filter, and the lifecycle swap-under-load
+# experiment), and the comparison against it. A cell fails only when it
+# is more than 45% worse AND the move is significant against both
+# samples' variance (Cohen's |d| >= 0.8) — shared-runner noise reads
+# `noise`, not `regression`. See docs/benchmarking.md for the gate's
+# rules.
+GATE_EXPERIMENTS := table5,pktfilter-batch,swap-under-load
+GATE_CHECK := -check-against BENCH_baseline.json -check-tolerance 0.45 -check-effect 0.8
+
+# Regression gate: rerun the baseline's experiments at quick scale and
+# compare against the committed baseline.
 bench-check:
-	$(GO) run ./cmd/graftbench -quick -experiment table5,pktfilter-batch,swap-under-load -check-against BENCH_baseline.json -check-tolerance 0.45 -check-effect 0.8
+	$(GO) run ./cmd/graftbench -quick -experiment $(GATE_EXPERIMENTS) $(GATE_CHECK)
 
 # Full quick-scale suite with generated artifacts: results.json,
 # results.csv (the flattened cell matrix), and REPORT.md (methodology,
 # stability flags, effect-size verdicts) land in bench-report/.
 bench-report:
-	$(GO) run ./cmd/graftbench -quick -report-dir bench-report -check-against BENCH_baseline.json -check-tolerance 0.45 -check-effect 0.8
+	$(GO) run ./cmd/graftbench -quick -report-dir bench-report $(GATE_CHECK)
 
-# Re-archive the baseline the gate compares against (Table 5, the
-# batched packet filter, and swap-under-load). Run on a quiet machine;
-# commit the result deliberately.
+# Re-archive the baseline the gate compares against. Run on a quiet
+# machine; commit the result deliberately.
 bench-baseline:
-	$(GO) run ./cmd/graftbench -quick -experiment table5,pktfilter-batch,swap-under-load -json-out BENCH_baseline.json
+	$(GO) run ./cmd/graftbench -quick -experiment $(GATE_EXPERIMENTS) -json-out BENCH_baseline.json
 
 # Self-test of the request benchmark (reqbench/, its own Go module, so
 # `test` never compiles it): every workload briefly, traced and untraced,

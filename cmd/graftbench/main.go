@@ -52,10 +52,11 @@
 // -check-tolerance AND the move is statistically significant relative to
 // the two samples' variance (|Cohen's d| >= -check-effect); a bad-looking
 // move inside a cell's own noise reads `noise` and does not fail. Rows
-// the comparison had to skip (schema drift, disjoint experiments,
-// service-time mismatch) are listed explicitly; the run errors if
-// nothing at all could be gated. `make bench-check` wires this against
-// the committed Table 5 baseline.
+// the comparison had to skip (rows missing from either run, disjoint
+// experiments, service-time mismatch) are listed explicitly; the run
+// errors if nothing at all could be gated. `make bench-check` wires this
+// against the committed baseline of Table 5, the batched packet filter
+// and swap-under-load.
 //
 // Paper-scale runs (the default) take minutes, dominated by the script
 // (Tcl-class) rows; -quick keeps every code path but shrinks sizes.

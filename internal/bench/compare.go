@@ -15,16 +15,12 @@ import (
 // statistically significant one (Cohen's d at or above the effect
 // threshold). A noisy cell whose confidence interval swallows the move
 // reads "noise", not "regression" — and cannot pass or fail by luck.
-// Improvements never fail the gate. Everything the comparison could NOT
-// check is reported explicitly: skipped experiments, rows absent from
-// the baseline, and raw-vs-normalized fallbacks all land in the skip
-// summary instead of silently shrinking the gate.
-
-// pfBatchGateTolerance is the minimum practical-significance floor for
-// pktfilter-batch cells: a cell fails only when more than this much
-// worse (1.5 = 2.5x the baseline). See the pktfilter-batch block in
-// CompareReports for why these cells get a wider floor than the rest.
-const pfBatchGateTolerance = 1.5
+// Improvements never fail the gate. The gate reads only cells: the ones
+// Flatten marks with a Gate, matched by (experiment, row, metric).
+// Everything the comparison could NOT check is reported explicitly:
+// skipped experiments, rows absent from either report, and
+// raw-vs-normalized fallbacks all land in the skip summary instead of
+// silently shrinking the gate.
 
 // CompareOptions tunes the gate.
 type CompareOptions struct {
@@ -82,23 +78,6 @@ func (c CellComparison) String() string {
 		c.BaselineCV*100, c.CurrentCV*100, formatD(c.EffectSize), c.Verdict)
 }
 
-// Regression is one metric that failed the gate.
-type Regression struct {
-	Experiment string
-	Row        string
-	Metric     string
-	Baseline   float64
-	Current    float64
-	Ratio      float64
-	EffectSize float64
-}
-
-// String renders one regression for the CLI.
-func (r Regression) String() string {
-	return fmt.Sprintf("%s %s: %s %.4g -> %.4g (x%.2f, d=%s)",
-		r.Experiment, r.Row, r.Metric, r.Baseline, r.Current, r.Ratio, formatD(r.EffectSize))
-}
-
 // formatD prints Cohen's d compactly, including the infinite
 // (variance-free) case.
 func formatD(d float64) string {
@@ -142,15 +121,11 @@ type Comparison struct {
 func (c *Comparison) Compared() int { return len(c.Cells) }
 
 // Regressions extracts the failing cells.
-func (c *Comparison) Regressions() []Regression {
-	var regs []Regression
+func (c *Comparison) Regressions() []CellComparison {
+	var regs []CellComparison
 	for _, cell := range c.Cells {
 		if cell.Verdict == VerdictRegression {
-			regs = append(regs, Regression{
-				Experiment: cell.Experiment, Row: cell.Row, Metric: cell.Metric,
-				Baseline: cell.Baseline, Current: cell.Current,
-				Ratio: cell.Ratio, EffectSize: cell.EffectSize,
-			})
+			regs = append(regs, cell)
 		}
 	}
 	return regs
@@ -186,13 +161,6 @@ func (c *Comparison) SkipSummary() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// metricSample is one side of a compared metric.
-type metricSample struct {
-	mean float64 // central value (ns for durations, ops/s for rates)
-	cv   float64 // coefficient of variation; 0 = unknown/variance-free
-	n    int     // measurement runs behind mean; 0 = unknown
-}
-
 // comparer accumulates cells and skips while walking the two reports.
 type comparer struct {
 	out Comparison // result under construction
@@ -211,30 +179,35 @@ func (c *comparer) note(exp, row, reason string) {
 	c.out.Notes = append(c.out.Notes, Skip{Experiment: exp, Row: row, Reason: reason})
 }
 
-// compare gates one metric. higherBetter selects the bad direction.
-func (c *comparer) compare(exp, row, metric string, base, cur metricSample, higherBetter bool) {
-	n1, n2 := base.n, cur.n
+// compare gates one cell against its baseline, on the normalized values
+// when the two runs measured different workload sizes.
+func (c *comparer) compare(base, cur Cell, normalized bool) {
+	metric, was, now := cur.Metric, base.Value, cur.Value
+	if normalized {
+		metric, was, now = "normalized", base.Gate.Normalized, cur.Gate.Normalized
+	}
+	n1, n2 := base.N, cur.N
 	if n1 <= 0 {
 		n1 = c.baseN
 	}
 	if n2 <= 0 {
 		n2 = c.curN
 	}
-	d := stats.CohensDStats(base.mean, base.cv*base.mean, n1, cur.mean, cur.cv*cur.mean, n2)
+	d := stats.CohensDStats(was, base.CV*was, n1, now, cur.CV*now, n2)
 	cell := CellComparison{
-		Experiment: exp, Row: row, Metric: metric,
-		Baseline: base.mean, Current: cur.mean,
-		BaselineCV: base.cv, CurrentCV: cur.cv,
-		EffectSize: d, HigherBetter: higherBetter,
+		Experiment: cur.Experiment, Row: cur.Row, Metric: metric,
+		Baseline: was, Current: now,
+		BaselineCV: base.CV, CurrentCV: cur.CV,
+		EffectSize: d, HigherBetter: strings.HasSuffix(cur.Unit, "/s"),
 	}
-	if base.mean > 0 {
-		cell.Ratio = cur.mean / base.mean
+	if was > 0 {
+		cell.Ratio = now / was
 	}
-	worse := base.mean > 0 && cur.mean > base.mean*(1+c.tol)
-	better := base.mean > 0 && cur.mean < base.mean*(1-c.tol)
-	if higherBetter {
-		worse = base.mean > 0 && cur.mean < base.mean*(1-c.tol)
-		better = base.mean > 0 && cur.mean > base.mean*(1+c.tol)
+	tol := max(c.tol, cur.Gate.Floor)
+	worse := was > 0 && now > was*(1+tol)
+	better := was > 0 && now < was*(1-tol)
+	if cell.HigherBetter {
+		worse, better = better, worse
 	}
 	significant := math.Abs(d) >= c.eff
 	switch {
@@ -259,14 +232,28 @@ func configRuns(r *Report) int {
 	return 0
 }
 
-// CompareReports diffs current against baseline under opts. Rows are
-// matched by technology name; a row present only in the current report
-// (a technology added after the baseline was archived) is recorded as a
-// skip, never a regression, so old baselines keep gating new runs as the
-// registry grows. Raw durations are compared only when workload sizes
-// match — otherwise the dimensionless normalized column stands in (noted
-// in Comparison.Notes), so a paper-scale baseline can still gate a
-// quick-scale rerun.
+// gatedCells groups a report's gated cells by experiment, in Flatten's
+// order.
+func gatedCells(r *Report) map[string][]Cell {
+	out := map[string][]Cell{}
+	for _, cl := range Flatten(r, 0) {
+		if cl.Gate != nil {
+			out[cl.Experiment] = append(out[cl.Experiment], cl)
+		}
+	}
+	return out
+}
+
+// CompareReports diffs current against baseline under opts. It walks the
+// gated cells of Flatten(baseline) and Flatten(current), experiment by
+// experiment in matrix order, matching them by (experiment, row, metric)
+// and judging each by its Gate. A row present only in the current report
+// (a technology added after the baseline was archived) or only in the
+// baseline is recorded as a skip, never a regression, so old baselines
+// keep gating new runs as the registry grows. Raw durations are compared
+// only when workload sizes match — otherwise the dimensionless
+// normalized column stands in (noted in Comparison.Notes), so a
+// paper-scale baseline can still gate a quick-scale rerun.
 func CompareReports(baseline, current *Report, opts CompareOptions) *Comparison {
 	c := &comparer{
 		tol:   opts.Tolerance,
@@ -274,239 +261,57 @@ func CompareReports(baseline, current *Report, opts CompareOptions) *Comparison 
 		baseN: configRuns(baseline),
 		curN:  configRuns(current),
 	}
-
-	// presence reports whether both reports carry an experiment; when
-	// exactly one does, that is a skip the summary must name.
-	presence := func(exp string, inBase, inCur bool) bool {
-		switch {
-		case inBase && inCur:
-			return true
-		case inBase:
-			c.skip(exp, "", "experiment in baseline but not in current run")
-		case inCur:
-			c.skip(exp, "", "experiment in current run but not in baseline")
-		}
-		return false
-	}
-
-	if presence("table2", baseline.Evict != nil, current.Evict != nil) {
-		b, cur := baseline.Evict, current.Evict
-		rows := make(map[string]EvictRow, len(b.Rows))
-		for _, r := range b.Rows {
-			rows[r.Tech] = r
-		}
-		sameSize := b.HotListLen == cur.HotListLen
-		if !sameSize {
-			c.note("table2", "", fmt.Sprintf(
-				"hot-list length differs (baseline %d, current %d): comparing normalized, not raw",
-				b.HotListLen, cur.HotListLen))
-		}
-		for _, r := range cur.Rows {
-			br, ok := rows[r.Tech]
-			if !ok {
-				c.skip("table2", r.Tech, "row absent from baseline")
-				continue
-			}
-			if sameSize {
-				c.compare("table2", r.Tech, "per_eviction_ns",
-					metricSample{float64(br.Per), br.RelStd, br.N},
-					metricSample{float64(r.Per), r.RelStd, r.N}, false)
-			} else {
-				c.compare("table2", r.Tech, "normalized",
-					metricSample{br.Normalized, br.RelStd, br.N},
-					metricSample{r.Normalized, r.RelStd, r.N}, false)
-			}
-		}
-	}
-	if presence("table5", baseline.MD5 != nil, current.MD5 != nil) {
-		b, cur := baseline.MD5, current.MD5
-		rows := make(map[string]MD5Row, len(b.Rows))
-		for _, r := range b.Rows {
-			rows[r.Tech] = r
-		}
-		sameSize := b.Bytes == cur.Bytes
-		if !sameSize {
-			c.note("table5", "", fmt.Sprintf(
-				"input sizes differ (baseline %d, current %d bytes): comparing normalized, not raw",
-				b.Bytes, cur.Bytes))
-		}
-		for _, r := range cur.Rows {
-			br, ok := rows[r.Tech]
-			if !ok {
-				c.skip("table5", r.Tech, "row absent from baseline")
-				continue
-			}
-			if sameSize {
-				c.compare("table5", r.Tech, "total_ns",
-					metricSample{float64(br.Total), br.RelStd, br.N},
-					metricSample{float64(r.Total), r.RelStd, r.N}, false)
-			} else {
-				c.compare("table5", r.Tech, "normalized",
-					metricSample{br.Normalized, br.RelStd, br.N},
-					metricSample{r.Normalized, r.RelStd, r.N}, false)
-			}
-		}
-	}
-	if presence("table6", baseline.LD != nil, current.LD != nil) {
-		b, cur := baseline.LD, current.LD
-		rows := make(map[string]LDRow, len(b.Rows))
-		for _, r := range b.Rows {
-			rows[r.Tech] = r
-		}
-		sameSize := b.Writes == cur.Writes
-		if !sameSize {
-			c.note("table6", "", fmt.Sprintf(
-				"write counts differ (baseline %d, current %d): comparing normalized, not raw",
-				b.Writes, cur.Writes))
-		}
-		for _, r := range cur.Rows {
-			br, ok := rows[r.Tech]
-			if !ok {
-				c.skip("table6", r.Tech, "row absent from baseline")
-				continue
-			}
-			if sameSize {
-				c.compare("table6", r.Tech, "total_ns",
-					metricSample{float64(br.Total), br.RelStd, br.N},
-					metricSample{float64(r.Total), r.RelStd, r.N}, false)
-			} else {
-				c.compare("table6", r.Tech, "normalized",
-					metricSample{br.Normalized, br.RelStd, br.N},
-					metricSample{r.Normalized, r.RelStd, r.N}, false)
-			}
-		}
-	}
-	if presence("pktfilter", baseline.PacketFilter != nil, current.PacketFilter != nil) {
-		b, cur := baseline.PacketFilter, current.PacketFilter
-		rows := make(map[string]PFRow, len(b.Rows))
-		for _, r := range b.Rows {
-			rows[r.Tech] = r
-		}
-		for _, r := range cur.Rows {
-			br, ok := rows[r.Tech]
-			if !ok {
-				c.skip("pktfilter", r.Tech, "row absent from baseline")
-				continue
-			}
-			// Per-packet time is already intensive (normalized by trace
-			// length), so it compares across trace sizes.
-			c.compare("pktfilter", r.Tech, "per_packet_ns",
-				metricSample{float64(br.PerPacket), br.RelStd, br.N},
-				metricSample{float64(r.PerPacket), r.RelStd, r.N}, false)
-		}
-	}
-	if presence("pktfilter-batch", baseline.PFBatch != nil, current.PFBatch != nil) {
-		b, cur := baseline.PFBatch, current.PFBatch
-		// These are ns-scale micro cells: between-invocation drift on a
-		// shared runner (frequency scaling, CPU migration) reaches ~2x
-		// even when each run's own CV is tight, so Cohen's d cannot
-		// excuse it as noise. Gate them at a wider practical floor — the
-		// cell exists to catch protocol-level regressions (losing the
-		// batched fast path is a 5-10x move), not scheduler weather.
-		savedTol := c.tol
-		if c.tol < pfBatchGateTolerance {
-			c.tol = pfBatchGateTolerance
-		}
-		type key struct {
-			tech, boundary string
-			batch          int
-		}
-		cells := make(map[key]PFBatchCell)
-		for _, r := range b.Rows {
-			for _, cl := range r.Cells {
-				cells[key{r.Tech, r.Boundary, cl.Batch}] = cl
-			}
-		}
-		for _, r := range cur.Rows {
-			for _, cl := range r.Cells {
-				name := fmt.Sprintf("%s/%s b=%d", r.Tech, r.Boundary, cl.Batch)
-				bc, ok := cells[key{r.Tech, r.Boundary, cl.Batch}]
-				if !ok {
-					c.skip("pktfilter-batch", name, "cell absent from baseline")
-					continue
-				}
-				// Per-packet time is intensive (normalized by trace length),
-				// so it compares across trace sizes, like pktfilter.
-				c.compare("pktfilter-batch", name, "per_packet_ns",
-					metricSample{float64(bc.PerPacket), bc.RelStd, bc.N},
-					metricSample{float64(cl.PerPacket), cl.RelStd, cl.N}, false)
-			}
-		}
-		c.tol = savedTol
-	}
-	if presence("swap-under-load", baseline.Swap != nil, current.Swap != nil) {
-		b, cur := baseline.Swap, current.Swap
-		// Same ns-scale micro-cell situation as pktfilter-batch: the cells
-		// exist to catch protocol-level regressions (the slot path growing
-		// a lock or an allocation is a multi-x move), so they gate at the
-		// widened practical floor, not the headline tolerance.
-		savedTol := c.tol
-		if c.tol < pfBatchGateTolerance {
-			c.tol = pfBatchGateTolerance
-		}
-		type key struct{ tech, mode string }
-		cells := make(map[key]SwapCell)
-		for _, r := range b.Rows {
-			for _, cl := range r.Cells {
-				cells[key{r.Tech, cl.Mode}] = cl
-			}
-		}
-		for _, r := range cur.Rows {
-			for _, cl := range r.Cells {
-				name := r.Tech + "/" + cl.Mode
-				bc, ok := cells[key{r.Tech, cl.Mode}]
-				if !ok {
-					c.skip("swap-under-load", name, "cell absent from baseline")
-					continue
-				}
-				// Per-op time is intensive (normalized by the op count), so
-				// it compares across workload sizes.
-				c.compare("swap-under-load", name, "per_op_ns",
-					metricSample{float64(bc.PerOp), bc.RelStd, bc.N},
-					metricSample{float64(cl.PerOp), cl.RelStd, cl.N}, false)
-			}
-		}
-		c.tol = savedTol
-	}
-	if presence("scale", baseline.Scale != nil, current.Scale != nil) {
-		b, cur := baseline.Scale, current.Scale
-		if b.ServiceTime != cur.ServiceTime {
-			c.skip("scale", "", fmt.Sprintf(
-				"service_time mismatch (baseline %s, current %s): closed-loop throughputs are not comparable",
-				stats.FormatDuration(b.ServiceTime), stats.FormatDuration(cur.ServiceTime)))
-		} else {
-			type key struct{ workload, tech string }
-			rows := make(map[key]ScaleRow, len(b.Rows))
-			for _, r := range b.Rows {
-				rows[key{r.Workload, r.Tech}] = r
-			}
-			for _, r := range cur.Rows {
-				name := r.Workload + "/" + r.Tech
-				br, ok := rows[key{r.Workload, r.Tech}]
-				if !ok {
-					c.skip("scale", name, "row absent from baseline")
-					continue
-				}
-				cells := make(map[int]ScaleCell, len(br.Cells))
-				for _, cl := range br.Cells {
-					cells[cl.Workers] = cl
-				}
-				for _, cl := range r.Cells {
-					bc, ok := cells[cl.Workers]
-					if !ok {
-						c.skip("scale", fmt.Sprintf("%s w=%d", name, cl.Workers),
-							"worker count absent from baseline")
-						continue
-					}
-					// Throughput cells carry no variance; the gate falls
-					// back to pure ratio (zero-variance d is ±Inf, so the
-					// effect test always passes for them).
-					c.compare("scale", fmt.Sprintf("%s w=%d", name, cl.Workers), "ops_per_sec",
-						metricSample{bc.Throughput, 0, 1},
-						metricSample{cl.Throughput, 0, 1}, true)
-				}
-			}
-		}
+	base, cur := gatedCells(baseline), gatedCells(current)
+	for _, spec := range Experiments() {
+		c.experiment(spec.Name, base[spec.Name], cur[spec.Name])
 	}
 	return &c.out
+}
+
+// experiment gates one experiment's cells: an experiment either report
+// lacks, and a workload-size mismatch, are named once for the whole
+// experiment, then each cell is matched with its baseline by row and
+// metric.
+func (c *comparer) experiment(exp string, base, cur []Cell) {
+	switch {
+	case len(base) == 0 && len(cur) == 0:
+		return
+	case len(cur) == 0:
+		c.skip(exp, "", "experiment in baseline but not in current run")
+		return
+	case len(base) == 0:
+		c.skip(exp, "", "experiment in current run but not in baseline")
+		return
+	}
+	g, normalized := cur[0].Gate, false
+	if bs := base[0].Gate.Size; bs != g.Size {
+		reason := fmt.Sprintf(g.Mismatch, bs, g.Size)
+		if g.Incomparable {
+			c.skip(exp, "", reason)
+			return
+		}
+		c.note(exp, "", reason)
+		normalized = true
+	}
+	type key struct{ row, metric string }
+	baseCells := make(map[key]Cell, len(base))
+	for _, b := range base {
+		baseCells[key{b.Row, b.Metric}] = b
+	}
+	inCur := make(map[key]bool, len(cur))
+	for _, cl := range cur {
+		k := key{cl.Row, cl.Metric}
+		inCur[k] = true
+		b, ok := baseCells[k]
+		if !ok {
+			c.skip(exp, cl.Row, "row absent from baseline")
+			continue
+		}
+		c.compare(b, cl, normalized)
+	}
+	for _, b := range base {
+		if !inCur[key{b.Row, b.Metric}] {
+			c.skip(exp, b.Row, "row absent from current run")
+		}
+	}
 }

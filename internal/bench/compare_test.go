@@ -274,3 +274,23 @@ func TestComparePacketFilterRows(t *testing.T) {
 		t.Fatalf("pktfilter jitter flagged: %v", regs)
 	}
 }
+
+// A row the baseline has and the current run lacks is named in the
+// skips, like a row only the current run has, so a technology dropping
+// out of a run cannot shrink the gate silently.
+func TestCompareNamesRowsMissingFromCurrent(t *testing.T) {
+	base, cur := loadGateReport(t, "baseline.json"), loadGateReport(t, "baseline.json")
+	dropped := cur.MD5.Rows[1].Tech
+	cur.MD5.Rows = append(cur.MD5.Rows[:1:1], cur.MD5.Rows[2:]...)
+	cmp := CompareReports(base, cur, gateFixtureOptions)
+	if cmp.Compared() != 80 || len(cmp.Regressions()) != 0 {
+		t.Fatalf("gated %d cells, %d regressed; want 80 and 0", cmp.Compared(), len(cmp.Regressions()))
+	}
+	want := Skip{Experiment: "table5", Row: dropped, Reason: "row absent from current run"}
+	if len(cmp.Skips) != 1 || cmp.Skips[0] != want {
+		t.Fatalf("skips = %+v, want [%+v]", cmp.Skips, want)
+	}
+	if !strings.Contains(cmp.SkipSummary(), want.String()) {
+		t.Fatalf("summary lacks %q:\n%s", want, cmp.SkipSummary())
+	}
+}

@@ -241,10 +241,3 @@ func (r *EvictResult) Table() *stats.Table {
 	}
 	return t
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

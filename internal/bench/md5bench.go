@@ -182,10 +182,3 @@ func (r *MD5Result) Table() *stats.Table {
 	}
 	return t
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -82,6 +82,7 @@ func FuzzInterp(f *testing.F) {
 		"proc main {a} { return [expr {$a / 0}] }",
 		"proc main {} { return [ld32 999999] }",
 		"proc main {} { while {1} { } }",
+		doublingLoop,
 		"proc {bad",
 	}
 	for _, s := range seeds {

@@ -121,6 +121,15 @@ func (in *Interp) enter() error {
 
 func errNesting() error { return fmt.Errorf("%w (limit %d)", ErrNesting, MaxNesting) }
 
+// MaxValueBytes bounds the word a substitution builds, and so every
+// value: fuel is charged per command, not per byte, so without it a
+// loop like `set x $x$x` outgrows memory long before its budget runs out.
+const MaxValueBytes = 1 << 20
+
+// ErrValueSize is wrapped by the error a script gets for a substitution
+// that would make its word longer than MaxValueBytes.
+var ErrValueSize = errors.New("script: value too large")
+
 // evalNested evaluates a [command] substitution one nesting level
 // deeper.
 func (in *Interp) evalNested(src string) (string, error) {

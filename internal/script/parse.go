@@ -173,8 +173,7 @@ func (p *wordParser) substChar(sb *strings.Builder) error {
 		if err != nil {
 			return err
 		}
-		sb.WriteString(v)
-		return nil
+		return p.appendValue(sb, v)
 	case '[':
 		p.off++
 		script, err := p.bracketScript()
@@ -185,13 +184,23 @@ func (p *wordParser) substChar(sb *strings.Builder) error {
 		if err != nil {
 			return err
 		}
-		sb.WriteString(res)
-		return nil
+		return p.appendValue(sb, res)
 	default:
 		sb.WriteByte(c)
 		p.off++
 		return nil
 	}
+}
+
+// appendValue appends a substituted value to the word sb holds,
+// refusing to make the word longer than MaxValueBytes. The error names
+// the offset just past the substitution in the text p scans.
+func (p *wordParser) appendValue(sb *strings.Builder, v string) error {
+	if n := sb.Len() + len(v); n > MaxValueBytes {
+		return fmt.Errorf("%w: substitution ending at offset %d makes a %d-byte word (limit %d)", ErrValueSize, p.off, n, MaxValueBytes)
+	}
+	sb.WriteString(v)
+	return nil
 }
 
 func (p *wordParser) varName() (string, error) {

@@ -2,6 +2,8 @@ package script
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -379,6 +381,41 @@ func TestNestingBounded(t *testing.T) {
 			}
 			if v, err := in.Invoke("ok"); err != nil || v != 7 {
 				t.Errorf("call after the refusal = %d, %v; want 7", v, err)
+			}
+		})
+	}
+}
+
+// doublingLoop doubles a string until something stops it: fuel is
+// charged per command, so only the value cap bounds its memory.
+const doublingLoop = "proc main {} { set x a; while {1} { set x $x$x } }"
+
+// TestValueSizeBounded: a doubling loop with a budget that admits
+// gigabytes is refused at MaxValueBytes, quickly and in bounded memory,
+// with and without the parse cache.
+func TestValueSizeBounded(t *testing.T) {
+	for _, cache := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%t", cache), func(t *testing.T) {
+			in := newInterp(t)
+			in.Fuel = 65536
+			in.CacheParse = cache
+			if err := in.Load(doublingLoop); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			_, err := in.Invoke("main")
+			d := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrValueSize) {
+				t.Fatalf("err = %v, want ErrValueSize", err)
+			}
+			if d > time.Second {
+				t.Errorf("refusal took %v", d)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > 64<<20 {
+				t.Errorf("refusal allocated %d MB", b>>20)
 			}
 		})
 	}

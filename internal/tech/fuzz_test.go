@@ -24,7 +24,8 @@ const loadBound = 5 * time.Second
 // resolved and called with Fuel = 1<<16, with no arguments and with
 // two; each call must return a value or an error within loadBound, and
 // nothing may panic. Seeds are the repo's graft sources plus small
-// nesting probes just past the front ends' bounds.
+// nesting probes just past the front ends' bounds and a Tcl loop that
+// doubles a string until the value cap stops it.
 func FuzzLoad(f *testing.F) {
 	for _, src := range []tech.Source{
 		grafts.MD5, grafts.PageEvict, grafts.LDMap, grafts.PacketFilter,
@@ -48,6 +49,7 @@ func FuzzLoad(f *testing.F) {
 		"proc main {} { return [expr {" + nest("!", "1", "", 1001) + "}] }",
 		"proc main {} { set x {" + nest("[", "", "", 1001) + "} }",
 		nest("[", "", "]", 1001),
+		"proc main {} { set x a; while {1} { set x $x$x } }",
 	} {
 		f.Add(probe)
 	}

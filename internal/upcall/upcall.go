@@ -28,10 +28,9 @@ import (
 // call is one crossing: the server runs the inner graft's handle h
 // with the crossing span's context.
 type call struct {
-	h     tech.Handle
-	ctx   telemetry.SpanCtx
-	args  []uint32
-	reply chan result
+	h    tech.Handle
+	ctx  telemetry.SpanCtx
+	args []uint32
 }
 
 type result struct {
@@ -56,7 +55,14 @@ type Domain struct {
 
 	mu      sync.Mutex             // guards handles: callers on many goroutines resolve
 	handles map[string]tech.Handle // one crossing handle per resolved entry
-	replies sync.Pool              // reply channels, each reused by one crossing at a time
+
+	// crossing is held from a call's send to its reply's receipt, so
+	// one reply channel serves every caller; the server takes one call
+	// at a time anyway. The server never takes it and answers every
+	// call it receives, so a holder always gets its reply, and once the
+	// server is gone the next holder sees done.
+	crossing sync.Mutex
+	reply    chan result
 
 	// Delivery-fault injection (conformance tests): dropEvery > 0 makes
 	// every Nth upcall fail with ErrDelivery before reaching the server,
@@ -84,6 +90,7 @@ func NewDomain(g tech.Graft, latency time.Duration) *Domain {
 		inner:   g,
 		latency: latency,
 		req:     make(chan call),
+		reply:   make(chan result, 1),
 		handles: make(map[string]tech.Handle),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -98,7 +105,7 @@ func (d *Domain) serve() {
 		select {
 		case c := <-d.req:
 			v, fuel, err := c.h(c.ctx, c.args)
-			c.reply <- result{val: v, fuel: fuel, err: err}
+			d.reply <- result{val: v, fuel: fuel, err: err}
 		case <-d.quit:
 			return
 		}
@@ -161,17 +168,15 @@ func (d *Domain) deliver(ctx telemetry.SpanCtx, h tech.Handle, args []uint32) (u
 	if d.latency > 0 {
 		spin(d.latency)
 	}
-	reply, _ := d.replies.Get().(chan result)
-	if reply == nil {
-		reply = make(chan result, 1)
-	}
+	d.crossing.Lock()
 	select {
-	case d.req <- call{h: h, ctx: ctx, args: args, reply: reply}:
+	case d.req <- call{h: h, ctx: ctx, args: args}:
 	case <-d.done:
+		d.crossing.Unlock()
 		return 0, 0, fmt.Errorf("upcall: domain is closed")
 	}
-	r := <-reply
-	d.replies.Put(reply) // the server sends one reply per call and keeps no reference
+	r := <-d.reply
+	d.crossing.Unlock()
 	return r.val, r.fuel, r.err
 }
 
