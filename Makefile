@@ -114,7 +114,9 @@ reqbench-check:
 # Net non-test Go line delta of the working tree against BASE (tracked
 # files only, so `git add` new files first): lines added, deleted and
 # net, outside *_test.go, testdata/ and reqbench/, each with the share
-# that is comments or blank. CHANGES.md records it for every change.
+# that is comments or blank; then the same three figures for the
+# *_test.go files outside reqbench/. CHANGES.md records both for every
+# change.
 BASE ?= HEAD~1
 
 loc-delta:
@@ -131,6 +133,14 @@ loc-delta:
 			printf "  added   %6d  (comments/blank %d, %.0f%%)\n", a, ca, pct(ca, a); \
 			printf "  deleted %6d  (comments/blank %d, %.0f%%)\n", d, cd, pct(cd, d); \
 			printf "  net     %+6d  (code %+d, comments/blank %+d)\n", a - d, (a - ca) - (d - cd), ca - cd \
+		}'
+	@git diff --no-color --unified=0 $(BASE) -- '*_test.go' ':!reqbench/*' | awk '\
+		/^(\+\+\+|---) (a\/|b\/|\/dev\/null)/ { next } \
+		/^[+-]/ { n[substr($$0, 1, 1)]++ } \
+		END { \
+			a = n["+"] + 0; d = n["-"] + 0; \
+			printf "*_test.go lines vs $(BASE), without reqbench/:\n"; \
+			printf "  added %d, deleted %d, net %+d\n", a, d, a - d \
 		}'
 
 # Text-layout delta of the request benchmark against BASE: builds

@@ -3,8 +3,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// These are the same workloads cmd/graftbench drives, expressed as Go
-// benchmarks so `go test -bench` regenerates the evaluation too.
+// Each graft benchmark builds its scenario with the same constructor
+// cmd/graftbench times (internal/bench: EvictScenario, MD5Scenario,
+// LDScenario, PacketFilterScenario) and runs its operation b.N times, so
+// both front ends measure one definition of every workload.
 package graftlab
 
 import (
@@ -14,11 +16,8 @@ import (
 	"time"
 
 	"graftlab/internal/bench"
-	"graftlab/internal/compile"
 	"graftlab/internal/disk"
-	"graftlab/internal/gel"
 	"graftlab/internal/grafts"
-	"graftlab/internal/kernel"
 	"graftlab/internal/lmb"
 	"graftlab/internal/md5x"
 	"graftlab/internal/mem"
@@ -65,105 +64,54 @@ func BenchmarkTable1SignalDelivery(b *testing.B) {
 	b.ReportMetric(float64(res.PerSignal.Nanoseconds()), "ns/signal")
 }
 
+// BenchmarkTable1GoroutineCrossing reports Table 1's crossing time: the
+// round trip into an upcall domain running a no-op graft
+// (upcall.MeasureCrossing), over b.N crossings.
 func BenchmarkTable1GoroutineCrossing(b *testing.B) {
-	g, err := tech.Load(tech.CompiledUnsafe, grafts.LDMap, mem.New(grafts.LDMemSize), tech.Options{})
+	per, err := upcall.MeasureCrossing(b.N)
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := upcall.NewDomain(g, 0)
-	defer d.Close()
-	if _, err := grafts.NewGraftMapper(d, 1024); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Invoke("ld_read", uint32(i)%1024); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.ReportMetric(float64(per.Nanoseconds()), "ns/crossing")
 }
 
 // ---- Table 2 ----
 
-// evictSetup builds the Table 2 scenario: 64-entry hot list, LRU chain in
-// graft memory, candidate not hot.
-func evictSetup(b *testing.B, id tech.ID, opts tech.Options) (tech.Handle, uint32) {
+// benchCfg sizes the scenarios as graftbench's paper scale does: a
+// 64-entry hot list on 256 frames, the default disk geometry and seed.
+var benchCfg = bench.Default()
+
+// runScenario times b.N operations of the scenario a constructor
+// returned with err, and closes it.
+func runScenario(b *testing.B, s bench.Scenario, err error) {
 	b.Helper()
-	m := mem.New(grafts.PEMemSize)
-	g, err := tech.Load(id, grafts.PageEvict, m, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	clock := &vclock.Clock{}
-	pager, err := kernel.NewPager(kernel.PagerConfig{
-		Frames: 256, Mem: m, NodeBase: grafts.PELRUNodeBase,
-	}, clock)
-	if err != nil {
+	defer s.Close()
+	b.ResetTimer()
+	if err := s.Run(b.N); err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 256; i++ {
-		if _, err := pager.Access(kernel.PageID(100 + i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	hot := grafts.NewHotList(m)
-	pages := make([]kernel.PageID, 64)
-	for i := range pages {
-		pages[i] = kernel.PageID(500000 + i)
-	}
-	hot.Set(pages)
-	return tech.Resolve(g, "evict"), pager.HeadAddr()
+}
+
+// benchEvict times b.N eviction decisions of Table 2's scenario.
+func benchEvict(b *testing.B, load bench.Loader) {
+	s, err := bench.EvictScenario(benchCfg, load)
+	runScenario(b, s, err)
 }
 
 func BenchmarkTable2PageEvict(b *testing.B) {
 	for _, id := range readOnlyGraftTechs {
 		b.Run(string(id), func(b *testing.B) {
-			call, head := evictSetup(b, id, tech.Options{})
-			args := []uint32{head}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchEvict(b, bench.Class(id, tech.Options{}))
 		})
 	}
 	b.Run("bytecode-baseline", func(b *testing.B) {
-		call, head := evictSetup(b, tech.Bytecode, tech.Options{VM: tech.VMBaseline})
-		args := []uint32{head}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchEvict(b, bench.Class(tech.Bytecode, tech.Options{VM: tech.VMBaseline}))
 	})
 	b.Run("upcall-server", func(b *testing.B) {
-		m := mem.New(grafts.PEMemSize)
-		g, err := tech.Load(tech.CompiledUnsafe, grafts.PageEvict, m, tech.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clock := &vclock.Clock{}
-		pager, err := kernel.NewPager(kernel.PagerConfig{
-			Frames: 256, Mem: m, NodeBase: grafts.PELRUNodeBase,
-		}, clock)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 256; i++ {
-			pager.Access(kernel.PageID(100 + i))
-		}
-		grafts.NewHotList(m).Set([]kernel.PageID{500000})
-		d := upcall.NewDomain(g, 0)
-		defer d.Close()
-		head := pager.HeadAddr()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := d.Invoke("evict", head); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchEvict(b, bench.Upcall(tech.CompiledUnsafe, tech.Options{}, 0))
 	})
 }
 
@@ -212,10 +160,16 @@ func BenchmarkTable4DiskModel(b *testing.B) {
 
 // ---- Table 5 ----
 
+// benchMD5 times b.N fingerprints of input.
+func benchMD5(b *testing.B, load bench.Loader, input []byte) {
+	b.SetBytes(int64(len(input)))
+	s, err := bench.MD5Scenario(load, input)
+	runScenario(b, s, err)
+}
+
 func BenchmarkTable5MD5(b *testing.B) {
 	data := make([]byte, 1<<20)
 	workload.FillPattern(data, 5)
-	want := md5x.Of(data)
 	type md5Variant struct {
 		name string
 		id   tech.ID
@@ -235,31 +189,7 @@ func BenchmarkTable5MD5(b *testing.B) {
 			} else if id == tech.Bytecode || id == tech.NativeUnsafe || id == tech.AOT {
 				input = data[:256<<10]
 			}
-			g, err := tech.Load(id, grafts.MD5, mem.New(grafts.MDMemSize), va.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := grafts.NewMD5Graft(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(input)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := h.Reset(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.Write(input); err != nil {
-					b.Fatal(err)
-				}
-				got, err := h.Sum()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(input) == len(data) && got != want {
-					b.Fatal("wrong digest")
-				}
-			}
+			benchMD5(b, bench.Class(id, va.opts), input)
 		})
 	}
 }
@@ -277,39 +207,30 @@ func BenchmarkTable5MD5Reference(b *testing.B) {
 
 // ---- Table 6 ----
 
+// BenchmarkTable6LogicalDisk times one mapped write per op. The log
+// holds one write per block, so every full log is replaced by an empty
+// one with the timer stopped.
 func BenchmarkTable6LogicalDisk(b *testing.B) {
-	const blocks = 262144
+	capacity := int(benchCfg.Geometry.Blocks)
 	for _, id := range table2Techs {
 		b.Run(string(id), func(b *testing.B) {
-			g, err := tech.Load(id, grafts.LDMap, mem.New(grafts.LDMemSize), tech.Options{})
+			s, err := bench.LDScenario(benchCfg, bench.Class(id, tech.Options{}))
 			if err != nil {
 				b.Fatal(err)
 			}
-			gm, err := grafts.NewGraftMapper(g, blocks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stream := workload.NewSkewed(blocks, 1996)
-			written := 0
+			defer s.Close()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if written == blocks { // log full: start a fresh mapper
+			for left := b.N; left > 0; left -= capacity {
+				if left < b.N {
 					b.StopTimer()
-					g, err = tech.Load(id, grafts.LDMap, mem.New(grafts.LDMemSize), tech.Options{})
-					if err != nil {
+					if err := s.Reset(); err != nil {
 						b.Fatal(err)
 					}
-					gm, err = grafts.NewGraftMapper(g, blocks)
-					if err != nil {
-						b.Fatal(err)
-					}
-					written = 0
 					b.StartTimer()
 				}
-				if _, err := gm.MapWrite(stream.Next()); err != nil {
+				if err := s.Run(min(left, capacity)); err != nil {
 					b.Fatal(err)
 				}
-				written++
 			}
 		})
 	}
@@ -317,34 +238,13 @@ func BenchmarkTable6LogicalDisk(b *testing.B) {
 
 // ---- Figure 1 ----
 
+// BenchmarkFigure1UpcallSweep times Table 2's scenario behind an upcall
+// domain at the latencies graftbench measures Figure 1 at.
 func BenchmarkFigure1UpcallSweep(b *testing.B) {
-	for _, lat := range []time.Duration{0, 5 * time.Microsecond, 10 * time.Microsecond, 25 * time.Microsecond, 50 * time.Microsecond} {
+	for us := 0; us <= 50; us += 10 {
+		lat := time.Duration(us) * time.Microsecond
 		b.Run(fmt.Sprintf("latency=%v", lat), func(b *testing.B) {
-			m := mem.New(grafts.PEMemSize)
-			g, err := tech.Load(tech.CompiledUnsafe, grafts.PageEvict, m, tech.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			clock := &vclock.Clock{}
-			pager, err := kernel.NewPager(kernel.PagerConfig{
-				Frames: 64, Mem: m, NodeBase: grafts.PELRUNodeBase,
-			}, clock)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 64; i++ {
-				pager.Access(kernel.PageID(100 + i))
-			}
-			grafts.NewHotList(m).Set([]kernel.PageID{500000})
-			d := upcall.NewDomain(g, lat)
-			defer d.Close()
-			head := pager.HeadAddr()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := d.Invoke("evict", head); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchEvict(b, bench.Upcall(tech.CompiledUnsafe, tech.Options{}, lat))
 		})
 	}
 }
@@ -358,23 +258,8 @@ func BenchmarkPacketFilter(b *testing.B) {
 	}
 	for _, id := range readOnlyGraftTechs {
 		b.Run(string(id), func(b *testing.B) {
-			m := mem.New(grafts.PFMemSize)
-			g, err := tech.Load(id, grafts.PacketFilter, m, tech.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			grafts.ConfigurePacketFilter(m, 5001)
-			call := tech.Resolve(g, "filter")
-			args := []uint32{0}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := trace[i%len(trace)]
-				m.WriteAt(grafts.PFBufAddr, p)
-				args[0] = uint32(len(p))
-				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
-					b.Fatal(err)
-				}
-			}
+			s, err := bench.PacketFilterScenario(bench.Class(id, tech.Options{}), trace)
+			runScenario(b, s, err)
 		})
 	}
 }
@@ -432,44 +317,23 @@ func BenchmarkMPFDispatch(b *testing.B) {
 func BenchmarkAblationNilCheck(b *testing.B) {
 	for _, id := range []tech.ID{tech.CompiledSafe, tech.CompiledSafeNil} {
 		b.Run(string(id), func(b *testing.B) {
-			call, head := evictSetup(b, id, tech.Options{})
-			args := []uint32{head}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchEvict(b, bench.Class(id, tech.Options{}))
 		})
 	}
 }
 
-func BenchmarkAblationSFIReadProtect(b *testing.B) {
+// ablationMD5 is the 256 KB input of the MD5 ablations.
+func ablationMD5() []byte {
 	data := make([]byte, 256<<10)
 	workload.FillPattern(data, 9)
+	return data
+}
+
+func BenchmarkAblationSFIReadProtect(b *testing.B) {
+	data := ablationMD5()
 	for _, id := range []tech.ID{tech.CompiledSFI, tech.CompiledSFIFull} {
 		b.Run(string(id), func(b *testing.B) {
-			g, err := tech.Load(id, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := grafts.NewMD5Graft(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := h.Reset(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.Write(data); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.Sum(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchMD5(b, bench.Class(id, tech.Options{}), data)
 		})
 	}
 }
@@ -481,41 +345,8 @@ func BenchmarkAblationSFIReadProtect(b *testing.B) {
 // 96KB of work per call). Instrumentation is decided at load time, so
 // each sub-benchmark loads its graft under the state it measures.
 func BenchmarkAblationTelemetry(b *testing.B) {
-	evict := func(b *testing.B) {
-		call, head := evictSetup(b, tech.CompiledUnsafe, tech.Options{})
-		args := []uint32{head}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	md5 := func(b *testing.B) {
-		data := make([]byte, 256<<10)
-		workload.FillPattern(data, 9)
-		g, err := tech.Load(tech.CompiledUnsafe, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err := grafts.NewMD5Graft(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := h.Reset(); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.Write(data); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := h.Sum(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	data := ablationMD5()
+	load := bench.Class(tech.CompiledUnsafe, tech.Options{})
 	for _, on := range []bool{false, true} {
 		state := "off"
 		if on {
@@ -524,12 +355,12 @@ func BenchmarkAblationTelemetry(b *testing.B) {
 		b.Run("evict-telemetry-"+state, func(b *testing.B) {
 			telemetry.SetEnabled(on)
 			defer telemetry.SetEnabled(false)
-			evict(b)
+			benchEvict(b, load)
 		})
 		b.Run("md5-telemetry-"+state, func(b *testing.B) {
 			telemetry.SetEnabled(on)
 			defer telemetry.SetEnabled(false)
-			md5(b)
+			benchMD5(b, load, data)
 		})
 	}
 	telemetry.ResetMetrics()
@@ -539,16 +370,7 @@ func BenchmarkAblationTelemetry(b *testing.B) {
 // pieces on the MD5 graft: the baseline interpreter, the full translator,
 // fusion disabled, and per-instruction instead of block-granular fuel.
 func BenchmarkAblationVMTranslator(b *testing.B) {
-	data := make([]byte, 256<<10)
-	workload.FillPattern(data, 9)
-	prog, err := gel.ParseAndCheck(grafts.MD5.GEL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mod, err := compile.Compile(prog)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := ablationMD5()
 	variants := []struct {
 		name     string
 		baseline bool
@@ -561,39 +383,7 @@ func BenchmarkAblationVMTranslator(b *testing.B) {
 	}
 	for _, va := range variants {
 		b.Run(va.name, func(b *testing.B) {
-			m := mem.New(grafts.MDMemSize)
-			cfg := mem.Config{Policy: mem.PolicyChecked}
-			var g tech.Graft
-			if va.baseline {
-				v, err := vm.New(mod, m, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				g = v
-			} else {
-				v, err := vm.NewOpt(mod, m, cfg, va.oc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				g = v
-			}
-			h, err := grafts.NewMD5Graft(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := h.Reset(); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.Write(data); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.Sum(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchMD5(b, bench.Translator(va.baseline, va.oc), data)
 		})
 	}
 }
@@ -608,14 +398,7 @@ func BenchmarkAblationScriptParseCache(b *testing.B) {
 			name = "parse-cache"
 		}
 		b.Run(name, func(b *testing.B) {
-			call, head := evictSetup(b, tech.Script, tech.Options{ScriptParseCache: cache})
-			args := []uint32{head}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := call(telemetry.SpanCtx{}, args); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchEvict(b, bench.Class(tech.Script, tech.Options{ScriptParseCache: cache}))
 		})
 	}
 }

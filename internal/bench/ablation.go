@@ -4,11 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"graftlab/internal/compile"
-	"graftlab/internal/gel"
-	"graftlab/internal/grafts"
-	"graftlab/internal/md5x"
-	"graftlab/internal/mem"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
 	"graftlab/internal/telemetry"
@@ -74,337 +69,141 @@ type AblationResult struct {
 	MD5VMProfOn  time.Duration
 }
 
-// RunAblation measures both ablations.
+// RunAblation measures the ablations. Each variant is a scenario timed
+// through measureSeries with no warmup rounds (the variant is pre-warmed
+// with a few untimed operations instead) and reports its best measured
+// run (Sample.Min): an ablation compares two variants' floors, which
+// the host's slow phases raise and never lower. The A6 and A7 pairs
+// each time their two sides as two arms of one series.
 func RunAblation(cfg Config) (*AblationResult, error) {
 	res := &AblationResult{MD5Bytes: cfg.MD5Bytes}
-
-	evictPer := func(id tech.ID) (time.Duration, error) {
-		h, err := newEvictHarness(cfg, id, false, 0)
-		if err != nil {
-			return 0, err
-		}
-		defer h.closer()
-		for i := 0; i < 16; i++ {
-			if err := h.invoke(); err != nil {
-				return 0, err
-			}
-		}
-		iters := max(cfg.EvictIters/2, 1000)
-		best := time.Duration(0)
-		for r := 0; r < max(cfg.Runs/3, 3); r++ {
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := h.invoke(); err != nil {
-					return 0, err
-				}
-			}
-			d := time.Since(t0) / time.Duration(iters)
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-	var err error
-	if res.EvictSafe, err = evictPer(tech.CompiledSafe); err != nil {
-		return nil, err
-	}
-	if res.EvictSafeNil, err = evictPer(tech.CompiledSafeNil); err != nil {
-		return nil, err
-	}
-
 	data := make([]byte, cfg.MD5Bytes)
 	workload.FillPattern(data, 9)
-	want := md5x.Of(data)
-	md5Total := func(id tech.ID) (time.Duration, error) {
-		g, err := tech.Load(id, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
-		if err != nil {
-			return 0, err
-		}
-		h, err := grafts.NewMD5Graft(g)
-		if err != nil {
-			return 0, err
-		}
-		best := time.Duration(0)
-		for r := 0; r < max(cfg.Runs/6, 2); r++ {
-			if err := h.Reset(); err != nil {
-				return 0, err
-			}
-			t0 := time.Now()
-			if _, err := h.Write(data); err != nil {
-				return 0, err
-			}
-			got, err := h.Sum()
-			d := time.Since(t0)
-			if err != nil {
-				return 0, err
-			}
-			if got != want {
-				return 0, fmt.Errorf("bench: ablation %s wrong digest", id)
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-	if res.MD5SFI, err = md5Total(tech.CompiledSFI); err != nil {
-		return nil, err
-	}
-	if res.MD5SFIFull, err = md5Total(tech.CompiledSFIFull); err != nil {
-		return nil, err
-	}
 
+	// The helpers below do nothing once err is set, so a sequence of
+	// them stops at its first error.
+	var err error
+	var closers []func()
+	defer func() {
+		for _, c := range closers {
+			c()
+		}
+	}()
+	// keep records a constructor's error, or its scenario's closer.
+	keep := func(sc Scenario, e error) Scenario {
+		switch {
+		case e == nil:
+			closers = append(closers, sc.Close)
+		case err == nil:
+			err = e
+		}
+		return sc
+	}
+	// warm runs n untimed operations of each scenario.
+	warm := func(n int, scs ...Scenario) {
+		for _, sc := range scs {
+			if err == nil {
+				err = sc.Run(n)
+			}
+		}
+	}
+	// best times the arms as one series of runs rounds and stores each
+	// arm's best run in the matching out slot.
+	best := func(runs int, arms []arm, out ...*time.Duration) {
+		if err != nil {
+			return
+		}
+		var ss []stats.Sample
+		if ss, err = measureSeries(0, runs, arms...); err != nil {
+			return
+		}
+		for i, s := range ss {
+			*out[i] = s.Min
+		}
+	}
+	// evict times one eviction variant in runs of iters decisions.
+	evict := func(load Loader, warmN, iters int, out *time.Duration) {
+		if err != nil {
+			return
+		}
+		sc := keep(EvictScenario(cfg, load))
+		warm(warmN, sc)
+		best(max(cfg.Runs/3, 3), []arm{{sc, iters, iters}}, out)
+	}
+	// md5 times one MD5 variant in whole fingerprints of data.
+	md5 := func(load Loader, out *time.Duration) {
+		if err != nil {
+			return
+		}
+		best(max(cfg.Runs/6, 2), []arm{{keep(MD5Scenario(load, data)), 1, 1}}, out)
+	}
+	class := func(id tech.ID) Loader { return Class(id, tech.Options{VM: cfg.VM}) }
+	fuel := func(id tech.ID, budget int64) Loader { return Class(id, tech.Options{Fuel: budget, VM: cfg.VM}) }
+
+	// A1: the explicit NIL compare, on the eviction graft.
+	evictIters := max(cfg.EvictIters/2, 1000)
+	evict(class(tech.CompiledSafe), 16, evictIters, &res.EvictSafe)
+	evict(class(tech.CompiledSafeNil), 16, evictIters, &res.EvictSafeNil)
+	// A2: SFI load masking, on MD5.
+	md5(class(tech.CompiledSFI), &res.MD5SFI)
+	md5(class(tech.CompiledSFIFull), &res.MD5SFIFull)
 	// A3: fuel metering on/off for the two metered engines.
-	fuelPer := func(id tech.ID, fuel int64) (time.Duration, error) {
-		m := mem.New(grafts.PEMemSize)
-		g, err := tech.Load(id, grafts.PageEvict, m, tech.Options{Fuel: fuel, VM: cfg.VM})
-		if err != nil {
-			return 0, err
-		}
-		hh, err := newEvictHarnessWith(cfg, g, m)
-		if err != nil {
-			return 0, err
-		}
-		iters := max(cfg.EvictIters/10, 500)
-		for i := 0; i < 32; i++ {
-			if err := hh.invoke(); err != nil {
-				return 0, err
-			}
-		}
-		best := time.Duration(0)
-		for r := 0; r < max(cfg.Runs/3, 3); r++ {
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := hh.invoke(); err != nil {
-					return 0, err
-				}
-			}
-			d := time.Since(t0) / time.Duration(iters)
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
 	const budget = 1 << 20
-	if res.VMUnmetered, err = fuelPer(tech.Bytecode, 0); err != nil {
-		return nil, err
-	}
-	if res.VMMetered, err = fuelPer(tech.Bytecode, budget); err != nil {
-		return nil, err
-	}
-	if res.NativeUnmetered, err = fuelPer(tech.NativeUnsafe, 0); err != nil {
-		return nil, err
-	}
-	if res.NativeMetered, err = fuelPer(tech.NativeUnsafe, budget); err != nil {
-		return nil, err
-	}
-
+	fuelIters := max(cfg.EvictIters/10, 500)
+	evict(fuel(tech.Bytecode, 0), 32, fuelIters, &res.VMUnmetered)
+	evict(fuel(tech.Bytecode, budget), 32, fuelIters, &res.VMMetered)
+	evict(fuel(tech.NativeUnsafe, 0), 32, fuelIters, &res.NativeUnmetered)
+	evict(fuel(tech.NativeUnsafe, budget), 32, fuelIters, &res.NativeMetered)
 	// A4: translator variants, built directly on internal/vm so the
 	// translator's knobs (fusion, fuel granularity) can be toggled.
-	md5VM := func(baseline bool, oc vm.OptConfig) (time.Duration, error) {
-		prog, err := gel.ParseAndCheck(grafts.MD5.GEL)
-		if err != nil {
-			return 0, err
-		}
-		mod, err := compile.Compile(prog)
-		if err != nil {
-			return 0, err
-		}
-		m := mem.New(grafts.MDMemSize)
-		vmCfg := mem.Config{Policy: mem.PolicyChecked}
-		var g tech.Graft
-		if baseline {
-			v, err := vm.New(mod, m, vmCfg)
-			if err != nil {
-				return 0, err
-			}
-			g = v
-		} else {
-			v, err := vm.NewOpt(mod, m, vmCfg, oc)
-			if err != nil {
-				return 0, err
-			}
-			g = v
-		}
-		h, err := grafts.NewMD5Graft(g)
-		if err != nil {
-			return 0, err
-		}
-		best := time.Duration(0)
-		for r := 0; r < max(cfg.Runs/6, 2); r++ {
-			if err := h.Reset(); err != nil {
-				return 0, err
-			}
-			t0 := time.Now()
-			if _, err := h.Write(data); err != nil {
-				return 0, err
-			}
-			got, err := h.Sum()
-			d := time.Since(t0)
-			if err != nil {
-				return 0, err
-			}
-			if got != want {
-				return 0, fmt.Errorf("bench: vm ablation wrong digest")
-			}
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-	if res.VMBaselineMD5, err = md5VM(true, vm.OptConfig{}); err != nil {
-		return nil, err
-	}
-	if res.VMOptMD5, err = md5VM(false, vm.OptConfig{}); err != nil {
-		return nil, err
-	}
-	if res.VMNoFuseMD5, err = md5VM(false, vm.OptConfig{NoFuse: true}); err != nil {
-		return nil, err
-	}
-	if res.VMPerInstrMD5, err = md5VM(false, vm.OptConfig{PerInstrFuel: true}); err != nil {
-		return nil, err
-	}
-
+	md5(Translator(true, vm.OptConfig{}), &res.VMBaselineMD5)
+	md5(Translator(false, vm.OptConfig{}), &res.VMOptMD5)
+	md5(Translator(false, vm.OptConfig{NoFuse: true}), &res.VMNoFuseMD5)
+	md5(Translator(false, vm.OptConfig{PerInstrFuel: true}), &res.VMPerInstrMD5)
 	// A5: per-eval re-parse vs structural parse cache, on the eviction
 	// graft's Tcl translation.
-	scriptEvict := func(cache bool) (time.Duration, error) {
-		m := mem.New(grafts.PEMemSize)
-		g, err := tech.Load(tech.Script, grafts.PageEvict, m, tech.Options{ScriptParseCache: cache})
-		if err != nil {
-			return 0, err
-		}
-		hh, err := newEvictHarnessWith(cfg, g, m)
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < 8; i++ {
-			if err := hh.invoke(); err != nil {
-				return 0, err
-			}
-		}
-		iters := max(cfg.EvictIters/100, 50)
-		best := time.Duration(0)
-		for r := 0; r < max(cfg.Runs/3, 3); r++ {
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := hh.invoke(); err != nil {
-					return 0, err
-				}
-			}
-			d := time.Since(t0) / time.Duration(iters)
-			if best == 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-	if res.ScriptReparse, err = scriptEvict(false); err != nil {
-		return nil, err
-	}
-	if res.ScriptParseCache, err = scriptEvict(true); err != nil {
+	scriptIters := max(cfg.EvictIters/100, 50)
+	evict(Class(tech.Script, tech.Options{}), 8, scriptIters, &res.ScriptReparse)
+	evict(Class(tech.Script, tech.Options{ScriptParseCache: true}), 8, scriptIters, &res.ScriptParseCache)
+	if err != nil {
 		return nil, err
 	}
 
 	// A6: telemetry off vs on, on the compiled class (the fastest grafts,
 	// so the per-invocation counter cost is largest in relative terms).
-	// Instrumentation is a load-time decision, so one harness is loaded
-	// raw and one instrumented, then the timed rounds alternate between
-	// them: measuring the two sides back to back instead of in separate
-	// windows cancels the clock drift that otherwise dwarfs a 2% effect.
+	// Instrumentation is a load-time decision, so one scenario is loaded
+	// raw and one instrumented, then each pair is timed as two arms of
+	// one series: measuring the two sides in turns instead of in
+	// separate windows cancels the clock drift that otherwise dwarfs a
+	// 2% effect.
 	wasOn := telemetry.Enabled()
 	defer telemetry.SetEnabled(wasOn)
 	telemetry.SetEnabled(false)
-	hOff, err := newEvictHarness(cfg, tech.CompiledUnsafe, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer hOff.closer()
-	gOff, err := tech.Load(tech.CompiledUnsafe, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
-	if err != nil {
-		return nil, err
-	}
-	mdOff, err := grafts.NewMD5Graft(gOff)
-	if err != nil {
-		return nil, err
-	}
+	evOff := keep(EvictScenario(cfg, class(tech.CompiledUnsafe)))
+	mdOff := keep(MD5Scenario(class(tech.CompiledUnsafe), data))
 	telemetry.SetEnabled(true)
 	telemetry.ResetMetrics()
-	hOn, err := newEvictHarness(cfg, tech.CompiledUnsafe, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer hOn.closer()
-	gOn, err := tech.Load(tech.CompiledUnsafe, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
-	if err != nil {
-		return nil, err
-	}
-	mdOn, err := grafts.NewMD5Graft(gOn)
-	if err != nil {
-		return nil, err
-	}
+	evOn := keep(EvictScenario(cfg, class(tech.CompiledUnsafe)))
+	mdOn := keep(MD5Scenario(class(tech.CompiledUnsafe), data))
 	telemetry.SetEnabled(wasOn)
 
-	// A 2% effect on a ~250ns call is ~5ns, so this pair gets more
+	// A 2% effect on a ~250ns call is ~5ns, so these pairs get more
 	// rounds than the other ablations; at ~250ns per invocation the
 	// whole comparison still costs well under 100ms.
-	evictIters := max(cfg.EvictIters, 5000)
-	for _, h := range []*evictHarness{hOff, hOn} {
-		for i := 0; i < 16; i++ {
-			if err := h.invoke(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for r := 0; r < max(cfg.Runs, 10); r++ {
-		for _, side := range []struct {
-			h    *evictHarness
-			best *time.Duration
-		}{{hOff, &res.EvictTelemetryOff}, {hOn, &res.EvictTelemetryOn}} {
-			t0 := time.Now()
-			for i := 0; i < evictIters; i++ {
-				if err := side.h.invoke(); err != nil {
-					return nil, err
-				}
-			}
-			d := time.Since(t0) / time.Duration(evictIters)
-			if *side.best == 0 || d < *side.best {
-				*side.best = d
-			}
-		}
-	}
-	for r := 0; r < max(cfg.Runs/2, 6); r++ {
-		for _, side := range []struct {
-			h    *grafts.MD5Graft
-			best *time.Duration
-		}{{mdOff, &res.MD5TelemetryOff}, {mdOn, &res.MD5TelemetryOn}} {
-			if err := side.h.Reset(); err != nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			if _, err := side.h.Write(data); err != nil {
-				return nil, err
-			}
-			got, err := side.h.Sum()
-			d := time.Since(t0)
-			if err != nil {
-				return nil, err
-			}
-			if got != want {
-				return nil, fmt.Errorf("bench: telemetry ablation wrong digest")
-			}
-			if *side.best == 0 || d < *side.best {
-				*side.best = d
-			}
-		}
+	pairIters := max(cfg.EvictIters, 5000)
+	evictRounds, md5Rounds := max(cfg.Runs, 10), max(cfg.Runs/2, 6)
+	warm(16, evOff, evOn)
+	best(evictRounds, []arm{{evOff, pairIters, pairIters}, {evOn, pairIters, pairIters}},
+		&res.EvictTelemetryOff, &res.EvictTelemetryOn)
+	best(md5Rounds, []arm{{mdOff, 1, 1}, {mdOn, 1, 1}}, &res.MD5TelemetryOff, &res.MD5TelemetryOn)
+	if err != nil {
+		return nil, err
 	}
 
-	// A7: full observability stack vs metrics alone, interleaved like
-	// A6. The profiler is a load-time attachment (tech.Load hands the
+	// A7: full observability stack vs metrics alone, paired like A6.
+	// The profiler is a load-time attachment (tech.Load hands the
 	// engine its scope while a profile is installed), so the full-stack
-	// harness is loaded with a profiler installed; span recording is
+	// scenarios are loaded with a profiler installed; span recording is
 	// enabled for the whole timed window. The compiled eviction path has
 	// no sampling hook and no span emit point, so the pair demonstrates
 	// the stack stays off that hot path; the baseline side shares the
@@ -413,32 +212,14 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 	if _, err := telemetry.EnableProfiler(telemetry.DefaultProfileInterval); err != nil {
 		return nil, err
 	}
-	hFull, err := newEvictHarness(cfg, tech.CompiledUnsafe, false, 0)
-	if err != nil {
-		telemetry.DisableProfiler()
-		return nil, err
-	}
-	defer hFull.closer()
-	gVMProf, err := tech.Load(tech.Bytecode, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
-	if err != nil {
-		telemetry.DisableProfiler()
-		return nil, err
-	}
-	mdVMProf, err := grafts.NewMD5Graft(gVMProf)
-	if err != nil {
-		telemetry.DisableProfiler()
-		return nil, err
-	}
+	evFull := keep(EvictScenario(cfg, class(tech.CompiledUnsafe)))
+	mdVMProf := keep(MD5Scenario(class(tech.Bytecode), data))
 	telemetry.DisableProfiler()
-	gVMPlain, err := tech.Load(tech.Bytecode, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
-	if err != nil {
-		return nil, err
-	}
-	mdVMPlain, err := grafts.NewMD5Graft(gVMPlain)
-	if err != nil {
-		return nil, err
-	}
+	mdVMPlain := keep(MD5Scenario(class(tech.Bytecode), data))
 	telemetry.SetEnabled(wasOn)
+	if err != nil {
+		return nil, err
+	}
 
 	if _, err := telemetry.EnableProfiler(telemetry.DefaultProfileInterval); err != nil {
 		return nil, err
@@ -448,54 +229,12 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		telemetry.DisableSpans()
 		telemetry.DisableProfiler()
 	}()
-	for _, h := range []*evictHarness{hOn, hFull} {
-		for i := 0; i < 16; i++ {
-			if err := h.invoke(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for r := 0; r < max(cfg.Runs, 10); r++ {
-		for _, side := range []struct {
-			h    *evictHarness
-			best *time.Duration
-		}{{hOn, &res.EvictObsBase}, {hFull, &res.EvictObsFull}} {
-			t0 := time.Now()
-			for i := 0; i < evictIters; i++ {
-				if err := side.h.invoke(); err != nil {
-					return nil, err
-				}
-			}
-			d := time.Since(t0) / time.Duration(evictIters)
-			if *side.best == 0 || d < *side.best {
-				*side.best = d
-			}
-		}
-	}
-	for r := 0; r < max(cfg.Runs/2, 6); r++ {
-		for _, side := range []struct {
-			h    *grafts.MD5Graft
-			best *time.Duration
-		}{{mdVMPlain, &res.MD5VMProfOff}, {mdVMProf, &res.MD5VMProfOn}} {
-			if err := side.h.Reset(); err != nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			if _, err := side.h.Write(data); err != nil {
-				return nil, err
-			}
-			got, err := side.h.Sum()
-			d := time.Since(t0)
-			if err != nil {
-				return nil, err
-			}
-			if got != want {
-				return nil, fmt.Errorf("bench: profiler ablation wrong digest")
-			}
-			if *side.best == 0 || d < *side.best {
-				*side.best = d
-			}
-		}
+	warm(16, evOn, evFull)
+	best(evictRounds, []arm{{evOn, pairIters, pairIters}, {evFull, pairIters, pairIters}},
+		&res.EvictObsBase, &res.EvictObsFull)
+	best(md5Rounds, []arm{{mdVMPlain, 1, 1}, {mdVMProf, 1, 1}}, &res.MD5VMProfOff, &res.MD5VMProfOn)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

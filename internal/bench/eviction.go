@@ -4,15 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"graftlab/internal/grafts"
-	"graftlab/internal/kernel"
 	"graftlab/internal/lmb"
-	"graftlab/internal/mem"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
-	"graftlab/internal/telemetry"
-	"graftlab/internal/upcall"
-	"graftlab/internal/vclock"
 )
 
 // EvictRow is one technology's line in Table 2.
@@ -45,80 +39,6 @@ type EvictResult struct {
 	Rows        []EvictRow
 }
 
-// evictHarness prepares the fixed scenario the paper times: a resident
-// set whose LRU candidate is NOT on the application's 64-entry hot list,
-// so each invocation performs exactly one full hot-list search — "the
-// mean time required to search a 64 element hot list" (Table 2 caption).
-type evictHarness struct {
-	call     tech.Handle
-	argBuf   [1]uint32
-	headAddr uint32
-	wantPage uint32
-	closer   func()
-}
-
-func newEvictHarness(cfg Config, id tech.ID, useUpcall bool, upcallLatency time.Duration) (*evictHarness, error) {
-	m := mem.New(grafts.PEMemSize)
-	g, err := tech.Load(id, grafts.PageEvict, m, tech.Options{VM: cfg.VM})
-	if err != nil {
-		return nil, err
-	}
-	if !useUpcall {
-		return newEvictHarnessWith(cfg, g, m)
-	}
-	d := upcall.NewDomain(g, upcallLatency)
-	h, err := newEvictHarnessWith(cfg, d, m)
-	if err != nil {
-		d.Close()
-		return nil, err
-	}
-	h.closer = d.Close
-	return h, nil
-}
-
-// newEvictHarnessWith builds the Table 2 scenario around an already
-// loaded graft (so the caller controls load options like fuel): resident
-// pages 100..100+Frames, none of them hot, and a hot list of distinct
-// non-resident pages.
-func newEvictHarnessWith(cfg Config, g tech.Graft, m *mem.Memory) (*evictHarness, error) {
-	pager, err := kernel.NewPager(kernel.PagerConfig{
-		Frames: cfg.Frames, Mem: m, NodeBase: grafts.PELRUNodeBase,
-	}, &vclock.Clock{})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Frames; i++ {
-		if _, err := pager.Access(kernel.PageID(100 + i)); err != nil {
-			return nil, err
-		}
-	}
-	hotPages := make([]kernel.PageID, cfg.HotListLen)
-	for i := range hotPages {
-		hotPages[i] = kernel.PageID(500000 + i)
-	}
-	grafts.NewHotList(m).Set(hotPages)
-	return &evictHarness{
-		call:     tech.Resolve(g, "evict"),
-		headAddr: pager.HeadAddr(),
-		wantPage: 100, // LRU head: first page accessed
-		closer:   func() {},
-	}, nil
-}
-
-// invoke runs one eviction decision and validates the result. It calls
-// through the resolved entry, as a kernel hook point would.
-func (h *evictHarness) invoke() error {
-	h.argBuf[0] = h.headAddr
-	v, _, err := h.call(telemetry.SpanCtx{}, h.argBuf[:])
-	if err != nil {
-		return err
-	}
-	if v != h.wantPage {
-		return fmt.Errorf("bench: evict returned %d, want %d", v, h.wantPage)
-	}
-	return nil
-}
-
 // evictTechs are Table 2's columns, in paper order plus this repo's
 // additions (upcall row and ablation variants appear via dedicated rows).
 var evictTechs = []tech.ID{
@@ -134,38 +54,32 @@ func RunEviction(cfg Config) (*EvictResult, error) {
 	}
 	var base time.Duration
 
-	measure := func(name, paper string, h *evictHarness, iters int) error {
-		defer h.closer()
+	measure := func(name, paper string, load Loader, iters int) error {
+		sc, err := EvictScenario(cfg, load)
+		if err != nil {
+			return err
+		}
+		defer sc.Close()
 		// Within-run ramp: long enough to reach steady CPU frequency and
 		// warm caches, or the first-measured technology is unfairly
 		// penalized. Run-level warmup (cfg.WarmupRuns, discarded below)
 		// then covers the allocator/branch-predictor state a whole run
 		// perturbs.
-		warm := iters / 10
-		if warm < 64 {
-			warm = 64
-		}
+		warm := max(iters/10, 64)
 		deadline := time.Now().Add(20 * time.Millisecond)
 		for i := 0; i < warm || time.Now().Before(deadline); i++ {
-			if err := h.invoke(); err != nil {
+			if err := sc.Run(1); err != nil {
 				return err
 			}
 			if i > 1<<22 {
 				break
 			}
 		}
-		s, err := measureSeries(cfg.EffectiveWarmup(), cfg.Runs, func() (time.Duration, error) {
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := h.invoke(); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(t0) / time.Duration(iters), nil
-		})
+		ss, err := measureSeries(cfg.EffectiveWarmup(), cfg.Runs, arm{sc, iters, iters})
 		if err != nil {
 			return err
 		}
+		s := ss[0]
 		row := EvictRow{
 			Tech: name, PaperName: paper, Per: s.Mean, RelStd: s.RelStd, N: s.N,
 			P50: s.P50, P95: s.P95, P99: s.P99,
@@ -194,21 +108,14 @@ func RunEviction(cfg Config) (*EvictResult, error) {
 		if id == tech.Bytecode {
 			iters = max(cfg.EvictIters/10, 100)
 		}
-		h, err := newEvictHarness(cfg, id, false, 0)
-		if err != nil {
-			return nil, fmt.Errorf("eviction %s: %w", id, err)
-		}
-		if err := measure(string(id), tech.PaperName(id), h, iters); err != nil {
+		if err := measure(string(id), tech.PaperName(id), Class(id, tech.Options{VM: cfg.VM}), iters); err != nil {
 			return nil, fmt.Errorf("eviction %s: %w", id, err)
 		}
 	}
 	// The user-level-server row: the same compiled graft behind a real
 	// protection-domain crossing.
-	h, err := newEvictHarness(cfg, tech.CompiledUnsafe, true, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := measure("upcall-server", "C in user-level server", h, max(cfg.EvictIters/10, 100)); err != nil {
+	up := Upcall(tech.CompiledUnsafe, tech.Options{VM: cfg.VM}, 0)
+	if err := measure("upcall-server", "C in user-level server", up, max(cfg.EvictIters/10, 100)); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -122,29 +122,23 @@ func (r *Figure1Result) Table() *stats.Table {
 }
 
 // measureUpcallEvict times the eviction graft behind an upcall domain
-// with synthetic latency L, returning the mean per-invocation time.
+// with synthetic latency L: one run, after 16 untimed decisions, whose
+// mean per-invocation time it returns.
 func measureUpcallEvict(cfg Config, L time.Duration) (time.Duration, error) {
-	h, err := newEvictHarness(cfg, tech.CompiledUnsafe, true, L)
+	sc, err := EvictScenario(cfg, Upcall(tech.CompiledUnsafe, tech.Options{VM: cfg.VM}, L))
 	if err != nil {
 		return 0, err
 	}
-	defer h.closer()
-	iters := cfg.EvictIters / 100
-	if iters < 50 {
-		iters = 50
+	defer sc.Close()
+	if err := sc.Run(16); err != nil {
+		return 0, err
 	}
-	for i := 0; i < 16; i++ {
-		if err := h.invoke(); err != nil {
-			return 0, err
-		}
+	iters := max(cfg.EvictIters/100, 50)
+	ss, err := measureSeries(0, 1, arm{sc, iters, iters})
+	if err != nil {
+		return 0, err
 	}
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := h.invoke(); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(t0) / time.Duration(iters), nil
+	return ss[0].Mean, nil
 }
 
 // CSV renders the series for external plotting.

@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"graftlab/internal/disk"
-	"graftlab/internal/grafts"
 	"graftlab/internal/ld"
-	"graftlab/internal/mem"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
-	"graftlab/internal/upcall"
 	"graftlab/internal/vclock"
 	"graftlab/internal/workload"
 )
@@ -54,27 +51,17 @@ func RunLD(cfg Config) (*LDResult, error) {
 	res.SavedPerBlock = ldSavings(cfg)
 	var base time.Duration
 
-	measure := func(name, paper string, mapperFor func() (ld.Mapper, func(), error), writes int) error {
-		s, err := measureSeries(cfg.EffectiveWarmup(), cfg.Runs, func() (time.Duration, error) {
-			mapper, closer, err := mapperFor()
-			if err != nil {
-				return 0, err
-			}
-			if closer != nil {
-				defer closer()
-			}
-			stream := workload.NewSkewed(cfg.Geometry.Blocks, uint64(cfg.Seed))
-			t0 := time.Now()
-			for i := 0; i < writes; i++ {
-				if _, err := mapper.MapWrite(stream.Next()); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(t0), nil
-		})
+	measure := func(name, paper string, load Loader, writes, runs int) error {
+		sc, err := LDScenario(cfg, load)
 		if err != nil {
 			return err
 		}
+		defer sc.Close()
+		ss, err := measureSeries(cfg.EffectiveWarmup(), runs, arm{sc, writes, 1})
+		if err != nil {
+			return err
+		}
+		s := ss[0]
 		total := s.Mean
 		scaled := false
 		if writes != cfg.LDWrites {
@@ -96,7 +83,6 @@ func RunLD(cfg Config) (*LDResult, error) {
 	}
 
 	for _, id := range ldTechs {
-		id := id
 		writes := cfg.LDWrites
 		runs := cfg.Runs
 		switch id {
@@ -107,39 +93,15 @@ func RunLD(cfg Config) (*LDResult, error) {
 			writes = max(cfg.LDWrites/8, 1024)
 			runs = min(cfg.Runs, 5)
 		}
-		mk := func() (ld.Mapper, func(), error) {
-			g, err := tech.Load(id, grafts.LDMap, mem.New(grafts.LDMemSize), tech.Options{VM: cfg.VM})
-			if err != nil {
-				return nil, nil, err
-			}
-			gm, err := grafts.NewGraftMapper(g, cfg.Geometry.Blocks)
-			return gm, nil, err
-		}
-		saved := cfg.Runs
-		cfg.Runs = runs
-		err := measure(string(id), tech.PaperName(id), mk, writes)
-		cfg.Runs = saved
-		if err != nil {
+		if err := measure(string(id), tech.PaperName(id), Class(id, tech.Options{VM: cfg.VM}), writes, runs); err != nil {
 			return nil, fmt.Errorf("ld %s: %w", id, err)
 		}
 	}
 
 	// Upcall row: one domain crossing per block write, the paper's §5.6
 	// user-level-server analysis.
-	mkUp := func() (ld.Mapper, func(), error) {
-		g, err := tech.Load(tech.CompiledUnsafe, grafts.LDMap, mem.New(grafts.LDMemSize), tech.Options{})
-		if err != nil {
-			return nil, nil, err
-		}
-		d := upcall.NewDomain(g, 0)
-		gm, err := grafts.NewGraftMapper(d, cfg.Geometry.Blocks)
-		return gm, d.Close, err
-	}
-	saved := cfg.Runs
-	cfg.Runs = min(cfg.Runs, 5)
-	err := measure("upcall-server", "C in user-level server", mkUp, max(cfg.LDWrites/8, 1024))
-	cfg.Runs = saved
-	if err != nil {
+	up := Upcall(tech.CompiledUnsafe, tech.Options{}, 0)
+	if err := measure("upcall-server", "C in user-level server", up, max(cfg.LDWrites/8, 1024), min(cfg.Runs, 5)); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -39,11 +39,6 @@ const swapEvery = 64
 // loadable bytecode headline, and its verified-native AOT variant.
 var swapTechs = []tech.ID{tech.CompiledUnsafe, tech.Bytecode, tech.AOT}
 
-// swapMinSample: per-op times here are ns-scale; runs shorter than this
-// are timer noise, so the measured loop repeats the op block until one
-// run covers at least this much wall time (same guard as pktfilter-batch).
-const swapMinSample = 2 * time.Millisecond
-
 // SwapCell is one (technology, mode) measurement.
 type SwapCell struct {
 	// Mode is "direct", "slot", or "slot-swap".
@@ -112,33 +107,23 @@ func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
 		// measureMode times one run of `ops` invocations through op,
 		// repeating the block until a run is long enough to trust.
 		measureMode := func(mode string, op func() error) (SwapCell, error) {
-			// Calibrate: one untimed block sizes the timed sample so each
-			// measurement covers at least swapMinSample of wall time.
-			t0 := time.Now()
-			for i := 0; i < ops; i++ {
-				if err := op(); err != nil {
-					return SwapCell{}, err
-				}
-			}
-			iters := 1
-			if dt := time.Since(t0); dt > 0 && dt < swapMinSample {
-				iters = int(swapMinSample/dt) + 1
-				if iters > 500 {
-					iters = 500
-				}
-			}
-			s, err := measureSeries(cfg.EffectiveWarmup(), runs, func() (time.Duration, error) {
-				t0 := time.Now()
-				for i := 0; i < ops*iters; i++ {
+			sc := Scenario{Run: func(n int) error {
+				for i := 0; i < n; i++ {
 					if err := op(); err != nil {
-						return 0, err
+						return err
 					}
 				}
-				return time.Since(t0) / time.Duration(ops*iters), nil
-			})
+				return nil
+			}}
+			iters, err := calibrate(sc, ops)
 			if err != nil {
 				return SwapCell{}, err
 			}
+			ss, err := measureSeries(cfg.EffectiveWarmup(), runs, arm{sc, ops * iters, ops * iters})
+			if err != nil {
+				return SwapCell{}, err
+			}
+			s := ss[0]
 			cell := SwapCell{
 				Mode:  mode,
 				PerOp: s.Mean, RelStd: s.RelStd, N: s.N,

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"graftlab/internal/grafts"
-	"graftlab/internal/md5x"
-	"graftlab/internal/mem"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
-	"graftlab/internal/upcall"
 	"graftlab/internal/workload"
 )
 
@@ -52,7 +48,6 @@ func RunMD5(cfg Config) (*MD5Result, error) {
 	// The input is a deterministic function of the configured seed, so
 	// two runs of the same Config fingerprint identical bytes.
 	workload.FillPattern(data, uint32(cfg.Seed))
-	want := md5x.Of(data)
 
 	// Disk time for the full input, from the geometry: one seek then a
 	// streaming read (the paper's "1MB access time" in Table 4).
@@ -63,40 +58,17 @@ func RunMD5(cfg Config) (*MD5Result, error) {
 	res := &MD5Result{Bytes: cfg.MD5Bytes, DiskTime: diskTime}
 	var base time.Duration
 
-	measure := func(name, paper string, graft tech.Graft, closer func(), bytes int) error {
-		if closer != nil {
-			defer closer()
-		}
-		h, err := grafts.NewMD5Graft(graft)
+	measure := func(name, paper string, load Loader, bytes, runs int) error {
+		sc, err := MD5Scenario(load, data[:bytes])
 		if err != nil {
 			return err
 		}
-		input := data[:bytes]
-		wantDigest := want
-		if bytes != cfg.MD5Bytes {
-			wantDigest = md5x.Of(input)
-		}
-		s, err := measureSeries(cfg.EffectiveWarmup(), cfg.Runs, func() (time.Duration, error) {
-			if err := h.Reset(); err != nil {
-				return 0, err
-			}
-			t0 := time.Now()
-			if _, err := h.Write(input); err != nil {
-				return 0, err
-			}
-			got, err := h.Sum()
-			d := time.Since(t0)
-			if err != nil {
-				return 0, err
-			}
-			if got != wantDigest {
-				return 0, fmt.Errorf("bench: %s computed wrong digest", name)
-			}
-			return d, nil
-		})
+		defer sc.Close()
+		ss, err := measureSeries(cfg.EffectiveWarmup(), runs, arm{sc, 1, 1})
 		if err != nil {
 			return err
 		}
+		s := ss[0]
 		total := s.Mean
 		scaled := false
 		if bytes != cfg.MD5Bytes {
@@ -118,10 +90,6 @@ func RunMD5(cfg Config) (*MD5Result, error) {
 	}
 
 	for _, id := range md5Techs {
-		graft, err := tech.Load(id, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
-		if err != nil {
-			return nil, fmt.Errorf("md5 %s: %w", id, err)
-		}
 		bytes := cfg.MD5Bytes
 		runs := cfg.Runs
 		switch id {
@@ -131,11 +99,7 @@ func RunMD5(cfg Config) (*MD5Result, error) {
 		case tech.Bytecode:
 			runs = min(cfg.Runs, 5)
 		}
-		saved := cfg.Runs
-		cfg.Runs = runs
-		err = measure(string(id), tech.PaperName(id), graft, nil, bytes)
-		cfg.Runs = saved
-		if err != nil {
+		if err := measure(string(id), tech.PaperName(id), Class(id, tech.Options{VM: cfg.VM}), bytes, runs); err != nil {
 			return nil, fmt.Errorf("md5 %s: %w", id, err)
 		}
 	}
@@ -143,16 +107,8 @@ func RunMD5(cfg Config) (*MD5Result, error) {
 	// Upcall row: compiled graft behind a domain crossing; the host
 	// chunks at the buffer window, so ~Bytes/96KB upcalls total — the
 	// paper's "one upcall for every 64KB read from disk" analysis.
-	inner, err := tech.Load(tech.CompiledUnsafe, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{})
-	if err != nil {
-		return nil, err
-	}
-	d := upcall.NewDomain(inner, 0)
-	saved := cfg.Runs
-	cfg.Runs = min(cfg.Runs, 10)
-	err = measure("upcall-server", "C in user-level server", d, d.Close, cfg.MD5Bytes)
-	cfg.Runs = saved
-	if err != nil {
+	up := Upcall(tech.CompiledUnsafe, tech.Options{}, 0)
+	if err := measure("upcall-server", "C in user-level server", up, cfg.MD5Bytes, min(cfg.Runs, 10)); err != nil {
 		return nil, err
 	}
 	return res, nil

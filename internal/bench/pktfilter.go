@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"graftlab/internal/grafts"
-	"graftlab/internal/mem"
 	"graftlab/internal/netsim"
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
-	"graftlab/internal/telemetry"
-	"graftlab/internal/upcall"
 )
 
 // PFRow is one technology's line in the packet-filter experiment.
@@ -57,54 +53,20 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := grafts.ReferencePacketFilter(5001)
-	wantMatches := 0
-	for _, p := range trace {
-		if ref(p) {
-			wantMatches++
-		}
-	}
-
 	res := &PFResult{Packets: nPackets}
 	var base time.Duration
 
-	measure := func(name, paper string, g tech.Graft, closer func(), packets []netsim.Packet) error {
-		if closer != nil {
-			defer closer()
-		}
-		m := g.Memory()
-		grafts.ConfigurePacketFilter(m, 5001)
-		call := tech.Resolve(g, "filter")
-		args := make([]uint32, 1)
-		want := 0
-		for _, p := range packets {
-			if ref(p) {
-				want++
-			}
-		}
-		s, err := measureSeries(cfg.EffectiveWarmup(), cfg.Runs, func() (time.Duration, error) {
-			matches := 0
-			t0 := time.Now()
-			for _, p := range packets {
-				m.WriteAt(grafts.PFBufAddr, p)
-				args[0] = uint32(len(p))
-				v, _, err := call(telemetry.SpanCtx{}, args)
-				if err != nil {
-					return 0, err
-				}
-				if v != 0 {
-					matches++
-				}
-			}
-			d := time.Since(t0) / time.Duration(len(packets))
-			if matches != want {
-				return 0, fmt.Errorf("bench: %s matched %d packets, want %d", name, matches, want)
-			}
-			return d, nil
-		})
+	measure := func(name, paper string, load Loader, packets []netsim.Packet, runs int) error {
+		sc, err := PacketFilterScenario(load, packets)
 		if err != nil {
 			return err
 		}
+		defer sc.Close()
+		ss, err := measureSeries(cfg.EffectiveWarmup(), runs, arm{sc, len(packets), len(packets)})
+		if err != nil {
+			return err
+		}
+		s := ss[0]
 		if base == 0 {
 			base = s.Mean
 		}
@@ -131,31 +93,15 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 		case tech.Bytecode:
 			runs = min(cfg.Runs, 10)
 		}
-		g, err := tech.Load(id, grafts.PacketFilter, mem.New(grafts.PFMemSize), tech.Options{VM: cfg.VM})
-		if err != nil {
-			return nil, fmt.Errorf("pktfilter %s: %w", id, err)
-		}
-		saved := cfg.Runs
-		cfg.Runs = runs
-		err = measure(string(id), tech.PaperName(id), g, nil, packets)
-		cfg.Runs = saved
-		if err != nil {
+		if err := measure(string(id), tech.PaperName(id), Class(id, tech.Options{VM: cfg.VM}), packets, runs); err != nil {
 			return nil, fmt.Errorf("pktfilter %s: %w", id, err)
 		}
 	}
 
 	// Upcall row: one crossing per packet — the configuration whose cost
 	// motivated in-kernel packet filters in the first place [MOGUL87].
-	inner, err := tech.Load(tech.CompiledUnsafe, grafts.PacketFilter, mem.New(grafts.PFMemSize), tech.Options{})
-	if err != nil {
-		return nil, err
-	}
-	d := upcall.NewDomain(inner, 0)
-	saved := cfg.Runs
-	cfg.Runs = min(cfg.Runs, 5)
-	err = measure("upcall-server", "user-level packet filter", d, d.Close, trace[:min(len(trace), 2000)])
-	cfg.Runs = saved
-	if err != nil {
+	up := Upcall(tech.CompiledUnsafe, tech.Options{}, 0)
+	if err := measure("upcall-server", "user-level packet filter", up, trace[:min(len(trace), 2000)], min(cfg.Runs, 5)); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -67,12 +67,6 @@ type PFBatchResult struct {
 // the protocol.
 var pfBatchSizes = []int{1, 8, 32, 128}
 
-// pfBatchMinSample is the minimum wall time one measured run must cover.
-// Sub-100µs samples are dominated by timer granularity and scheduler
-// jitter; the measure loop repeats the trace until a run is at least
-// this long, then divides by the packets actually delivered.
-const pfBatchMinSample = 2 * time.Millisecond
-
 // pfBatchUpcallTechs are the loadable classes measured behind the
 // protection-domain boundary. Bytecode is the headline row: a loadable,
 // verifiable, non-native class whose batched user-level filter beats its
@@ -121,37 +115,31 @@ func RunPacketFilterBatch(cfg Config) (*PFBatchResult, error) {
 			}
 		}
 		for _, batch := range pfBatchSizes {
-			// Calibrate: one untimed pass sizes the timed sample so each
-			// measurement covers at least pfBatchMinSample of work. A bare
-			// trace pass over a fast in-kernel filter is ~10µs — pure timer
-			// noise — so short traces are repeated until the sample is long
-			// enough to trust.
-			t0 := time.Now()
-			pass(batch)
-			iters := 1
-			if dt := time.Since(t0); dt > 0 && dt < pfBatchMinSample {
-				iters = int(pfBatchMinSample/dt) + 1
-				if iters > 500 {
-					iters = 500
-				}
-			}
-			s, err := measureSeries(cfg.EffectiveWarmup(), runs, func() (time.Duration, error) {
+			// One operation is one pass over the trace; a run checks that
+			// its passes matched exactly the reference filter's frames.
+			sc := Scenario{Run: func(n int) error {
 				before := ep.Matched
-				t0 := time.Now()
-				for i := 0; i < iters; i++ {
+				for i := 0; i < n; i++ {
 					pass(batch)
 				}
-				elapsed := time.Since(t0)
-				per := elapsed / time.Duration(len(packets)*iters)
-				if ep.Matched-before != want*uint64(iters) || ep.Errors != 0 {
-					return 0, fmt.Errorf("bench: %s/%s matched %d packets (errors %d), want %d",
-						id, boundary, ep.Matched-before, ep.Errors, want*uint64(iters))
+				if ep.Matched-before != want*uint64(n) || ep.Errors != 0 {
+					return fmt.Errorf("bench: %s/%s matched %d packets (errors %d), want %d",
+						id, boundary, ep.Matched-before, ep.Errors, want*uint64(n))
 				}
-				return per, nil
-			})
+				return nil
+			}}
+			// A bare trace pass over a fast in-kernel filter is ~10µs —
+			// pure timer noise — so short traces are repeated until the
+			// sample is long enough to trust.
+			iters, err := calibrate(sc, 1)
 			if err != nil {
 				return err
 			}
+			ss, err := measureSeries(cfg.EffectiveWarmup(), runs, arm{sc, iters, len(packets) * iters})
+			if err != nil {
+				return err
+			}
+			s := ss[0]
 			cell := PFBatchCell{
 				Batch:     batch,
 				PerPacket: s.Mean, RelStd: s.RelStd, N: s.N,

@@ -8,29 +8,75 @@ import (
 )
 
 // This file is the suite runner's spine: the one measurement loop every
-// cell goes through (warmup discarded, then N timed runs), and the
-// declarative experiment matrix that replaces cmd/graftbench's hand-rolled
-// dispatch. Each ExperimentSpec knows how to populate its slot of a
-// Report and how to render it, so the CLI, the CSV/REPORT.md exporters,
-// and the regression gate all iterate the same list.
+// graft cell goes through (warmup discarded, then N timed rounds), and
+// the declarative experiment matrix that replaces cmd/graftbench's
+// hand-rolled dispatch. Each ExperimentSpec knows how to populate its
+// slot of a Report and how to render it, so the CLI, the CSV/REPORT.md
+// exporters, and the regression gate all iterate the same list.
 
-// measureSeries times one matrix cell: it runs f warmup+runs times and
-// summarizes only the measurement runs — the warmup samples, which paid
-// cache fills and frequency ramp, are dropped via stats.DiscardWarmup and
-// never reach an exported Sample. f returns the duration of one run.
-func measureSeries(warmup, runs int, f func() (time.Duration, error)) (stats.Sample, error) {
+// An arm is one timed side of a cell: n operations of a scenario per
+// run, whose time divided by per is the run's sample (per = n for the
+// time of one operation, 1 for the whole run's).
+type arm struct {
+	s      Scenario
+	n, per int
+}
+
+// measureSeries times one matrix cell: warmup+runs rounds, each running
+// every arm once — the arm's Reset untimed, then its n operations under
+// the clock. The arm that runs first rotates from round to round, so of
+// two arms each leads every other round and neither always runs right
+// after the other. Only the measurement rounds are summarized: the warmup
+// samples, which paid cache fills and frequency ramp, are dropped via
+// stats.DiscardWarmup and never reach an exported Sample. An error from
+// any arm ends the series. It returns one Sample per arm, in arm order.
+func measureSeries(warmup, runs int, arms ...arm) ([]stats.Sample, error) {
 	if warmup < 0 {
 		warmup = 0
 	}
-	times := make([]time.Duration, 0, warmup+runs)
-	for i := 0; i < warmup+runs; i++ {
-		d, err := f()
-		if err != nil {
-			return stats.Sample{}, err
+	times := make([][]time.Duration, len(arms))
+	for r := 0; r < warmup+runs; r++ {
+		for k := range arms {
+			i := (r + k) % len(arms)
+			a := arms[i]
+			if a.s.Reset != nil {
+				if err := a.s.Reset(); err != nil {
+					return nil, err
+				}
+			}
+			t0 := time.Now()
+			err := a.s.Run(a.n)
+			d := time.Since(t0)
+			if err != nil {
+				return nil, err
+			}
+			times[i] = append(times[i], d/time.Duration(a.per))
 		}
-		times = append(times, d)
 	}
-	return stats.Summarize(stats.DiscardWarmup(times, warmup)), nil
+	out := make([]stats.Sample, len(arms))
+	for i, t := range times {
+		out[i] = stats.Summarize(stats.DiscardWarmup(t, warmup))
+	}
+	return out, nil
+}
+
+// minRunTime is the least wall time one timed run of a ns-scale cell
+// must cover: shorter samples are dominated by timer granularity and
+// scheduler jitter.
+const minRunTime = 2 * time.Millisecond
+
+// calibrate times one run of n operations of sc, a one-round series,
+// and returns how many such runs one timed run must repeat (at most 500)
+// to cover minRunTime.
+func calibrate(sc Scenario, n int) (int, error) {
+	cal, err := measureSeries(0, 1, arm{sc, n, 1})
+	if err != nil {
+		return 0, err
+	}
+	if dt := cal[0].Mean; dt > 0 && dt < minRunTime {
+		return min(int(minRunTime/dt)+1, 500), nil
+	}
+	return 1, nil
 }
 
 // ExperimentSpec is one row of the declarative experiment matrix.

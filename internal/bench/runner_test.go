@@ -1,42 +1,93 @@
 package bench
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
 
+// coldRun is how long a fake arm's cold runs take.
+const coldRun = 10 * time.Millisecond
+
+// fakeArm is an arm that logs its name on every run, fails each run with
+// err, and is slow for exactly its first cold runs (cache fills,
+// frequency ramp) and instant after; if a cold run leaked into a
+// summary, Max would betray it.
+func fakeArm(name string, log *[]string, cold int, err error) arm {
+	calls := 0
+	return arm{s: Scenario{Run: func(n int) error {
+		*log = append(*log, name)
+		if calls++; calls <= cold {
+			time.Sleep(coldRun)
+		}
+		return err
+	}}, n: 1, per: 1}
+}
+
 // TestMeasureSeriesExcludesWarmup pins the suite's core statistical
-// contract: warmup runs execute but never reach the exported Sample.
-// The fake cell is slow for exactly the warmup runs; if any leaked into
-// the summary, Max (and the mean) would betray it.
+// contract: warmup rounds execute but never reach an exported Sample,
+// for one arm and for two.
 func TestMeasureSeriesExcludesWarmup(t *testing.T) {
 	const warmup, runs = 3, 5
-	calls := 0
-	s, err := measureSeries(warmup, runs, func() (time.Duration, error) {
-		calls++
-		if calls <= warmup {
-			return time.Second, nil // cold: cache fills, frequency ramp
+	for _, names := range [][]string{{"a"}, {"a", "b"}} {
+		var log []string
+		var arms []arm
+		for _, name := range names {
+			arms = append(arms, fakeArm(name, &log, warmup, nil))
 		}
-		return time.Millisecond, nil
-	})
-	if err != nil {
+		ss, err := measureSeries(warmup, runs, arms...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log) != len(arms)*(warmup+runs) {
+			t.Fatalf("%d arms: %d runs, want %d", len(arms), len(log), len(arms)*(warmup+runs))
+		}
+		for i, s := range ss {
+			if s.N != runs || s.Max >= coldRun {
+				t.Errorf("%d arms: arm %d summarized a warmup run: %+v", len(arms), i, s)
+			}
+		}
+	}
+
+	// Two arms: each round runs both, and each leads in half of the
+	// measured rounds, give or take one.
+	var log []string
+	if _, err := measureSeries(warmup, runs, fakeArm("a", &log, 0, nil), fakeArm("b", &log, 0, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if calls != warmup+runs {
-		t.Fatalf("f called %d times, want %d", calls, warmup+runs)
+	first := map[string]int{}
+	for r := warmup; r < warmup+runs; r++ {
+		if log[2*r] == log[2*r+1] {
+			t.Fatalf("round %d ran %v", r, log[2*r:2*r+2])
+		}
+		first[log[2*r]]++
 	}
-	if s.N != runs {
-		t.Fatalf("Sample.N = %d, want %d measurement runs (warmup leaked in)", s.N, runs)
+	for _, name := range []string{"a", "b"} {
+		if d := 2*first[name] - runs; d < -1 || d > 1 {
+			t.Errorf("arm %s ran first in %d of %d measured rounds", name, first[name], runs)
+		}
 	}
-	if s.Max != time.Millisecond || s.Mean != time.Millisecond {
-		t.Fatalf("warmup sample leaked into summary: %+v", s)
+
+	// An error from either arm ends the series and is returned.
+	boom := errors.New("boom")
+	for failing := range 2 {
+		var log []string
+		arms := []arm{fakeArm("a", &log, 0, nil), fakeArm("b", &log, 0, nil)}
+		arms[failing] = fakeArm("bad", &log, 0, boom)
+		if _, err := measureSeries(warmup, runs, arms...); !errors.Is(err, boom) {
+			t.Errorf("arm %d failing: err = %v, want %v", failing, err, boom)
+		}
+		if len(log) > 2 || log[len(log)-1] != "bad" {
+			t.Errorf("arm %d failing: the series went on after the error: %v", failing, log)
+		}
 	}
 }
 
 func TestMeasureSeriesNegativeWarmupClamped(t *testing.T) {
-	s, err := measureSeries(-2, 3, func() (time.Duration, error) { return time.Microsecond, nil })
-	if err != nil || s.N != 3 {
-		t.Fatalf("s=%+v err=%v", s, err)
+	var log []string
+	ss, err := measureSeries(-2, 3, fakeArm("a", &log, 0, nil))
+	if err != nil || ss[0].N != 3 || len(log) != 3 {
+		t.Fatalf("ss=%+v log=%v err=%v", ss, log, err)
 	}
 }
 

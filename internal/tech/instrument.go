@@ -48,7 +48,8 @@ type recorder struct {
 	met     *telemetry.GraftMetrics
 	mask    uint64 // sampling mask, captured at wrap time
 	quarErr error
-	n       uint64 // batched invocation count
+	n       uint64 // invocation count
+	flushed uint64 // the part of n already added to met
 	fuelAcc int64  // batched fuel
 	denied  bool   // cached quarantine verdict, refreshed at sampling points
 	t0      time.Time
@@ -78,10 +79,16 @@ func (r *recorder) sample() error {
 	r.n++
 	if r.n&r.mask == 0 {
 		r.denied = r.met.Quarantined()
-		r.met.AddInvocations(r.mask + 1)
+		r.flush()
 		r.t0 = time.Now()
 	}
 	return nil
+}
+
+// flush adds the invocations counted since the last flush to met.
+func (r *recorder) flush() {
+	r.met.AddInvocations(r.n - r.flushed)
+	r.flushed = r.n
 }
 
 // exit closes the invocation enter opened, batching the fuel it charged.
@@ -95,7 +102,8 @@ func (r *recorder) exit(err error, fuel int64) {
 
 // record is exit's slow path: it times a sampled call and flushes the
 // fuel at sampling points and on errors, so trap forensics see exact
-// fuel.
+// fuel. An error also flushes the invocation count, so every error lands
+// together with its invocation and trap ratios never exceed 1.
 func (r *recorder) record(err error) {
 	if r.n&r.mask == 0 {
 		r.met.RecordLatency(time.Since(r.t0))
@@ -103,6 +111,7 @@ func (r *recorder) record(err error) {
 	r.met.AddFuel(r.fuelAcc)
 	r.fuelAcc = 0
 	if err != nil {
+		r.flush()
 		r.met.RecordError(err)
 	}
 }

@@ -2,6 +2,7 @@ package tech
 
 import (
 	"testing"
+	"time"
 
 	"graftlab/internal/mem"
 	"graftlab/internal/telemetry"
@@ -156,5 +157,39 @@ func TestInstrumentedSharedAccumulator(t *testing.T) {
 	s := metricsFor(t, "inst-test", string(NativeUnsafe))
 	if s.Invocations != 2 {
 		t.Errorf("reloaded graft should share the accumulator: %d invocations, want 2", s.Invocations)
+	}
+}
+
+// TestInstrumentedErrorFlushesCount pins the error path of the batched
+// count under the default 1-in-256 sampling: every trapping call lands
+// in the invocation count with its trap, so the key is exported, its
+// windowed trap ratio is exactly 1, and the count stays exact across a
+// sampling point.
+func TestInstrumentedErrorFlushesCount(t *testing.T) {
+	telemetry.ResetMetrics()
+	telemetry.SetEnabled(true)
+	t.Cleanup(func() {
+		telemetry.SetEnabled(false)
+		telemetry.ResetMetrics()
+	})
+	g, err := Load(NativeSafe, instSrc, mem.New(1<<16), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for _, want := range []int{10, 300} {
+		for ; calls < want; calls++ {
+			if _, err := g.Invoke("oob"); err == nil {
+				t.Fatal("expected an out-of-bounds trap")
+			}
+		}
+		s := metricsFor(t, "inst-test", string(NativeSafe))
+		if s.Invocations != uint64(want) || s.Traps[mem.TrapOOBLoad.String()] != uint64(want) {
+			t.Errorf("after %d trapping calls: invocations %d, traps %v", want, s.Invocations, s.Traps)
+		}
+		w := telemetry.Register("inst-test", string(NativeSafe)).Window(time.Hour)
+		if w.TrapRatio != 1 {
+			t.Errorf("after %d trapping calls: windowed trap ratio %v, want 1", want, w.TrapRatio)
+		}
 	}
 }

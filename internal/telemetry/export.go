@@ -15,11 +15,11 @@ import (
 // can watch it. This file serves three views over the same registry —
 // a Prometheus text-format /metrics endpoint (cumulative counters plus
 // windowed gauges, the shape a real fleet would scrape), a
-// /debug/telemetry.json dump for humans and scripts, and an SSE /stream
-// that pushes per-window snapshots on an interval for live consumers
-// like cmd/graftmon. Everything is stdlib net/http; handlers only read
-// atomics, so scraping never perturbs the measured path beyond the
-// snapshot cost itself.
+// /debug/telemetry.json dump for humans, scripts and cmd/graftmon, and an
+// SSE /stream that pushes per-window snapshots on an interval for live
+// consumers (no in-repo client reads it). Everything is stdlib
+// net/http; handlers only read atomics, so scraping never perturbs the
+// measured path beyond the snapshot cost itself.
 
 // DefaultExportWindow is the window /metrics and /stream aggregate when
 // the request does not override it with ?window=; it matches the
@@ -258,8 +258,9 @@ func handleDebugJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream pushes one SSE event per interval: `data:` carries the
-// JSON []WindowSnapshot for the requested window. Consumers (graftmon,
-// curl -N) get a live per-window delta feed without polling /metrics.
+// JSON []WindowSnapshot for the requested window. Consumers (curl -N; no
+// in-repo client, graftmon polls /debug/telemetry.json) get a live
+// per-window delta feed without polling /metrics.
 func handleStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {

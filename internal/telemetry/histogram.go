@@ -132,53 +132,6 @@ func (h *Histogram) Reset() {
 	h.max.Store(0)
 }
 
-// Clone copies h bucket by bucket. Concurrent with writers the copy is
-// consistent-enough, like Merge; quiescent it is exact.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{}
-	for i := 0; i < numBuckets; i++ {
-		c.buckets[i].Store(h.buckets[i].Load())
-	}
-	c.count.Store(h.count.Load())
-	c.sum.Store(h.sum.Load())
-	c.max.Store(h.max.Load())
-	return c
-}
-
-// Sub removes older's samples from h bucket-wise, saturating at zero —
-// the inverse of Merge for deriving a window delta from two cumulative
-// snapshots (newer.Sub(older) leaves the samples recorded between the
-// two). Saturation makes the operation safe on snapshots taken racily:
-// a bucket can never go negative, it just bottoms out. The recorded
-// maximum is NOT subtractable — the largest sample of the delta window
-// is unknowable from bucket counts — so h keeps its own max, a
-// documented overestimate that Quantile's clamp still respects.
-func (h *Histogram) Sub(older *Histogram) {
-	if older == nil || older == h {
-		if older == h {
-			h.Reset()
-		}
-		return
-	}
-	sat := func(a, b uint64) uint64 {
-		if b > a {
-			return 0
-		}
-		return a - b
-	}
-	for i := 0; i < numBuckets; i++ {
-		if n := older.buckets[i].Load(); n > 0 {
-			h.buckets[i].Store(sat(h.buckets[i].Load(), n))
-		}
-	}
-	h.count.Store(sat(h.count.Load(), older.count.Load()))
-	hs, os := h.sum.Load(), older.sum.Load()
-	if os > hs {
-		os = hs
-	}
-	h.sum.Store(hs - os)
-}
-
 // Quantile estimates the q-th quantile (q in [0,1]) by nearest rank over
 // the buckets with linear interpolation inside the matched bucket. The
 // top estimate is clamped to the recorded maximum.

@@ -91,6 +91,37 @@ func TestHistogramMergeQuantiles(t *testing.T) {
 		t.Errorf("merged mean = %v, want %v", got, wantMean)
 	}
 
+	// Merge is exact bucket by bucket on overlapping populations (a
+	// multiplicative walk mod a prime), as the window ring's snapshot
+	// relies on.
+	gen := func(seed, n int) []time.Duration {
+		out := make([]time.Duration, n)
+		x := seed
+		for i := range out {
+			x = (x*48271 + 13) % 99991
+			out[i] = time.Duration(x) * time.Nanosecond
+		}
+		return out
+	}
+	var a, b, ab Histogram
+	for _, d := range gen(7, 500) {
+		a.Record(d)
+	}
+	for _, d := range gen(1234, 300) {
+		b.Record(d)
+	}
+	ab.Merge(&a)
+	ab.Merge(&b)
+	if ab.Count() != a.Count()+b.Count() || ab.sum.Load() != a.sum.Load()+b.sum.Load() {
+		t.Errorf("merge count %d sum %d, want %d and %d",
+			ab.Count(), ab.sum.Load(), a.Count()+b.Count(), a.sum.Load()+b.sum.Load())
+	}
+	for i := 0; i < numBuckets; i++ {
+		if got, want := ab.buckets[i].Load(), a.buckets[i].Load()+b.buckets[i].Load(); got != want {
+			t.Errorf("merged bucket %d = %d, want %d", i, got, want)
+		}
+	}
+
 	// Merging nil or self must be a no-op.
 	before := merged.Count()
 	merged.Merge(nil)
@@ -134,97 +165,19 @@ func TestHistogramQuantileClampsToMax(t *testing.T) {
 	}
 }
 
-func TestHistogramResetAndClone(t *testing.T) {
+func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 50; i++ {
 		h.Record(time.Duration(i+1) * time.Microsecond)
 	}
-	c := h.Clone()
-	if c.Count() != h.Count() || c.Max() != h.Max() || c.Quantile(0.5) != h.Quantile(0.5) {
-		t.Errorf("clone diverges: count %d/%d max %v/%v",
-			c.Count(), h.Count(), c.Max(), h.Max())
-	}
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 {
-		t.Errorf("reset left residue: count %d max %v", h.Count(), h.Max())
-	}
-	// The clone is independent of the reset original.
-	if c.Count() != 50 {
-		t.Errorf("clone count after original reset = %d, want 50", c.Count())
-	}
-}
-
-// TestHistogramMergeSubRoundTrip is the property test for the window
-// delta derivation: for histograms A and B, (A merged B).Sub(A) must
-// reproduce B's buckets, count, and sum exactly.
-func TestHistogramMergeSubRoundTrip(t *testing.T) {
-	// Deterministic pseudo-random-ish sample sets with overlapping
-	// buckets (multiplicative walk mod a prime).
-	gen := func(seed, n int) []time.Duration {
-		out := make([]time.Duration, n)
-		x := seed
-		for i := range out {
-			x = (x*48271 + 13) % 99991
-			out[i] = time.Duration(x) * time.Nanosecond
-		}
-		return out
-	}
-	var a, b Histogram
-	for _, d := range gen(7, 500) {
-		a.Record(d)
-	}
-	for _, d := range gen(1234, 300) {
-		b.Record(d)
-	}
-
-	sum := a.Clone()
-	sum.Merge(&b)
-	sum.Sub(&a)
-
-	if sum.Count() != b.Count() {
-		t.Fatalf("round-trip count = %d, want %d", sum.Count(), b.Count())
+	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.99) != 0 || h.sum.Load() != 0 {
+		t.Errorf("reset left residue: count %d max %v sum %d", h.Count(), h.Max(), h.sum.Load())
 	}
 	for i := 0; i < numBuckets; i++ {
-		if got, want := sum.buckets[i].Load(), b.buckets[i].Load(); got != want {
-			t.Errorf("bucket %d = %d, want %d", i, got, want)
+		if n := h.buckets[i].Load(); n != 0 {
+			t.Errorf("reset left bucket %d = %d", i, n)
 		}
-	}
-	if sum.sum.Load() != b.sum.Load() {
-		t.Errorf("round-trip sum = %d, want %d", sum.sum.Load(), b.sum.Load())
-	}
-	// Quantiles of the delta match B's within the documented max
-	// overestimate (max is not subtractable, so it may exceed B's).
-	if got := sum.Quantile(0.5); got > sum.Max() {
-		t.Errorf("delta p50 %v exceeds its max %v", got, sum.Max())
-	}
-}
-
-func TestHistogramSubSaturates(t *testing.T) {
-	// Subtracting a larger histogram bottoms out at zero everywhere —
-	// the racy-snapshot safety property.
-	var small, big Histogram
-	for i := 0; i < 10; i++ {
-		small.Record(time.Microsecond)
-	}
-	for i := 0; i < 100; i++ {
-		big.Record(time.Microsecond)
-	}
-	small.Sub(&big)
-	if small.Count() != 0 || small.sum.Load() != 0 {
-		t.Errorf("saturating sub left count=%d sum=%d", small.Count(), small.sum.Load())
-	}
-	if small.Quantile(0.99) != 0 {
-		t.Errorf("saturated histogram has nonzero quantile %v", small.Quantile(0.99))
-	}
-
-	// Sub(nil) is a no-op; Sub(self) empties.
-	big.Sub(nil)
-	if big.Count() != 100 {
-		t.Errorf("Sub(nil) changed count to %d", big.Count())
-	}
-	big.Sub(&big)
-	if big.Count() != 0 {
-		t.Errorf("Sub(self) left count %d", big.Count())
 	}
 }
 
