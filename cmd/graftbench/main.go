@@ -20,9 +20,9 @@
 //
 // -vm selects the bytecode engine for the vm rows: "opt" (default, the
 // load-time optimizing translator) or "baseline" (the reference
-// interpreter). -json writes machine-readable results (ns durations,
-// config, host info) to BENCH_<experiment>.json; -json-out overrides the
-// path.
+// interpreter). -json writes machine-readable results (the run's cells,
+// durations in ns, with its config and host info) to
+// BENCH_<experiment>.json; -json-out overrides the path.
 //
 // -telemetry enables per-graft invocation metrics (counters, traps, fuel,
 // sampled latency histograms; see docs/observability.md); the snapshots
@@ -42,12 +42,13 @@
 // paper scale, 1 with -quick) before its measured runs, and workload
 // inputs derive from -seed (default 1996), so a repeated invocation
 // measures identical work. -report-dir writes the suite artifacts —
-// results.json, results.csv (the flattened cell matrix), and REPORT.md
+// results.json, results.csv (one line per cell), and REPORT.md
 // (methodology, per-cell stability flags, and the regression-gate
 // verdicts when -check-against ran) — into the given directory.
 //
 // -check-against loads an archived BENCH_*.json and compares this run's
-// results against it (see internal/bench.CompareReports). A cell fails
+// cells against it (see internal/bench.CompareReports); a file with a
+// field the report schema lacks is refused by name. A cell fails
 // the gate only when it moved in the bad direction by more than
 // -check-tolerance AND the move is statistically significant relative to
 // the two samples' variance (|Cohen's d| >= -check-effect); a bad-looking
@@ -63,6 +64,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -284,8 +286,12 @@ func checkAgainst(report *bench.Report, path string, tol, effect float64) (*benc
 	if err != nil {
 		return nil, err
 	}
+	// A field the schema lacks (an old-format file's "table5", a typo)
+	// fails the decode by name rather than gating nothing.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var baseline bench.Report
-	if err := json.Unmarshal(data, &baseline); err != nil {
+	if err := dec.Decode(&baseline); err != nil {
 		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	cmp := bench.CompareReports(&baseline, report, bench.CompareOptions{
@@ -318,7 +324,7 @@ func checkAgainst(report *bench.Report, path string, tol, effect float64) (*benc
 }
 
 // writeReportArtifacts writes the suite outputs — results.json,
-// results.csv (the flattened cell matrix), and the generated REPORT.md —
+// results.csv (one line per cell), and the generated REPORT.md —
 // into dir, creating it if needed. cmp may be nil (no -check-against).
 func writeReportArtifacts(dir string, report *bench.Report, cmp *bench.Comparison, opts bench.ReportOptions) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -328,10 +334,9 @@ func writeReportArtifacts(dir string, report *bench.Report, cmp *bench.Compariso
 	if err != nil {
 		return err
 	}
-	cells := bench.Flatten(report, opts.CVThreshold)
 	for name, content := range map[string][]byte{
 		"results.json": data,
-		"results.csv":  []byte(bench.CSV(cells)),
+		"results.csv":  []byte(bench.CSV(report.Cells)),
 		"REPORT.md":    []byte(bench.GenerateReportMD(report, cmp, opts)),
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
@@ -374,15 +379,15 @@ func run(cfg bench.Config, experiment, csvPath, jsonPath string, quick bool) (*b
 			// timing loops.
 			continue
 		}
-		if err := spec.Run(cfg, report); err != nil {
+		cells, err := spec.Run(cfg, report.Cells)
+		if err != nil {
 			return nil, err
 		}
-		if out := spec.Render(report); out != "" {
-			fmt.Println(out)
-		}
+		report.Cells = append(report.Cells, cells...)
+		fmt.Println(spec.Render(cells))
 	}
-	if csvPath != "" && report.Figure1 != nil {
-		if err := os.WriteFile(csvPath, []byte(report.Figure1.CSV()), 0o644); err != nil {
+	if fig := bench.CellsOf(report.Cells, "figure1"); csvPath != "" && len(fig) > 0 {
+		if err := os.WriteFile(csvPath, []byte(bench.Figure1CSV(fig)), 0o644); err != nil {
 			return nil, err
 		}
 		fmt.Printf("figure 1 series written to %s\n\n", csvPath)

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"graftlab/internal/stats"
 	"graftlab/internal/tech"
@@ -11,72 +10,58 @@ import (
 	"graftlab/internal/workload"
 )
 
-// AblationResult isolates the two design choices the paper's text
-// analyzes inside its tables:
+// RunAblation isolates the design choices the paper's text analyzes
+// inside its tables, and the costs this repo's own machinery adds:
 //
-//   - §5.4: the Linux Modula-3 compiler emitted an explicit NIL check per
-//     pointer access (2.5x over C) where Solaris/Alpha relied on the
-//     hardware trap (1.1-1.4x). A1 measures checked memory with and
-//     without the explicit NIL compare, on the eviction graft.
-//   - §5.5: the Omniware beta sandboxed only writes and jumps; read
-//     protection would add a mask per load. A2 measures SFI with and
-//     without load masking, on MD5 (load-heavy) — the paper notes the
-//     missing read protection "gives it a performance advantage over
-//     Modula-3".
-//   - §4's preemption requirement ("we must be able to preempt an
-//     extension that runs too long") is not free: A3 measures the fuel
-//     metering each execution engine pays per eviction, on and off.
-type AblationResult struct {
-	EvictSafe    time.Duration // checked, hardware-trap NIL
-	EvictSafeNil time.Duration // checked + explicit NIL compare
-	MD5SFI       time.Duration // write/jump sandboxing only
-	MD5SFIFull   time.Duration // + load masking
-	MD5Bytes     int
-	// Fuel-metering cost per eviction, per engine.
-	VMUnmetered     time.Duration
-	VMMetered       time.Duration
-	NativeUnmetered time.Duration
-	NativeMetered   time.Duration
-	// A4: the optimizing bytecode translator, piece by piece, on MD5
-	// (the hottest bytecode workload): the baseline interpreter, the full
-	// translator, fusion disabled, and per-instruction instead of
-	// block-granular fuel.
-	VMBaselineMD5 time.Duration
-	VMOptMD5      time.Duration
-	VMNoFuseMD5   time.Duration
-	VMPerInstrMD5 time.Duration
-	// A5: the script class's defining cost, made explicit: eviction via
-	// Tcl with the paper's per-eval re-parse vs the opt-in structural
-	// parse cache (internal/script/cache.go).
-	ScriptReparse    time.Duration
-	ScriptParseCache time.Duration
-	// A6: the telemetry subsystem's own observer cost, holding it to its
-	// documented <=2% budget: the compiled eviction graft and the compiled
-	// MD5 stream with per-graft metrics off vs on.
-	EvictTelemetryOff time.Duration
-	EvictTelemetryOn  time.Duration
-	MD5TelemetryOff   time.Duration
-	MD5TelemetryOn    time.Duration
-	// A7: the profiler + causal span tracer, against the A6 metrics-on
-	// baseline. The compiled eviction hot path carries neither a
-	// sampling hook nor a span emit point, so the full observability
-	// stack must stay inside the same <=2% budget there; bytecode MD5
-	// is where the fuel-sampling hook actually fires, so its pair
-	// prices the profiler where it does real work.
-	EvictObsBase time.Duration // metrics on, profiler+spans off
-	EvictObsFull time.Duration // metrics + profiler + span tracing on
-	MD5VMProfOff time.Duration
-	MD5VMProfOn  time.Duration
-}
-
-// RunAblation measures the ablations. Each variant is a scenario timed
-// through measureSeries with no warmup rounds (the variant is pre-warmed
-// with a few untimed operations instead) and reports its best measured
-// run (Sample.Min): an ablation compares two variants' floors, which
-// the host's slow phases raise and never lower. The A6 and A7 pairs
-// each time their two sides as two arms of one series.
-func RunAblation(cfg Config) (*AblationResult, error) {
-	res := &AblationResult{MD5Bytes: cfg.MD5Bytes}
+//   - A1, §5.4: the Linux Modula-3 compiler emitted an explicit NIL check
+//     per pointer access (2.5x over C) where Solaris/Alpha relied on the
+//     hardware trap (1.1-1.4x): checked memory with and without the
+//     explicit NIL compare, on the eviction graft.
+//   - A2, §5.5: the Omniware beta sandboxed only writes and jumps; read
+//     protection would add a mask per load: SFI with and without load
+//     masking, on MD5 (load-heavy) — the paper notes the missing read
+//     protection "gives it a performance advantage over Modula-3".
+//   - A3, §4's preemption requirement ("we must be able to preempt an
+//     extension that runs too long") is not free: the fuel metering each
+//     execution engine pays per eviction, on and off.
+//   - A4: the optimizing bytecode translator, piece by piece, on MD5 (the
+//     hottest bytecode workload): the baseline interpreter, the full
+//     translator, fusion disabled, and per-instruction instead of
+//     block-granular fuel.
+//   - A5: the script class's defining cost, made explicit: eviction via
+//     Tcl with the paper's per-eval re-parse vs the opt-in structural
+//     parse cache (internal/script/cache.go).
+//   - A6: the telemetry subsystem's own observer cost, holding it to its
+//     documented <=2% budget: the compiled eviction graft and the
+//     compiled MD5 stream with per-graft metrics off vs on.
+//   - A7: the profiler + causal span tracer, against the A6 metrics-on
+//     baseline. The compiled eviction hot path carries neither a
+//     sampling hook nor a span emit point, so the full observability
+//     stack must stay inside the same <=2% budget there; bytecode MD5 is
+//     where the fuel-sampling hook actually fires, so its pair prices
+//     the profiler where it does real work.
+//
+// Each variant is a row named by its table label: best_ns, its best
+// measured run, with the series' run count, CV and percentiles, and
+// vs_sibling, that time over the first variant of its group (1 for the
+// first).
+//
+// Each variant is a scenario timed through measureSeries with no warmup
+// rounds (the variant is pre-warmed with a few untimed operations
+// instead) and reports its best measured run (Sample.Min): an ablation
+// compares two variants' floors, which the host's slow phases raise and
+// never lower. The A6 and A7 pairs each time their two sides as two arms
+// of one series.
+func RunAblation(cfg Config) ([]Cell, error) {
+	var (
+		evictSafe, evictSafeNil, md5SFI, md5SFIFull            stats.Sample
+		vmUnmetered, vmMetered, nativeUnmetered, nativeMetered stats.Sample
+		vmBaselineMD5, vmOptMD5, vmNoFuseMD5, vmPerInstrMD5    stats.Sample
+		scriptReparse, scriptParseCache                        stats.Sample
+		evictTelemetryOff, evictTelemetryOn                    stats.Sample
+		md5TelemetryOff, md5TelemetryOn                        stats.Sample
+		evictObsBase, evictObsFull, md5VMProfOff, md5VMProfOn  stats.Sample
+	)
 	data := make([]byte, cfg.MD5Bytes)
 	workload.FillPattern(data, 9)
 
@@ -108,8 +93,8 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		}
 	}
 	// best times the arms as one series of runs rounds and stores each
-	// arm's best run in the matching out slot.
-	best := func(runs int, arms []arm, out ...*time.Duration) {
+	// arm's sample in the matching out slot.
+	best := func(runs int, arms []arm, out ...*stats.Sample) {
 		if err != nil {
 			return
 		}
@@ -118,11 +103,11 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 			return
 		}
 		for i, s := range ss {
-			*out[i] = s.Min
+			*out[i] = s
 		}
 	}
 	// evict times one eviction variant in runs of iters decisions.
-	evict := func(load Loader, warmN, iters int, out *time.Duration) {
+	evict := func(load Loader, warmN, iters int, out *stats.Sample) {
 		if err != nil {
 			return
 		}
@@ -131,7 +116,7 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 		best(max(cfg.Runs/3, 3), []arm{{sc, iters, iters}}, out)
 	}
 	// md5 times one MD5 variant in whole fingerprints of data.
-	md5 := func(load Loader, out *time.Duration) {
+	md5 := func(load Loader, out *stats.Sample) {
 		if err != nil {
 			return
 		}
@@ -142,29 +127,29 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 
 	// A1: the explicit NIL compare, on the eviction graft.
 	evictIters := max(cfg.EvictIters/2, 1000)
-	evict(class(tech.CompiledSafe), 16, evictIters, &res.EvictSafe)
-	evict(class(tech.CompiledSafeNil), 16, evictIters, &res.EvictSafeNil)
+	evict(class(tech.CompiledSafe), 16, evictIters, &evictSafe)
+	evict(class(tech.CompiledSafeNil), 16, evictIters, &evictSafeNil)
 	// A2: SFI load masking, on MD5.
-	md5(class(tech.CompiledSFI), &res.MD5SFI)
-	md5(class(tech.CompiledSFIFull), &res.MD5SFIFull)
+	md5(class(tech.CompiledSFI), &md5SFI)
+	md5(class(tech.CompiledSFIFull), &md5SFIFull)
 	// A3: fuel metering on/off for the two metered engines.
 	const budget = 1 << 20
 	fuelIters := max(cfg.EvictIters/10, 500)
-	evict(fuel(tech.Bytecode, 0), 32, fuelIters, &res.VMUnmetered)
-	evict(fuel(tech.Bytecode, budget), 32, fuelIters, &res.VMMetered)
-	evict(fuel(tech.NativeUnsafe, 0), 32, fuelIters, &res.NativeUnmetered)
-	evict(fuel(tech.NativeUnsafe, budget), 32, fuelIters, &res.NativeMetered)
+	evict(fuel(tech.Bytecode, 0), 32, fuelIters, &vmUnmetered)
+	evict(fuel(tech.Bytecode, budget), 32, fuelIters, &vmMetered)
+	evict(fuel(tech.NativeUnsafe, 0), 32, fuelIters, &nativeUnmetered)
+	evict(fuel(tech.NativeUnsafe, budget), 32, fuelIters, &nativeMetered)
 	// A4: translator variants, built directly on internal/vm so the
 	// translator's knobs (fusion, fuel granularity) can be toggled.
-	md5(Translator(true, vm.OptConfig{}), &res.VMBaselineMD5)
-	md5(Translator(false, vm.OptConfig{}), &res.VMOptMD5)
-	md5(Translator(false, vm.OptConfig{NoFuse: true}), &res.VMNoFuseMD5)
-	md5(Translator(false, vm.OptConfig{PerInstrFuel: true}), &res.VMPerInstrMD5)
+	md5(Translator(true, vm.OptConfig{}), &vmBaselineMD5)
+	md5(Translator(false, vm.OptConfig{}), &vmOptMD5)
+	md5(Translator(false, vm.OptConfig{NoFuse: true}), &vmNoFuseMD5)
+	md5(Translator(false, vm.OptConfig{PerInstrFuel: true}), &vmPerInstrMD5)
 	// A5: per-eval re-parse vs structural parse cache, on the eviction
 	// graft's Tcl translation.
 	scriptIters := max(cfg.EvictIters/100, 50)
-	evict(Class(tech.Script, tech.Options{}), 8, scriptIters, &res.ScriptReparse)
-	evict(Class(tech.Script, tech.Options{ScriptParseCache: true}), 8, scriptIters, &res.ScriptParseCache)
+	evict(Class(tech.Script, tech.Options{}), 8, scriptIters, &scriptReparse)
+	evict(Class(tech.Script, tech.Options{ScriptParseCache: true}), 8, scriptIters, &scriptParseCache)
 	if err != nil {
 		return nil, err
 	}
@@ -194,8 +179,8 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 	evictRounds, md5Rounds := max(cfg.Runs, 10), max(cfg.Runs/2, 6)
 	warm(16, evOff, evOn)
 	best(evictRounds, []arm{{evOff, pairIters, pairIters}, {evOn, pairIters, pairIters}},
-		&res.EvictTelemetryOff, &res.EvictTelemetryOn)
-	best(md5Rounds, []arm{{mdOff, 1, 1}, {mdOn, 1, 1}}, &res.MD5TelemetryOff, &res.MD5TelemetryOn)
+		&evictTelemetryOff, &evictTelemetryOn)
+	best(md5Rounds, []arm{{mdOff, 1, 1}, {mdOn, 1, 1}}, &md5TelemetryOff, &md5TelemetryOn)
 	if err != nil {
 		return nil, err
 	}
@@ -231,16 +216,60 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 	}()
 	warm(16, evOn, evFull)
 	best(evictRounds, []arm{{evOn, pairIters, pairIters}, {evFull, pairIters, pairIters}},
-		&res.EvictObsBase, &res.EvictObsFull)
-	best(md5Rounds, []arm{{mdVMPlain, 1, 1}, {mdVMProf, 1, 1}}, &res.MD5VMProfOff, &res.MD5VMProfOn)
+		&evictObsBase, &evictObsFull)
+	best(md5Rounds, []arm{{mdVMPlain, 1, 1}, {mdVMProf, 1, 1}}, &md5VMProfOff, &md5VMProfOn)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+
+	// The table's rows in order: each group's first variant, then the
+	// variants compared with it.
+	md5KB := fmt.Sprintf("MD5 %dKB, ", cfg.MD5Bytes>>10)
+	groups := []struct {
+		labels []string
+		ss     []*stats.Sample
+	}{
+		{[]string{"eviction, checked (trap NIL)", "eviction, checked + explicit NIL"},
+			[]*stats.Sample{&evictSafe, &evictSafeNil}},
+		{[]string{md5KB + "SFI write/jump", md5KB + "SFI + read masking"},
+			[]*stats.Sample{&md5SFI, &md5SFIFull}},
+		{[]string{"eviction, bytecode VM unmetered", "eviction, bytecode VM + fuel"},
+			[]*stats.Sample{&vmUnmetered, &vmMetered}},
+		{[]string{"eviction, runtime codegen unmetered", "eviction, runtime codegen + fuel"},
+			[]*stats.Sample{&nativeUnmetered, &nativeMetered}},
+		{[]string{md5KB + "vm baseline interp", md5KB + "vm opt translator", md5KB + "vm opt - fusion", md5KB + "vm opt - block fuel"},
+			[]*stats.Sample{&vmBaselineMD5, &vmOptMD5, &vmNoFuseMD5, &vmPerInstrMD5}},
+		{[]string{"eviction, Tcl per-eval re-parse", "eviction, Tcl + parse cache"},
+			[]*stats.Sample{&scriptReparse, &scriptParseCache}},
+		{[]string{"eviction, compiled, telemetry off", "eviction, compiled, telemetry on"},
+			[]*stats.Sample{&evictTelemetryOff, &evictTelemetryOn}},
+		{[]string{md5KB + "compiled, telemetry off", md5KB + "compiled, telemetry on"},
+			[]*stats.Sample{&md5TelemetryOff, &md5TelemetryOn}},
+		{[]string{"eviction, compiled, metrics only", "eviction, compiled, + profiler + spans"},
+			[]*stats.Sample{&evictObsBase, &evictObsFull}},
+		{[]string{md5KB + "vm opt, profiler off", md5KB + "vm opt, profiler on"},
+			[]*stats.Sample{&md5VMProfOff, &md5VMProfOn}},
+	}
+	out := &cellList{exp: "ablation"}
+	for _, g := range groups {
+		first := g.ss[0].Min
+		for i, s := range g.ss {
+			out.sample(g.labels[i], "best_ns", s.Min, *s)
+			switch {
+			case i == 0:
+				out.add(g.labels[i], "vs_sibling", "ratio", 1)
+			case first > 0:
+				out.add(g.labels[i], "vs_sibling", "ratio", float64(s.Min)/float64(first))
+			}
+		}
+	}
+	return out.cells, nil
 }
 
-// Table renders both ablations.
-func (r *AblationResult) Table() *stats.Table {
+// ablationTable renders every ablation row with its ratio to the first
+// variant of its group.
+func ablationTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
 		Title:  "Ablations: NIL checks (§5.4), SFI read protection (§5.5), preemption (§4), telemetry",
 		Header: []string{"variant", "time", "vs sibling"},
@@ -252,33 +281,12 @@ func (r *AblationResult) Table() *stats.Table {
 			"profiler/span rows extend that budget to the full stack — the compiled hot\n" +
 			"path carries no sampling hook, bytecode MD5 pays the fuel-sampling tick.",
 	}
-	rel := func(a, b time.Duration) string {
-		if b == 0 {
-			return "N.A."
+	for _, row := range rowsWith(cells, "best_ns") {
+		vs := "N.A."
+		if c, ok := x.cell(row, "vs_sibling"); ok {
+			vs = fmt.Sprintf("%.2fx", c.Value)
 		}
-		return fmt.Sprintf("%.2fx", float64(a)/float64(b))
+		t.AddRow(row, stats.FormatDuration(x.dur(row, "best_ns")), vs)
 	}
-	t.AddRow("eviction, checked (trap NIL)", stats.FormatDuration(r.EvictSafe), "1.00x")
-	t.AddRow("eviction, checked + explicit NIL", stats.FormatDuration(r.EvictSafeNil), rel(r.EvictSafeNil, r.EvictSafe))
-	t.AddRow(fmt.Sprintf("MD5 %dKB, SFI write/jump", r.MD5Bytes>>10), stats.FormatDuration(r.MD5SFI), "1.00x")
-	t.AddRow(fmt.Sprintf("MD5 %dKB, SFI + read masking", r.MD5Bytes>>10), stats.FormatDuration(r.MD5SFIFull), rel(r.MD5SFIFull, r.MD5SFI))
-	t.AddRow("eviction, bytecode VM unmetered", stats.FormatDuration(r.VMUnmetered), "1.00x")
-	t.AddRow("eviction, bytecode VM + fuel", stats.FormatDuration(r.VMMetered), rel(r.VMMetered, r.VMUnmetered))
-	t.AddRow("eviction, runtime codegen unmetered", stats.FormatDuration(r.NativeUnmetered), "1.00x")
-	t.AddRow("eviction, runtime codegen + fuel", stats.FormatDuration(r.NativeMetered), rel(r.NativeMetered, r.NativeUnmetered))
-	t.AddRow(fmt.Sprintf("MD5 %dKB, vm baseline interp", r.MD5Bytes>>10), stats.FormatDuration(r.VMBaselineMD5), "1.00x")
-	t.AddRow(fmt.Sprintf("MD5 %dKB, vm opt translator", r.MD5Bytes>>10), stats.FormatDuration(r.VMOptMD5), rel(r.VMOptMD5, r.VMBaselineMD5))
-	t.AddRow(fmt.Sprintf("MD5 %dKB, vm opt - fusion", r.MD5Bytes>>10), stats.FormatDuration(r.VMNoFuseMD5), rel(r.VMNoFuseMD5, r.VMBaselineMD5))
-	t.AddRow(fmt.Sprintf("MD5 %dKB, vm opt - block fuel", r.MD5Bytes>>10), stats.FormatDuration(r.VMPerInstrMD5), rel(r.VMPerInstrMD5, r.VMBaselineMD5))
-	t.AddRow("eviction, Tcl per-eval re-parse", stats.FormatDuration(r.ScriptReparse), "1.00x")
-	t.AddRow("eviction, Tcl + parse cache", stats.FormatDuration(r.ScriptParseCache), rel(r.ScriptParseCache, r.ScriptReparse))
-	t.AddRow("eviction, compiled, telemetry off", stats.FormatDuration(r.EvictTelemetryOff), "1.00x")
-	t.AddRow("eviction, compiled, telemetry on", stats.FormatDuration(r.EvictTelemetryOn), rel(r.EvictTelemetryOn, r.EvictTelemetryOff))
-	t.AddRow(fmt.Sprintf("MD5 %dKB, compiled, telemetry off", r.MD5Bytes>>10), stats.FormatDuration(r.MD5TelemetryOff), "1.00x")
-	t.AddRow(fmt.Sprintf("MD5 %dKB, compiled, telemetry on", r.MD5Bytes>>10), stats.FormatDuration(r.MD5TelemetryOn), rel(r.MD5TelemetryOn, r.MD5TelemetryOff))
-	t.AddRow("eviction, compiled, metrics only", stats.FormatDuration(r.EvictObsBase), "1.00x")
-	t.AddRow("eviction, compiled, + profiler + spans", stats.FormatDuration(r.EvictObsFull), rel(r.EvictObsFull, r.EvictObsBase))
-	t.AddRow(fmt.Sprintf("MD5 %dKB, vm opt, profiler off", r.MD5Bytes>>10), stats.FormatDuration(r.MD5VMProfOff), "1.00x")
-	t.AddRow(fmt.Sprintf("MD5 %dKB, vm opt, profiler on", r.MD5Bytes>>10), stats.FormatDuration(r.MD5VMProfOn), rel(r.MD5VMProfOn, r.MD5VMProfOff))
 	return t
 }

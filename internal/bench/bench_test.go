@@ -32,43 +32,57 @@ func tiny() Config {
 	return c
 }
 
+// timedRows returns the rows holding metric with their index.
+func timedRows(t *testing.T, cells []Cell, metric string, want int) ([]string, cellIndex) {
+	t.Helper()
+	rows := rowsWith(cells, metric)
+	if len(rows) != want {
+		t.Fatalf("%d rows of %s, want %d", len(rows), metric, want)
+	}
+	return rows, indexCells(cells)
+}
+
+// p50 is a timed cell's median run.
+func p50(x cellIndex, row, metric string) time.Duration {
+	c, _ := x.cell(row, metric)
+	return time.Duration(c.P50)
+}
+
 func TestRunEvictionShape(t *testing.T) {
 	// The ordering checks below compare medians over 7 runs: one run of
 	// 200 evictions is a window of tens of microseconds, which a single
 	// disturbance (GC, a neighbour's burst) can inflate many times over.
 	cfg := tiny()
 	cfg.Runs = 7
-	res, err := RunEviction(cfg)
+	cells, err := RunEviction(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(evictTechs)+1 { // + upcall row
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	byTech := map[string]EvictRow{}
-	for _, r := range res.Rows {
-		byTech[r.Tech] = r
-		if r.Per <= 0 {
-			t.Errorf("%s: nonpositive time", r.Tech)
+	rows, x := timedRows(t, cells, "per_eviction_ns", len(evictTechs)+1) // + upcall row
+	for _, r := range rows {
+		if x.v(r, "per_eviction_ns") <= 0 {
+			t.Errorf("%s: nonpositive time", r)
 		}
-		if r.BreakEven <= 0 {
-			t.Errorf("%s: nonpositive break-even", r.Tech)
+		if x.v(r, "break_even") <= 0 {
+			t.Errorf("%s: nonpositive break-even", r)
 		}
 	}
-	native := byTech[string(tech.CompiledUnsafe)]
-	if native.Normalized != 1.0 {
-		t.Errorf("native normalized = %v", native.Normalized)
+	native := string(tech.CompiledUnsafe)
+	if n := x.v(native, "normalized"); n != 1.0 {
+		t.Errorf("native normalized = %v", n)
+	}
+	if x.v("", "hot_list_len") != float64(cfg.HotListLen) {
+		t.Errorf("hot_list_len = %v", x.v("", "hot_list_len"))
 	}
 	// Ordering invariants from the paper: script >> bytecode > compiled.
-	if byTech[string(tech.Script)].P50 < 20*native.P50 {
-		t.Errorf("script p50 (%v) not >> native p50 (%v)", byTech[string(tech.Script)].P50, native.P50)
+	if s, n := p50(x, string(tech.Script), "per_eviction_ns"), p50(x, native, "per_eviction_ns"); s < 20*n {
+		t.Errorf("script p50 (%v) not >> native p50 (%v)", s, n)
 	}
-	if byTech[string(tech.Bytecode)].P50 < 2*native.P50 {
-		t.Errorf("bytecode p50 (%v) not clearly slower than compiled p50 (%v)",
-			byTech[string(tech.Bytecode)].P50, native.P50)
+	if b, n := p50(x, string(tech.Bytecode), "per_eviction_ns"), p50(x, native, "per_eviction_ns"); b < 2*n {
+		t.Errorf("bytecode p50 (%v) not clearly slower than compiled p50 (%v)", b, n)
 	}
 	// Table renders.
-	out := res.Table().String()
+	out := evictionTable(cells).String()
 	for _, want := range []string{"Table 2", "compiled-unsafe", "break-even"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table lacks %q", want)
@@ -77,60 +91,50 @@ func TestRunEvictionShape(t *testing.T) {
 }
 
 func TestRunMD5Shape(t *testing.T) {
-	res, err := RunMD5(tiny())
+	cells, err := RunMD5(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(md5Techs)+1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	var native, script MD5Row
-	for _, r := range res.Rows {
-		if r.Tech == string(tech.CompiledUnsafe) {
-			native = r
-		}
-		if r.Tech == string(tech.Script) {
-			script = r
-		}
-	}
-	if native.Total <= 0 || script.Total <= 0 {
+	_, x := timedRows(t, cells, "total_ns", len(md5Techs)+1)
+	native, script := x.v(string(tech.CompiledUnsafe), "total_ns"), x.v(string(tech.Script), "total_ns")
+	if native <= 0 || script <= 0 {
 		t.Fatal("nonpositive totals")
 	}
-	if !script.Scaled {
+	if _, ok := x.cell(string(tech.Script), "scaled_by"); !ok {
 		t.Error("script row should be marked scaled")
 	}
-	if script.Total < 50*native.Total {
-		t.Errorf("script MD5 (%v) not orders slower than native (%v)", script.Total, native.Total)
+	if _, ok := x.cell(string(tech.CompiledUnsafe), "scaled_by"); ok {
+		t.Error("full-size row marked scaled")
 	}
-	if !strings.Contains(res.Table().String(), "MD5/disk") {
+	if script < 50*native {
+		t.Errorf("script MD5 (%v) not orders slower than native (%v)", time.Duration(script), time.Duration(native))
+	}
+	if !strings.Contains(md5Table(cells).String(), "MD5/disk") {
 		t.Error("table lacks MD5/disk column")
 	}
 }
 
 func TestRunLDShape(t *testing.T) {
-	res, err := RunLD(tiny())
+	cells, err := RunLD(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(ldTechs)+1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if res.SavedPerBlock <= 0 {
+	rows, x := timedRows(t, cells, "total_ns", len(ldTechs)+1)
+	saved := x.dur("", "saved_per_block_ns")
+	if saved <= 0 {
 		t.Error("log layer saves nothing per block?")
 	}
-	for _, r := range res.Rows {
-		if r.PerBlock <= 0 {
-			t.Errorf("%s: nonpositive per-block", r.Tech)
+	for _, r := range rows {
+		if x.v(r, "per_block_ns") <= 0 {
+			t.Errorf("%s: nonpositive per-block", r)
 		}
 	}
 	// The paper's conclusion: compiled per-block overhead is far below
 	// the virtual seek-time budget.
-	for _, r := range res.Rows {
-		if r.Tech == string(tech.CompiledUnsafe) && time.Duration(r.PerBlock) > res.SavedPerBlock {
-			t.Errorf("compiled per-block %v exceeds savings %v", r.PerBlock, res.SavedPerBlock)
-		}
+	if per := x.dur(string(tech.CompiledUnsafe), "per_block_ns"); per > saved {
+		t.Errorf("compiled per-block %v exceeds savings %v", per, saved)
 	}
-	if !strings.Contains(res.Table().String(), "Table 6") {
+	if !strings.Contains(ldTable(cells).String(), "Table 6") {
 		t.Error("table title missing")
 	}
 }
@@ -141,13 +145,14 @@ func TestRunSignalAndFaultAndDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sig.Crossing <= 0 {
+	x := indexCells(sig)
+	if x.v("", "crossing_ns") <= 0 {
 		t.Error("crossing nonpositive")
 	}
-	if sig.SignalErr == nil && sig.PerSignal < 0 {
-		t.Error("negative per-signal")
+	if c, ok := x.cell("", "per_signal_ns"); ok && c.Value <= 0 {
+		t.Error("nonpositive per-signal")
 	}
-	if !strings.Contains(sig.Table().String(), "Table 1") {
+	if !strings.Contains(signalTable(sig).String(), "Table 1") {
 		t.Error("table 1 title missing")
 	}
 
@@ -155,13 +160,14 @@ func TestRunSignalAndFaultAndDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ft.Measured <= 0 || ft.Simulated <= 0 {
-		t.Errorf("fault result %+v", ft)
+	x = indexCells(ft)
+	if x.v("", "measured_fault_ns") <= 0 || x.v("", "simulated_fault_ns") <= 0 {
+		t.Errorf("fault cells %+v", ft)
 	}
-	if ft.Simulated < 5*time.Millisecond {
-		t.Errorf("simulated fault %v implausibly small for a 90s disk", ft.Simulated)
+	if sim := x.dur("", "simulated_fault_ns"); sim < 5*time.Millisecond {
+		t.Errorf("simulated fault %v implausibly small for a 90s disk", sim)
 	}
-	if !strings.Contains(ft.Table().String(), "Table 3") {
+	if !strings.Contains(faultTable(ft).String(), "Table 3") {
 		t.Error("table 3 title missing")
 	}
 
@@ -169,14 +175,15 @@ func TestRunSignalAndFaultAndDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dk.ModelBW <= 0 || dk.Model1MB <= 0 {
-		t.Errorf("disk result %+v", dk)
+	x = indexCells(dk)
+	if x.v("", "model_bw") <= 0 || x.v("", "model_1mb_ns") <= 0 {
+		t.Errorf("disk cells %+v", dk)
 	}
 	// The model disk should deliver 1-5 MB/s, the paper's band.
-	if dk.ModelBW < 1<<20 || dk.ModelBW > 5<<20 {
-		t.Errorf("model bandwidth %d outside 1-5 MB/s band", dk.ModelBW)
+	if bw := x.v("", "model_bw"); bw < 1<<20 || bw > 5<<20 {
+		t.Errorf("model bandwidth %v outside 1-5 MB/s band", bw)
 	}
-	if !strings.Contains(dk.Table().String(), "Table 4") {
+	if !strings.Contains(diskTable(dk).String(), "Table 4") {
 		t.Error("table 4 title missing")
 	}
 }
@@ -191,23 +198,24 @@ func TestRunFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Points) != 26 {
-		t.Fatalf("points = %d", len(fig.Points))
-	}
+	points, x := timedRows(t, fig, "break_even", 26)
 	// Break-even is monotonically decreasing in upcall time.
-	for i := 1; i < len(fig.Points); i++ {
-		if fig.Points[i].BreakEven > fig.Points[i-1].BreakEven {
+	for i := 1; i < len(points); i++ {
+		if x.v(points[i], "break_even") > x.v(points[i-1], "break_even") {
 			t.Fatalf("curve not monotone at %d", i)
 		}
 	}
-	if fig.Points[0].BreakEven <= fig.Points[len(fig.Points)-1].BreakEven*2 {
+	if x.v(points[0], "break_even") <= x.v(points[len(points)-1], "break_even")*2 {
 		t.Error("curve suspiciously flat")
 	}
-	csv := fig.CSV()
+	if got := len(rowsWith(fig, "measured_break_even")); got != 6 {
+		t.Errorf("%d measured points, want 6 (every 10µs)", got)
+	}
+	csv := Figure1CSV(fig)
 	if !strings.Contains(csv, "upcall_us") || strings.Count(csv, "\n") != 27 {
 		t.Errorf("csv malformed:\n%s", csv)
 	}
-	if !strings.Contains(fig.Table().String(), "Figure 1") {
+	if !strings.Contains(figure1Table(fig).String(), "Figure 1") {
 		t.Error("figure table missing title")
 	}
 }
@@ -215,52 +223,52 @@ func TestRunFigure1(t *testing.T) {
 func TestRunPacketFilterShape(t *testing.T) {
 	cfg := tiny()
 	cfg.Runs = 7 // the ordering check compares per-row medians
-	res, err := RunPacketFilter(cfg)
+	cells, err := RunPacketFilter(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(pfBenchTechs)+1 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	byTech := map[string]PFRow{}
-	for _, r := range res.Rows {
-		byTech[r.Tech] = r
-		if r.PerPacket <= 0 || r.PacketsPerSec <= 0 {
-			t.Errorf("%s: nonpositive measurement", r.Tech)
+	rows, x := timedRows(t, cells, "per_packet_ns", len(pfBenchTechs)+1)
+	for _, r := range rows {
+		if x.v(r, "per_packet_ns") <= 0 || x.v(r, "pkts_per_sec") <= 0 {
+			t.Errorf("%s: nonpositive measurement", r)
 		}
 	}
-	if byTech[string(tech.Script)].P50 < 10*byTech[string(tech.CompiledUnsafe)].P50 {
-		t.Errorf("script p50 (%v) not >> compiled p50 (%v)",
-			byTech[string(tech.Script)].P50, byTech[string(tech.CompiledUnsafe)].P50)
+	if s, c := p50(x, string(tech.Script), "per_packet_ns"), p50(x, string(tech.CompiledUnsafe), "per_packet_ns"); s < 10*c {
+		t.Errorf("script p50 (%v) not >> compiled p50 (%v)", s, c)
 	}
-	if !strings.Contains(res.Table().String(), "Packet Filter") {
+	if !strings.Contains(packetFilterTable(cells).String(), "Packet Filter") {
 		t.Error("table title missing")
 	}
 }
 
 func TestRunAblation(t *testing.T) {
 	cfg := tiny()
-	ab, err := RunAblation(cfg)
+	cells, err := RunAblation(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ab.EvictSafe <= 0 || ab.EvictSafeNil <= 0 || ab.MD5SFI <= 0 || ab.MD5SFIFull <= 0 {
-		t.Fatalf("ablation %+v", ab)
+	rows, x := timedRows(t, cells, "best_ns", 22)
+	for _, r := range rows {
+		if x.v(r, "best_ns") <= 0 {
+			t.Errorf("%s: nonpositive best run", r)
+		}
+		if x.v(r, "vs_sibling") <= 0 {
+			t.Errorf("%s: no ratio to its sibling", r)
+		}
 	}
-	if ab.VMMetered <= 0 || ab.VMUnmetered <= 0 || ab.NativeMetered <= 0 || ab.NativeUnmetered <= 0 {
-		t.Fatalf("fuel ablation %+v", ab)
-	}
-	if ab.EvictTelemetryOff <= 0 || ab.EvictTelemetryOn <= 0 ||
-		ab.MD5TelemetryOff <= 0 || ab.MD5TelemetryOn <= 0 {
-		t.Fatalf("telemetry ablation %+v", ab)
+	// A6's telemetry-budget pair lands in the cells with its ratio.
+	if x.v("eviction, compiled, telemetry off", "vs_sibling") != 1 ||
+		x.v("eviction, compiled, telemetry on", "vs_sibling") <= 0 {
+		t.Errorf("telemetry pair cells missing: %+v", cells)
 	}
 	if telemetry.Enabled() {
 		t.Error("ablation left telemetry enabled")
 	}
-	if !strings.Contains(ab.Table().String(), "NIL") {
+	out := ablationTable(cells).String()
+	if !strings.Contains(out, "NIL") {
 		t.Error("ablation table missing")
 	}
-	if !strings.Contains(ab.Table().String(), "telemetry") {
+	if !strings.Contains(out, "telemetry") {
 		t.Error("ablation table missing telemetry rows")
 	}
 }

@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
+	"time"
 
 	"graftlab/internal/stats"
 )
@@ -16,7 +18,7 @@ import (
 // threshold). A noisy cell whose confidence interval swallows the move
 // reads "noise", not "regression" — and cannot pass or fail by luck.
 // Improvements never fail the gate. The gate reads only cells: the ones
-// Flatten marks with a Gate, matched by (experiment, row, metric).
+// each experiment's Gate names, matched by (experiment, row, metric).
 // Everything the comparison could NOT check is reported explicitly:
 // skipped experiments, rows absent from either report, and
 // raw-vs-normalized fallbacks all land in the skip summary instead of
@@ -166,9 +168,6 @@ type comparer struct {
 	out Comparison // result under construction
 	tol float64
 	eff float64
-	// Run-count fallbacks for old-schema rows that lack per-row N: the
-	// report's configured Runs, per side.
-	baseN, curN int
 }
 
 func (c *comparer) skip(exp, row, reason string) {
@@ -179,23 +178,12 @@ func (c *comparer) note(exp, row, reason string) {
 	c.out.Notes = append(c.out.Notes, Skip{Experiment: exp, Row: row, Reason: reason})
 }
 
-// compare gates one cell against its baseline, on the normalized values
-// when the two runs measured different workload sizes.
-func (c *comparer) compare(base, cur Cell, normalized bool) {
-	metric, was, now := cur.Metric, base.Value, cur.Value
-	if normalized {
-		metric, was, now = "normalized", base.Gate.Normalized, cur.Gate.Normalized
-	}
-	n1, n2 := base.N, cur.N
-	if n1 <= 0 {
-		n1 = c.baseN
-	}
-	if n2 <= 0 {
-		n2 = c.curN
-	}
-	d := stats.CohensDStats(was, base.CV*was, n1, now, cur.CV*now, n2)
+// compare judges one cell against its baseline with the tolerance floor.
+func (c *comparer) compare(base, cur Cell, floor float64) {
+	was, now := base.Value, cur.Value
+	d := stats.CohensDStats(was, base.CV*was, base.N, now, cur.CV*now, cur.N)
 	cell := CellComparison{
-		Experiment: cur.Experiment, Row: cur.Row, Metric: metric,
+		Experiment: cur.Experiment, Row: cur.Row, Metric: cur.Metric,
 		Baseline: was, Current: now,
 		BaselineCV: base.CV, CurrentCV: cur.CV,
 		EffectSize: d, HigherBetter: strings.HasSuffix(cur.Unit, "/s"),
@@ -203,7 +191,7 @@ func (c *comparer) compare(base, cur Cell, normalized bool) {
 	if was > 0 {
 		cell.Ratio = now / was
 	}
-	tol := max(c.tol, cur.Gate.Floor)
+	tol := max(c.tol, floor)
 	worse := was > 0 && now > was*(1+tol)
 	better := was > 0 && now < was*(1-tol)
 	if cell.HigherBetter {
@@ -223,95 +211,77 @@ func (c *comparer) compare(base, cur Cell, normalized bool) {
 	c.out.Cells = append(c.out.Cells, cell)
 }
 
-// configRuns extracts the configured run count from a report, as the N
-// fallback for old-schema rows.
-func configRuns(r *Report) int {
-	if r != nil && r.Config != nil {
-		return r.Config.Runs
-	}
-	return 0
-}
-
-// gatedCells groups a report's gated cells by experiment, in Flatten's
-// order.
-func gatedCells(r *Report) map[string][]Cell {
-	out := map[string][]Cell{}
-	for _, cl := range Flatten(r, 0) {
-		if cl.Gate != nil {
-			out[cl.Experiment] = append(out[cl.Experiment], cl)
-		}
-	}
-	return out
-}
-
 // CompareReports diffs current against baseline under opts. It walks the
-// gated cells of Flatten(baseline) and Flatten(current), experiment by
-// experiment in matrix order, matching them by (experiment, row, metric)
-// and judging each by its Gate. A row present only in the current report
-// (a technology added after the baseline was archived) or only in the
-// baseline is recorded as a skip, never a regression, so old baselines
-// keep gating new runs as the registry grows. Raw durations are compared
-// only when workload sizes match — otherwise the dimensionless
-// normalized column stands in (noted in Comparison.Notes), so a
-// paper-scale baseline can still gate a quick-scale rerun.
+// gated experiments in matrix order (Experiments), matching each current
+// cell of the gated metric with the baseline cell of the same row and
+// judging it by the experiment's Gate. A row present only in the current
+// report (a technology added after the baseline was archived) or only in
+// the baseline is recorded as a skip, never a regression, so old
+// baselines keep gating new runs as the registry grows. Raw durations
+// are compared only when workload sizes match — otherwise the
+// dimensionless normalized cells stand in (noted in Comparison.Notes), so
+// a paper-scale baseline can still gate a quick-scale rerun.
 func CompareReports(baseline, current *Report, opts CompareOptions) *Comparison {
-	c := &comparer{
-		tol:   opts.Tolerance,
-		eff:   opts.effectThreshold(),
-		baseN: configRuns(baseline),
-		curN:  configRuns(current),
-	}
-	base, cur := gatedCells(baseline), gatedCells(current)
+	c := &comparer{tol: opts.Tolerance, eff: opts.effectThreshold()}
 	for _, spec := range Experiments() {
-		c.experiment(spec.Name, base[spec.Name], cur[spec.Name])
+		if spec.Gate != nil {
+			c.experiment(spec.Name, *spec.Gate, CellsOf(baseline.Cells, spec.Name), CellsOf(current.Cells, spec.Name))
+		}
 	}
 	return &c.out
 }
 
+// sizeStamp formats an experiment's workload-size cell, "" when it has
+// none: a duration for a time, the plain number otherwise.
+func sizeStamp(cells []Cell, metric string) string {
+	for _, c := range cells {
+		if c.Row == "" && c.Metric == metric {
+			if c.Unit == "ns" {
+				return time.Duration(c.Value).String()
+			}
+			return strconv.FormatFloat(c.Value, 'f', -1, 64)
+		}
+	}
+	return ""
+}
+
 // experiment gates one experiment's cells: an experiment either report
 // lacks, and a workload-size mismatch, are named once for the whole
-// experiment, then each cell is matched with its baseline by row and
-// metric.
-func (c *comparer) experiment(exp string, base, cur []Cell) {
-	switch {
-	case len(base) == 0 && len(cur) == 0:
+// experiment, then each cell is matched with its baseline by row.
+func (c *comparer) experiment(exp string, g Gate, base, cur []Cell) {
+	metric := g.Metric
+	switch nb, nc := len(rowsWith(base, metric)), len(rowsWith(cur, metric)); {
+	case nb == 0 && nc == 0:
 		return
-	case len(cur) == 0:
+	case nc == 0:
 		c.skip(exp, "", "experiment in baseline but not in current run")
 		return
-	case len(base) == 0:
+	case nb == 0:
 		c.skip(exp, "", "experiment in current run but not in baseline")
 		return
 	}
-	g, normalized := cur[0].Gate, false
-	if bs := base[0].Gate.Size; bs != g.Size {
-		reason := fmt.Sprintf(g.Mismatch, bs, g.Size)
+	if bs, cs := sizeStamp(base, g.Size), sizeStamp(cur, g.Size); bs != cs {
+		reason := fmt.Sprintf(g.Mismatch, bs, cs)
 		if g.Incomparable {
 			c.skip(exp, "", reason)
 			return
 		}
 		c.note(exp, "", reason)
-		normalized = true
+		metric = "normalized"
 	}
-	type key struct{ row, metric string }
-	baseCells := make(map[key]Cell, len(base))
-	for _, b := range base {
-		baseCells[key{b.Row, b.Metric}] = b
-	}
-	inCur := make(map[key]bool, len(cur))
-	for _, cl := range cur {
-		k := key{cl.Row, cl.Metric}
-		inCur[k] = true
-		b, ok := baseCells[k]
+	baseCells, curCells := indexCells(base), indexCells(cur)
+	for _, row := range rowsWith(cur, metric) {
+		b, ok := baseCells.cell(row, metric)
 		if !ok {
-			c.skip(exp, cl.Row, "row absent from baseline")
+			c.skip(exp, row, "row absent from baseline")
 			continue
 		}
-		c.compare(b, cl, normalized)
+		cl, _ := curCells.cell(row, metric)
+		c.compare(b, cl, g.Floor)
 	}
-	for _, b := range base {
-		if !inCur[key{b.Row, b.Metric}] {
-			c.skip(exp, b.Row, "row absent from current run")
+	for _, row := range rowsWith(base, metric) {
+		if _, ok := curCells.cell(row, metric); !ok {
+			c.skip(exp, row, "row absent from current run")
 		}
 	}
 }

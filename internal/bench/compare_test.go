@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,29 +13,32 @@ import (
 // shifts are infinitely significant, so these tests gate on ratio alone.
 var tolOnly = CompareOptions{Tolerance: 0.30}
 
-// md5Report builds a minimal Table 5 report for comparator tests.
+// md5Report builds a minimal Table 5 report for comparator tests: the
+// input-size cell and one row's total and normalized cells.
 func md5Report(bytes int, total time.Duration, normalized float64) *Report {
-	return &Report{MD5: &MD5Result{
-		Bytes: bytes,
-		Rows:  []MD5Row{{Tech: "compiled-unsafe", Total: total, Normalized: normalized}},
+	return &Report{Cells: []Cell{
+		{Experiment: "table5", Metric: "bytes", Unit: "bytes", Value: float64(bytes)},
+		{Experiment: "table5", Row: "compiled-unsafe", Metric: "total_ns", Unit: "ns", Value: float64(total)},
+		{Experiment: "table5", Row: "compiled-unsafe", Metric: "normalized", Unit: "ratio", Value: normalized},
 	}}
 }
 
 // md5NoisyReport is md5Report with per-row variance attached.
 func md5NoisyReport(total time.Duration, cv float64, n int) *Report {
 	r := md5Report(1<<20, total, 1)
-	r.MD5.Rows[0].RelStd = cv
-	r.MD5.Rows[0].N = n
+	r.Cells[1].CV, r.Cells[1].N = cv, n
 	return r
 }
 
+// scaleCell is one worker count's throughput cell of a scale report.
+func scaleCell(workers int, thr float64) Cell {
+	return Cell{Experiment: "scale", Row: fmt.Sprintf("md5/compiled-unsafe w=%d", workers), Metric: "ops_per_sec", Unit: "ops/s", Value: thr}
+}
+
 func scaleReport(service time.Duration, thr float64) *Report {
-	return &Report{Scale: &ScaleResult{
-		ServiceTime: service,
-		Rows: []ScaleRow{{
-			Workload: "md5", Tech: "compiled-unsafe",
-			Cells: []ScaleCell{{Workers: 4, Throughput: thr}},
-		}},
+	return &Report{Cells: []Cell{
+		{Experiment: "scale", Metric: "service_time_ns", Unit: "ns", Value: float64(service)},
+		scaleCell(4, thr),
 	}}
 }
 
@@ -127,21 +131,6 @@ func TestCompareEffectSizeGating(t *testing.T) {
 	}
 }
 
-// Old-schema baselines carry RelStd but no per-row N; the comparer must
-// fall back to the baseline config's Runs and still gate.
-func TestCompareOldSchemaBaselineNFallback(t *testing.T) {
-	base := md5NoisyReport(100*time.Millisecond, 0.02, 0) // no N: old schema
-	base.Config = &Config{Runs: 5}
-	cur := md5NoisyReport(300*time.Millisecond, 0.02, 5)
-	cmp := CompareReports(base, cur, tolOnly)
-	if regs := cmp.Regressions(); len(regs) != 1 {
-		t.Fatalf("old-schema baseline did not gate: %+v", cmp.Cells)
-	}
-	if d := cmp.Cells[0].EffectSize; math.IsInf(d, 0) || d < 0.8 {
-		t.Fatalf("effect size = %v, want finite large", d)
-	}
-}
-
 // Different workload sizes must fall back to the dimensionless
 // normalized column — and say so in the notes, so the gate never
 // degrades silently.
@@ -199,8 +188,7 @@ func TestCompareScaleServiceTimeMismatchSkips(t *testing.T) {
 func TestCompareScaleMissingCellSkips(t *testing.T) {
 	base := scaleReport(200*time.Microsecond, 1000)
 	cur := scaleReport(200*time.Microsecond, 1000)
-	cur.Scale.Rows[0].Cells = append(cur.Scale.Rows[0].Cells,
-		ScaleCell{Workers: 8, Throughput: 1800})
+	cur.Cells = append(cur.Cells, scaleCell(8, 1800))
 	cmp := CompareReports(base, cur, tolOnly)
 	if cmp.Compared() != 1 {
 		t.Fatalf("compared %d, want 1", cmp.Compared())
@@ -216,8 +204,8 @@ func TestCompareScaleMissingCellSkips(t *testing.T) {
 func TestCompareToleratesAddedColumns(t *testing.T) {
 	base := md5Report(1<<20, 100*time.Millisecond, 1)
 	cur := md5Report(1<<20, 100*time.Millisecond, 1)
-	cur.MD5.Rows = append(cur.MD5.Rows,
-		MD5Row{Tech: "aot", Total: 900 * time.Millisecond, Normalized: 9})
+	cur.Cells = append(cur.Cells,
+		Cell{Experiment: "table5", Row: "aot", Metric: "total_ns", Unit: "ns", Value: float64(900 * time.Millisecond)})
 	cmp := CompareReports(base, cur, tolOnly)
 	if regs := cmp.Regressions(); len(regs) != 0 {
 		t.Fatalf("added column flagged as regression: %v", regs)
@@ -234,7 +222,7 @@ func TestCompareToleratesAddedColumns(t *testing.T) {
 	}
 	// And the shared rows still gate: slow down the pre-existing column
 	// next to the new one and the regression must surface.
-	cur.MD5.Rows[0].Total = 500 * time.Millisecond
+	cur.Cells[1].Value = float64(500 * time.Millisecond)
 	if regs := CompareReports(base, cur, tolOnly).Regressions(); len(regs) != 1 {
 		t.Fatalf("shared-row regression masked by added column: %v", regs)
 	}
@@ -243,7 +231,9 @@ func TestCompareToleratesAddedColumns(t *testing.T) {
 // Disjoint reports compare nothing — but each one-sided experiment is
 // named in the skips, so an accidentally empty gate is loud.
 func TestCompareDisjointReports(t *testing.T) {
-	base := &Report{Evict: &EvictResult{Rows: []EvictRow{{Tech: "script", Per: time.Millisecond}}}}
+	base := &Report{Cells: []Cell{
+		{Experiment: "table2", Row: "script", Metric: "per_eviction_ns", Unit: "ns", Value: float64(time.Millisecond)},
+	}}
 	cmp := CompareReports(base, md5Report(1<<20, time.Millisecond, 1), tolOnly)
 	if cmp.Compared() != 0 || len(cmp.Regressions()) != 0 {
 		t.Fatalf("disjoint reports compared: %d metrics, %v", cmp.Compared(), cmp.Regressions())
@@ -262,9 +252,9 @@ func TestCompareDisjointReports(t *testing.T) {
 
 // Packet-filter rows gate on the intensive per-packet time.
 func TestComparePacketFilterRows(t *testing.T) {
-	mk := func(per time.Duration) *Report {
-		return &Report{PacketFilter: &PFResult{
-			Rows: []PFRow{{Tech: "compiled-unsafe", PerPacket: per}},
+	mk := func(per float64) *Report {
+		return &Report{Cells: []Cell{
+			{Experiment: "pktfilter", Row: "compiled-unsafe", Metric: "per_packet_ns", Unit: "ns", Value: per},
 		}}
 	}
 	if regs := CompareReports(mk(100), mk(250), tolOnly).Regressions(); len(regs) != 1 {
@@ -280,8 +270,14 @@ func TestComparePacketFilterRows(t *testing.T) {
 // out of a run cannot shrink the gate silently.
 func TestCompareNamesRowsMissingFromCurrent(t *testing.T) {
 	base, cur := loadGateReport(t, "baseline.json"), loadGateReport(t, "baseline.json")
-	dropped := cur.MD5.Rows[1].Tech
-	cur.MD5.Rows = append(cur.MD5.Rows[:1:1], cur.MD5.Rows[2:]...)
+	dropped := rowsWith(CellsOf(cur.Cells, "table5"), "total_ns")[1]
+	kept := cur.Cells[:0]
+	for _, c := range cur.Cells {
+		if c.Experiment != "table5" || c.Row != dropped {
+			kept = append(kept, c)
+		}
+	}
+	cur.Cells = kept
 	cmp := CompareReports(base, cur, gateFixtureOptions)
 	if cmp.Compared() != 80 || len(cmp.Regressions()) != 0 {
 		t.Fatalf("gated %d cells, %d regressed; want 80 and 0", cmp.Compared(), len(cmp.Regressions()))

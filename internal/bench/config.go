@@ -1,8 +1,8 @@
 // Package bench regenerates the paper's evaluation: Tables 1-6, Figure 1,
 // and the two ablations its text discusses (§5.4 explicit NIL checks,
-// §5.5 SFI read protection). Each experiment returns a typed result that
-// the formatting layer renders in the paper's table shapes; cmd/graftbench
-// is the CLI over this package.
+// §5.5 SFI read protection). Each experiment returns its measurements as
+// cells (suite.go), which its spec renders in the paper's table shape;
+// cmd/graftbench is the CLI over this package.
 package bench
 
 import (

@@ -9,36 +9,6 @@ import (
 	"graftlab/internal/tech"
 )
 
-// EvictRow is one technology's line in Table 2.
-type EvictRow struct {
-	Tech      string
-	PaperName string
-	Per       time.Duration // mean time per eviction search
-	RelStd    float64
-	// N is the measurement-run count behind this row (warmup excluded).
-	N int `json:"n,omitempty"`
-	// Tail latency across the per-run means (nearest rank over Runs
-	// samples): the jitter a hook point sees, not just the center.
-	P50        time.Duration `json:"p50"`
-	P95        time.Duration `json:"p95"`
-	P99        time.Duration `json:"p99"`
-	Normalized float64       // Per / native-unsafe Per
-	BreakEven  float64       // simulated (1990s, disk-backed) fault time / Per
-	// BreakEvenModern divides this machine's measured minor-fault time
-	// instead — the era comparison EXPERIMENTS.md discusses: against a
-	// modern fault, even compiled grafts barely clear the paper's
-	// once-per-781-invocations bar.
-	BreakEvenModern float64
-}
-
-// EvictResult reproduces Table 2.
-type EvictResult struct {
-	HotListLen  int
-	FaultTime   time.Duration // denominator of the 1990s break-even column
-	ModernFault time.Duration // measured on this machine (0 if unavailable)
-	Rows        []EvictRow
-}
-
 // evictTechs are Table 2's columns, in paper order plus this repo's
 // additions (upcall row and ablation variants appear via dedicated rows).
 var evictTechs = []tech.ID{
@@ -46,15 +16,27 @@ var evictTechs = []tech.ID{
 	tech.Script, tech.NativeUnsafe, tech.Domain,
 }
 
-// RunEviction regenerates Table 2.
-func RunEviction(cfg Config) (*EvictResult, error) {
-	res := &EvictResult{HotListLen: cfg.HotListLen, FaultTime: cfg.SimulatedFaultTime()}
+// RunEviction regenerates Table 2: per technology row, the mean time of
+// one eviction decision (per_eviction_ns), that time over the first
+// row's (normalized), and the break-even counts against the modeled
+// 1990s fault (break_even) and this machine's measured minor fault
+// (break_even_modern: the era comparison EXPERIMENTS.md discusses —
+// against a modern fault, even compiled grafts barely clear the paper's
+// once-per-781-invocations bar). The scalars are the hot-list length
+// and both fault times.
+func RunEviction(cfg Config) ([]Cell, error) {
+	out := &cellList{exp: "table2"}
+	fault := cfg.SimulatedFaultTime()
+	var modern time.Duration
 	if pf, err := lmb.MeasurePageFault(min(cfg.FaultPages, 1024)); err == nil {
-		res.ModernFault = pf.PerFault
+		modern = pf.PerFault
 	}
+	out.add("", "hot_list_len", "count", float64(cfg.HotListLen))
+	out.add("", "fault_ns", "ns", float64(fault))
+	out.add("", "modern_fault_ns", "ns", float64(modern))
 	var base time.Duration
 
-	measure := func(name, paper string, load Loader, iters int) error {
+	measure := func(name string, load Loader, iters int) error {
 		sc, err := EvictScenario(cfg, load)
 		if err != nil {
 			return err
@@ -80,21 +62,17 @@ func RunEviction(cfg Config) (*EvictResult, error) {
 			return err
 		}
 		s := ss[0]
-		row := EvictRow{
-			Tech: name, PaperName: paper, Per: s.Mean, RelStd: s.RelStd, N: s.N,
-			P50: s.P50, P95: s.P95, P99: s.P99,
-		}
 		if base == 0 {
 			base = s.Mean
 		}
-		row.Normalized = float64(s.Mean) / float64(base)
+		out.sample(name, "per_eviction_ns", s.Mean, s)
+		out.derived(name, "normalized", "ratio", float64(s.Mean)/float64(base), s)
 		if s.Mean > 0 {
-			row.BreakEven = float64(res.FaultTime) / float64(s.Mean)
-			if res.ModernFault > 0 {
-				row.BreakEvenModern = float64(res.ModernFault) / float64(s.Mean)
+			out.add(name, "break_even", "ratio", float64(fault)/float64(s.Mean))
+			if modern > 0 {
+				out.add(name, "break_even_modern", "ratio", float64(modern)/float64(s.Mean))
 			}
 		}
-		res.Rows = append(res.Rows, row)
 		return nil
 	}
 
@@ -108,21 +86,22 @@ func RunEviction(cfg Config) (*EvictResult, error) {
 		if id == tech.Bytecode {
 			iters = max(cfg.EvictIters/10, 100)
 		}
-		if err := measure(string(id), tech.PaperName(id), Class(id, tech.Options{VM: cfg.VM}), iters); err != nil {
+		if err := measure(string(id), Class(id, tech.Options{VM: cfg.VM}), iters); err != nil {
 			return nil, fmt.Errorf("eviction %s: %w", id, err)
 		}
 	}
 	// The user-level-server row: the same compiled graft behind a real
 	// protection-domain crossing.
 	up := Upcall(tech.CompiledUnsafe, tech.Options{VM: cfg.VM}, 0)
-	if err := measure("upcall-server", "C in user-level server", up, max(cfg.EvictIters/10, 100)); err != nil {
+	if err := measure(upcallRow, up, max(cfg.EvictIters/10, 100)); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return out.cells, nil
 }
 
-// Table renders the paper's Table 2 shape.
-func (r *EvictResult) Table() *stats.Table {
+// evictionTable renders the paper's Table 2 shape.
+func evictionTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
 		Title:  "Table 2: VM Page Eviction",
 		Header: []string{"technology", "stands in for", "raw/eviction", "normalized", "B/E (90s disk)", "B/E (modern)"},
@@ -133,17 +112,18 @@ func (r *EvictResult) Table() *stats.Table {
 				"machine's measured minor fault (%s). The paper's application profits at\n"+
 				"break-even > 781. Paper (Solaris): C 4.5µs/1.0/1533, Java 141µs/31.3/49,\n"+
 				"Modula-3 6.3µs/1.4/1095, Omniware 6.3µs/1.4/1095, Tcl ~40ms (4 orders).",
-			r.HotListLen, stats.FormatDuration(r.FaultTime), stats.FormatDuration(r.ModernFault)),
+			int(x.v("", "hot_list_len")), stats.FormatDuration(x.dur("", "fault_ns")), stats.FormatDuration(x.dur("", "modern_fault_ns"))),
 	}
-	for _, row := range r.Rows {
+	for _, row := range rowsWith(cells, "per_eviction_ns") {
+		per, _ := x.cell(row, "per_eviction_ns")
 		modern := "n/a"
-		if row.BreakEvenModern > 0 {
-			modern = stats.Count(row.BreakEvenModern)
+		if v := x.v(row, "break_even_modern"); v > 0 {
+			modern = stats.Count(v)
 		}
-		t.AddRow(row.Tech, row.PaperName,
-			fmt.Sprintf("%s(%.1f%%)", stats.FormatDuration(row.Per), row.RelStd*100),
-			stats.Ratio(row.Normalized),
-			stats.Count(row.BreakEven),
+		t.AddRow(row, standsIn(row, "C in user-level server"),
+			withSpread(per),
+			stats.Ratio(x.v(row, "normalized")),
+			stats.Count(x.v(row, "break_even")),
 			modern)
 	}
 	return t

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
-	"time"
 
 	"graftlab/internal/telemetry"
 )
@@ -33,31 +32,20 @@ func CollectHost() *HostInfo {
 
 // Report is the machine-readable form of a full evaluation run, written
 // by graftbench -json so results can be archived, diffed between
-// machines, or plotted without scraping the text tables.
+// machines, or plotted without scraping the text tables: the run's
+// cells, with the host and configuration that produced them.
 type Report struct {
 	// GeneratedNote describes scale ("paper" or "quick").
-	GeneratedNote string          `json:"note,omitempty"`
-	Host          *HostInfo       `json:"host,omitempty"`
-	Config        *Config         `json:"config,omitempty"`
-	Signal        *SignalResult   `json:"table1,omitempty"`
-	Evict         *EvictResult    `json:"table2,omitempty"`
-	Fault         *FaultResult    `json:"table3,omitempty"`
-	Disk          *DiskResult     `json:"table4,omitempty"`
-	MD5           *MD5Result      `json:"table5,omitempty"`
-	LD            *LDResult       `json:"table6,omitempty"`
-	Figure1       *Figure1Result  `json:"figure1,omitempty"`
-	PacketFilter  *PFResult       `json:"pktfilter,omitempty"`
-	PFBatch       *PFBatchResult  `json:"pktfilter_batch,omitempty"`
-	Swap          *SwapResult     `json:"swap_under_load,omitempty"`
-	Ablation      *AblationResult `json:"ablation,omitempty"`
-	Scale         *ScaleResult    `json:"scale,omitempty"`
+	GeneratedNote string    `json:"note,omitempty"`
+	Host          *HostInfo `json:"host,omitempty"`
+	Config        *Config   `json:"config,omitempty"`
+	Cells         []Cell    `json:"cells"`
 	// Telemetry holds per-graft invocation counters accumulated during the
 	// run (graftbench -telemetry); empty when telemetry was off.
 	Telemetry []telemetry.GraftSnapshot `json:"telemetry,omitempty"`
 }
 
-// Encode renders the report as indented JSON via the standard marshaler;
-// time.Duration fields encode as integer nanoseconds (DurationsNote).
+// Encode renders the report as indented JSON via the standard marshaler.
 // This wrapper exists to pin the indentation policy in one place.
 func (r *Report) Encode() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
@@ -65,5 +53,3 @@ func (r *Report) Encode() ([]byte, error) {
 
 // DurationsNote documents the unit convention for consumers.
 const DurationsNote = "all durations are nanoseconds"
-
-var _ = time.Nanosecond // keep the time import tied to the convention above

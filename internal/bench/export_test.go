@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 	"time"
@@ -8,40 +9,25 @@ import (
 	"graftlab/internal/telemetry"
 )
 
-// TestEncodeRoundTrip pins the DurationsNote convention: every duration in
-// an encoded report is a plain integer nanosecond count, and the new
-// tail-latency fields survive the trip.
+// TestEncodeRoundTrip pins the report schema and the DurationsNote
+// convention: a report encodes as note, host, config, cells and
+// telemetry; every duration in a cell is a plain integer nanosecond
+// count; and a decoded report gates clean against the original.
 func TestEncodeRoundTrip(t *testing.T) {
 	r := &Report{
-		Evict: &EvictResult{
-			FaultTime: 17 * time.Millisecond,
-			Rows: []EvictRow{{
-				Tech: "compiled-unsafe",
-				Per:  1500 * time.Nanosecond,
-				P50:  1400 * time.Nanosecond,
-				P95:  2100 * time.Nanosecond,
-				P99:  2500 * time.Nanosecond,
-			}},
+		GeneratedNote: "quick-scale",
+		Cells: []Cell{
+			{Experiment: "table2", Metric: "hot_list_len", Unit: "count", Value: 64},
+			{Experiment: "table2", Row: "compiled-unsafe", Metric: "per_eviction_ns", Unit: "ns",
+				Value: 1500, N: 5, CV: 0.02, P50: 1400, P95: 2100, P99: 2500},
+			{Experiment: "scale", Metric: "service_time_ns", Unit: "ns", Value: float64(200 * time.Microsecond)},
+			{Experiment: "scale", Row: "md5/compiled-unsafe w=4", Metric: "ops_per_sec", Unit: "ops/s",
+				Value: 3500.5, P50: 210000, P95: 400000, P99: 800000},
 		},
 		Telemetry: []telemetry.GraftSnapshot{{
 			Graft: "page-evict", Tech: "compiled-unsafe",
 			Invocations: 42, LatencyP50: time.Microsecond,
 		}},
-		Scale: &ScaleResult{
-			ServiceTime:  200 * time.Microsecond,
-			WorkerCounts: []int{1, 2, 4},
-			MaxProcs:     1,
-			Rows: []ScaleRow{{
-				Workload: "md5", Tech: "compiled-unsafe", PaperName: "C (unsafe, in-kernel)",
-				OpsPerWorker: 256, Instances: 4,
-				Cells: []ScaleCell{{
-					Workers: 4, Ops: 1024, Throughput: 3500.5, Speedup: 3.9,
-					P50: 210 * time.Microsecond,
-					P95: 400 * time.Microsecond,
-					P99: 800 * time.Microsecond,
-				}},
-			}},
-		},
 	}
 	data, err := r.Encode()
 	if err != nil {
@@ -51,57 +37,40 @@ func TestEncodeRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatalf("Encode output is not valid JSON: %v", err)
 	}
-	row := m["table2"].(map[string]any)["Rows"].([]any)[0].(map[string]any)
-	for field, want := range map[string]float64{
-		"Per": 1500, "p50": 1400, "p95": 2100, "p99": 2500,
+	for key := range m {
+		switch key {
+		case "note", "cells", "telemetry":
+		default:
+			t.Errorf("unexpected top-level key %q", key)
+		}
+	}
+	cell := m["cells"].([]any)[1].(map[string]any)
+	for field, want := range map[string]any{
+		"experiment": "table2", "row": "compiled-unsafe", "metric": "per_eviction_ns", "unit": "ns",
+		"value": 1500.0, "n": 5.0, "cv": 0.02, "p50": 1400.0, "p95": 2100.0, "p99": 2500.0,
 	} {
-		v, ok := row[field]
-		if !ok {
-			t.Fatalf("encoded row lacks %q: %v", field, row)
+		if v, ok := cell[field]; !ok || v != want {
+			t.Errorf("cell %s = %v, want %v (%s)", field, v, want, DurationsNote)
 		}
-		ns, ok := v.(float64) // json numbers decode as float64
-		if !ok || ns != want {
-			t.Errorf("%s = %v, want integer nanoseconds %v (%s)", field, v, want, DurationsNote)
-		}
+	}
+	if _, ok := m["cells"].([]any)[0].(map[string]any)["row"]; ok {
+		t.Error("scalar cell encodes an empty row")
 	}
 	tel := m["telemetry"].([]any)[0].(map[string]any)
 	if tel["invocations"].(float64) != 42 || tel["latency_p50"].(float64) != 1000 {
 		t.Errorf("telemetry snapshot mangled: %v", tel)
 	}
 
-	// BENCH_scale.json schema: snake_case keys, integer-ns percentiles,
-	// per-worker-count cells — what external plotting consumes.
-	scale := m["scale"].(map[string]any)
-	if scale["service_time"].(float64) != 200000 {
-		t.Errorf("scale service_time = %v, want 200000 ns", scale["service_time"])
-	}
-	srow := scale["rows"].([]any)[0].(map[string]any)
-	for _, key := range []string{"workload", "tech", "paper_name", "ops_per_worker", "instances", "cells"} {
-		if _, ok := srow[key]; !ok {
-			t.Fatalf("scale row lacks %q: %v", key, srow)
-		}
-	}
-	cell := srow["cells"].([]any)[0].(map[string]any)
-	for field, want := range map[string]float64{
-		"workers": 4, "ops": 1024, "speedup": 3.9,
-		"p50": 210000, "p95": 400000, "p99": 800000,
-	} {
-		if v, ok := cell[field].(float64); !ok || v != want {
-			t.Errorf("scale cell %s = %v, want %v", field, cell[field], want)
-		}
-	}
-	if cell["ops_per_sec"].(float64) != 3500.5 {
-		t.Errorf("scale cell ops_per_sec = %v", cell["ops_per_sec"])
-	}
-
-	// A decoded report must reconstruct the same scale numbers — the
-	// contract -check-against depends on.
+	// A decoded report must reconstruct the same cells — the contract
+	// -check-against depends on, decoding strictly, telemetry included.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var back Report
-	if err := json.Unmarshal(data, &back); err != nil {
+	if err := dec.Decode(&back); err != nil {
 		t.Fatal(err)
 	}
 	cmp := CompareReports(r, &back, CompareOptions{Tolerance: 0.01})
-	if regs := cmp.Regressions(); len(regs) != 0 || cmp.Compared() == 0 {
+	if regs := cmp.Regressions(); len(regs) != 0 || cmp.Compared() != 2 {
 		t.Fatalf("round-tripped report does not compare clean: %d metrics, %v", cmp.Compared(), regs)
 	}
 }

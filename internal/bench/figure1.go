@@ -9,85 +9,75 @@ import (
 	"graftlab/internal/tech"
 )
 
-// Figure1Point is one x,y pair of the break-even curve. Measured is the
-// empirical check: the same graft actually run behind an upcall domain
-// with that synthetic latency (0 when the point was not measured).
-type Figure1Point struct {
-	UpcallTime time.Duration
-	BreakEven  float64
-	Measured   float64
-}
-
-// Figure1Result reproduces Figure 1: the eviction graft's break-even
-// point as a function of upcall time, with the compiled technologies'
+// RunFigure1 reproduces Figure 1: the eviction graft's break-even point
+// as a function of upcall time, with the compiled technologies'
 // break-even levels as horizontal reference lines. As in the paper, the
-// curve is computed from the measured native graft time: break-even(L) =
-// faultTime / (nativeGraftTime + L).
-type Figure1Result struct {
-	FaultTime  time.Duration
-	NativeTime time.Duration
-	Points     []Figure1Point
-	// Reference break-even levels for the safe compiled technologies.
-	SafeLevel float64
-	SFILevel  float64
-	// CrossoverUpcall is the largest upcall time at which a user-level
-	// server still beats the slower of the two compiled technologies.
-	CrossoverUpcall time.Duration
-}
-
-// RunFigure1 computes the sweep from an EvictResult (reusing its
-// measurements rather than re-running them).
-func RunFigure1(cfg Config, ev *EvictResult) (*Figure1Result, error) {
-	res := &Figure1Result{FaultTime: ev.FaultTime}
-	for _, row := range ev.Rows {
-		switch tech.ID(row.Tech) {
-		case tech.CompiledUnsafe:
-			res.NativeTime = row.Per
-		case tech.CompiledSafe:
-			res.SafeLevel = row.BreakEven
-		case tech.CompiledSFI:
-			res.SFILevel = row.BreakEven
+// curve is computed from the measured native graft time:
+// break-even(L) = faultTime / (nativeGraftTime + L). It reuses table2's
+// cells from ran when Table 2 already ran in this invocation, and runs
+// RunEviction otherwise.
+//
+// One row per point of the 0..50µs sweep, the paper's x-axis, named by
+// its upcall time: upcall_ns, the computed break_even and, for every
+// fifth point, measured_break_even, the empirical check with the
+// compiled graft actually run behind an upcall domain with that
+// synthetic latency. The scalars are the fault and native graft times,
+// the safe-language and SFI reference levels, and crossover_ns, the
+// largest upcall time at which a user-level server still beats the
+// slower of the two compiled technologies.
+func RunFigure1(cfg Config, ran []Cell) ([]Cell, error) {
+	ev := CellsOf(ran, "table2")
+	if len(ev) == 0 {
+		var err error
+		if ev, err = RunEviction(cfg); err != nil {
+			return nil, err
 		}
 	}
-	if res.NativeTime == 0 {
+	x := indexCells(ev)
+	fault := x.dur("", "fault_ns")
+	native := x.dur(string(tech.CompiledUnsafe), "per_eviction_ns")
+	safe := x.v(string(tech.CompiledSafe), "break_even")
+	sfi := x.v(string(tech.CompiledSFI), "break_even")
+	if native == 0 {
 		return nil, fmt.Errorf("bench: figure 1 needs the compiled-unsafe row of Table 2")
 	}
-	// Sweep 0..50µs, the paper's x-axis. Every fifth point is also
-	// measured end to end: the compiled graft behind a real upcall
-	// domain with the synthetic latency applied.
+	out := &cellList{exp: "figure1"}
+	out.add("", "fault_ns", "ns", float64(fault))
+	out.add("", "native_ns", "ns", float64(native))
+	out.add("", "safe_level", "ratio", safe)
+	out.add("", "sfi_level", "ratio", sfi)
 	for us := 0; us <= 50; us += 2 {
 		L := time.Duration(us) * time.Microsecond
-		be := float64(res.FaultTime) / float64(res.NativeTime+L)
-		pt := Figure1Point{UpcallTime: L, BreakEven: be}
+		row := L.String()
+		out.add(row, "upcall_ns", "ns", float64(L))
+		out.add(row, "break_even", "ratio", float64(fault)/float64(native+L))
 		if us%10 == 0 {
 			measured, err := measureUpcallEvict(cfg, L)
 			if err != nil {
 				return nil, err
 			}
 			if measured > 0 {
-				pt.Measured = float64(res.FaultTime) / float64(measured)
+				out.add(row, "measured_break_even", "ratio", float64(fault)/float64(measured))
 			}
 		}
-		res.Points = append(res.Points, pt)
 	}
 	// Crossover: upcall time where the server's break-even drops to the
 	// compiled level: L = fault/level - native.
-	level := res.SafeLevel
-	if res.SFILevel > 0 && (level == 0 || res.SFILevel < level) {
-		level = res.SFILevel
+	level := safe
+	if sfi > 0 && (level == 0 || sfi < level) {
+		level = sfi
 	}
+	var crossover time.Duration
 	if level > 0 {
-		L := time.Duration(float64(res.FaultTime)/level) - res.NativeTime
-		if L < 0 {
-			L = 0
-		}
-		res.CrossoverUpcall = L
+		crossover = max(time.Duration(float64(fault)/level)-native, 0)
 	}
-	return res, nil
+	out.add("", "crossover_ns", "ns", float64(crossover))
+	return out.cells, nil
 }
 
-// Table renders the curve as a text series.
-func (r *Figure1Result) Table() *stats.Table {
+// figure1Table renders the curve as a text series.
+func figure1Table(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
 		Title:  "Figure 1: Break-Even vs Upcall Time (VM page eviction)",
 		Header: []string{"upcall time", "computed", "measured", ""},
@@ -95,26 +85,26 @@ func (r *Figure1Result) Table() *stats.Table {
 			"break-even(L) = fault(%s) / (native graft %s + L). Reference levels:\n"+
 				"safe-language %.0f, SFI %.0f. A user-level server competes with compiled\n"+
 				"downloaded code only below L = %s (paper: ~5-10µs).",
-			stats.FormatDuration(r.FaultTime), stats.FormatDuration(r.NativeTime),
-			r.SafeLevel, r.SFILevel, stats.FormatDuration(r.CrossoverUpcall)),
+			stats.FormatDuration(x.dur("", "fault_ns")), stats.FormatDuration(x.dur("", "native_ns")),
+			x.v("", "safe_level"), x.v("", "sfi_level"), stats.FormatDuration(x.dur("", "crossover_ns"))),
 	}
+	points := rowsWith(cells, "break_even")
 	maxBE := 0.0
-	for _, p := range r.Points {
-		if p.BreakEven > maxBE {
-			maxBE = p.BreakEven
-		}
+	for _, p := range points {
+		maxBE = max(maxBE, x.v(p, "break_even"))
 	}
-	for _, p := range r.Points {
+	for _, p := range points {
+		be := x.v(p, "break_even")
 		barLen := 0
 		if maxBE > 0 {
-			barLen = int(p.BreakEven / maxBE * 40)
+			barLen = int(be / maxBE * 40)
 		}
 		measured := ""
-		if p.Measured > 0 {
-			measured = stats.Count(p.Measured)
+		if m := x.v(p, "measured_break_even"); m > 0 {
+			measured = stats.Count(m)
 		}
-		t.AddRow(stats.FormatDuration(p.UpcallTime),
-			stats.Count(p.BreakEven),
+		t.AddRow(stats.FormatDuration(x.dur(p, "upcall_ns")),
+			stats.Count(be),
 			measured,
 			strings.Repeat("#", barLen))
 	}
@@ -141,14 +131,15 @@ func measureUpcallEvict(cfg Config, L time.Duration) (time.Duration, error) {
 	return ss[0].Mean, nil
 }
 
-// CSV renders the series for external plotting.
-func (r *Figure1Result) CSV() string {
+// Figure1CSV renders figure1's cells as a series for external plotting.
+func Figure1CSV(cells []Cell) string {
+	x := indexCells(cells)
 	var b strings.Builder
 	b.WriteString("upcall_us,break_even,measured,safe_level,sfi_level\n")
-	for _, p := range r.Points {
+	for _, p := range rowsWith(cells, "break_even") {
 		fmt.Fprintf(&b, "%.1f,%.1f,%.1f,%.1f,%.1f\n",
-			float64(p.UpcallTime)/float64(time.Microsecond),
-			p.BreakEven, p.Measured, r.SafeLevel, r.SFILevel)
+			x.v(p, "upcall_ns")/float64(time.Microsecond),
+			x.v(p, "break_even"), x.v(p, "measured_break_even"), x.v("", "safe_level"), x.v("", "sfi_level"))
 	}
 	return b.String()
 }

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +17,9 @@ import (
 // BENCH_baseline.json, BENCH_table5.json and BENCH_scale.json, and
 // parent.golden the comparisons the per-experiment gate (the one before
 // the cell walk) made of the inputs below, with `make bench-check`'s
-// settings. The cell walk must give the same cells, skips and notes.
+// settings, back when reports held one typed result per experiment. The
+// gate over cell-list reports must give the same cells, skips and
+// notes.
 
 // gateFixtureOptions are bench-check's gate settings.
 var gateFixtureOptions = CompareOptions{Tolerance: 0.45, EffectThreshold: 0.8}
@@ -35,62 +39,70 @@ func loadGateReport(t *testing.T, name string) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
+	if err := dec.Decode(&r); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return &r
 }
 
+// scaleCells multiplies the value of every cell of experiment exp and
+// metric by f, truncating to whole units as a report of integer
+// nanoseconds or counts reads.
+func scaleCells(r *Report, exp, metric string, f float64) {
+	for i, c := range r.Cells {
+		if c.Experiment == exp && c.Metric == metric {
+			r.Cells[i].Value = math.Trunc(c.Value * f)
+		}
+	}
+}
+
 // slowGated multiplies every gated time of the baseline's experiments
 // by f, as a uniformly slower run would read.
 func slowGated(r *Report, f float64) *Report {
-	mul := func(d time.Duration) time.Duration { return time.Duration(float64(d) * f) }
-	for i := range r.MD5.Rows {
-		r.MD5.Rows[i].Total = mul(r.MD5.Rows[i].Total)
-	}
-	for _, row := range r.PFBatch.Rows {
-		for i := range row.Cells {
-			row.Cells[i].PerPacket = mul(row.Cells[i].PerPacket)
-		}
-	}
-	for _, row := range r.Swap.Rows {
-		for i := range row.Cells {
-			row.Cells[i].PerOp = mul(row.Cells[i].PerOp)
-		}
-	}
+	scaleCells(r, "table5", "total_ns", f)
+	scaleCells(r, "pktfilter-batch", "per_packet_ns", f)
+	scaleCells(r, "swap-under-load", "per_op_ns", f)
 	return r
 }
 
-// everyExperiment adds one small result for each experiment the
-// baseline lacks: the report a full `graftbench -quick` run writes.
+// everyExperiment adds a few cells for each experiment the baseline
+// lacks: the report a full `graftbench -quick` run writes.
 func everyExperiment(r *Report) *Report {
-	r.Signal = &SignalResult{PerSignal: 3 * time.Microsecond, Crossing: time.Microsecond}
-	r.Evict = &EvictResult{HotListLen: 64, Rows: []EvictRow{
-		{Tech: "compiled-unsafe", Per: 60 * time.Nanosecond, RelStd: 0.05, N: 5, Normalized: 1},
-	}}
-	r.Fault = &FaultResult{Measured: time.Microsecond, Simulated: 15 * time.Millisecond, Pages: 512}
-	r.Disk = &DiskResult{MeasuredBW: 1 << 30, ModelBW: 4 << 20}
-	r.LD = &LDResult{Writes: 16384, Rows: []LDRow{
-		{Tech: "compiled-unsafe", Total: 2 * time.Millisecond, RelStd: 0.03, N: 5, Normalized: 1},
-	}}
-	r.Figure1 = &Figure1Result{FaultTime: 15 * time.Millisecond, NativeTime: 60 * time.Nanosecond}
-	r.PacketFilter = &PFResult{Packets: 200, Rows: []PFRow{
-		{Tech: "compiled-unsafe", PerPacket: 40, RelStd: 0.04, N: 5, Normalized: 1, PacketsPerSec: 2.5e7},
-	}}
-	r.Ablation = &AblationResult{EvictSafe: 70 * time.Nanosecond, EvictSafeNil: 75 * time.Nanosecond}
+	ns := func(exp, row, metric string, d time.Duration, cv float64, n int) Cell {
+		return Cell{Experiment: exp, Row: row, Metric: metric, Unit: "ns", Value: float64(d), CV: cv, N: n}
+	}
+	r.Cells = append(r.Cells,
+		ns("table1", "", "per_signal_ns", 3*time.Microsecond, 0, 0),
+		ns("table1", "", "crossing_ns", time.Microsecond, 0, 0),
+		Cell{Experiment: "table2", Metric: "hot_list_len", Unit: "count", Value: 64},
+		ns("table2", "compiled-unsafe", "per_eviction_ns", 60*time.Nanosecond, 0.05, 5),
+		Cell{Experiment: "table2", Row: "compiled-unsafe", Metric: "normalized", Unit: "ratio", Value: 1, CV: 0.05, N: 5},
+		ns("table3", "", "measured_fault_ns", time.Microsecond, 0, 0),
+		ns("table3", "", "simulated_fault_ns", 15*time.Millisecond, 0, 0),
+		Cell{Experiment: "table4", Metric: "measured_bw", Unit: "bytes/s", Value: 1 << 30},
+		Cell{Experiment: "table4", Metric: "model_bw", Unit: "bytes/s", Value: 4 << 20},
+		Cell{Experiment: "table6", Metric: "writes", Unit: "count", Value: 16384},
+		ns("table6", "compiled-unsafe", "total_ns", 2*time.Millisecond, 0.03, 5),
+		ns("figure1", "", "fault_ns", 15*time.Millisecond, 0, 0),
+		ns("figure1", "", "native_ns", 60*time.Nanosecond, 0, 0),
+		ns("pktfilter", "compiled-unsafe", "per_packet_ns", 40, 0.04, 5),
+		Cell{Experiment: "pktfilter", Row: "compiled-unsafe", Metric: "pkts_per_sec", Unit: "ops/s", Value: 2.5e7, CV: 0.04, N: 5},
+		ns("ablation", "eviction, checked (trap NIL)", "best_ns", 70*time.Nanosecond, 0, 0),
+		ns("ablation", "eviction, checked + explicit NIL", "best_ns", 75*time.Nanosecond, 0, 0),
+	)
 	return r
 }
 
 func gateInputs(t *testing.T) []gateInput {
 	load := func(name string) *Report { return loadGateReport(t, name) }
 	halfT5 := load("table5.json")
-	halfT5.MD5.Bytes /= 2
-	for i := range halfT5.MD5.Rows {
-		halfT5.MD5.Rows[i].Total /= 2
-	}
+	scaleCells(halfT5, "table5", "bytes", 0.5)
+	scaleCells(halfT5, "table5", "total_ns", 0.5)
 	slowService := load("scale.json")
-	slowService.Scale.ServiceTime *= 2
+	scaleCells(slowService, "scale", "service_time_ns", 2)
 	return []gateInput{
 		{"baseline-self", load("baseline.json"), load("baseline.json"), 81, 0},
 		{"baseline-x1.5", load("baseline.json"), slowGated(load("baseline.json"), 1.5), 81, 8},

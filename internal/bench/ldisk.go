@@ -12,46 +12,26 @@ import (
 	"graftlab/internal/workload"
 )
 
-// LDRow is one technology's line in Table 6.
-type LDRow struct {
-	Tech      string
-	PaperName string
-	Total     time.Duration // wall time in the mapping bookkeeping
-	RelStd    float64
-	// N is the measurement-run count behind this row (warmup excluded).
-	N int `json:"n,omitempty"`
-	// Tail percentiles across the per-run totals (unscaled).
-	P50        time.Duration `json:"p50,omitempty"`
-	P95        time.Duration `json:"p95,omitempty"`
-	P99        time.Duration `json:"p99,omitempty"`
-	Normalized float64
-	PerBlock   time.Duration // Total / writes: what each write must save
-	Scaled     bool
-}
-
-// LDResult reproduces Table 6.
-type LDResult struct {
-	Writes int
-	// SavedPerBlock is the virtual disk time the batching saves per
-	// block (direct random write cost minus amortized sequential log
-	// cost): the budget the bookkeeping must fit inside.
-	SavedPerBlock time.Duration
-	Rows          []LDRow
-}
-
 var ldTechs = []tech.ID{
 	tech.CompiledUnsafe, tech.Bytecode, tech.AOT, tech.CompiledSafe, tech.CompiledSFI,
 	tech.Script, tech.NativeUnsafe,
 }
 
 // RunLD regenerates Table 6: the time to handle the mapping bookkeeping
-// for cfg.LDWrites writes of an 80/20-skewed stream.
-func RunLD(cfg Config) (*LDResult, error) {
-	res := &LDResult{Writes: cfg.LDWrites}
-	res.SavedPerBlock = ldSavings(cfg)
+// for cfg.LDWrites writes of an 80/20-skewed stream. Per technology row:
+// that time (total_ns), over the first row's (normalized), and per write
+// (per_block_ns: what each write must save); a row measured on fewer
+// writes carries scaled_by like Table 5's. The scalars are the write
+// count and saved_per_block_ns, the virtual disk time the batching saves
+// per block (direct random write cost minus amortized sequential log
+// cost): the budget the bookkeeping must fit inside.
+func RunLD(cfg Config) ([]Cell, error) {
+	out := &cellList{exp: "table6"}
+	out.add("", "writes", "count", float64(cfg.LDWrites))
+	out.add("", "saved_per_block_ns", "ns", float64(ldSavings(cfg)))
 	var base time.Duration
 
-	measure := func(name, paper string, load Loader, writes, runs int) error {
+	measure := func(name string, load Loader, writes, runs int) error {
 		sc, err := LDScenario(cfg, load)
 		if err != nil {
 			return err
@@ -63,22 +43,18 @@ func RunLD(cfg Config) (*LDResult, error) {
 		}
 		s := ss[0]
 		total := s.Mean
-		scaled := false
 		if writes != cfg.LDWrites {
 			total = time.Duration(float64(total) * float64(cfg.LDWrites) / float64(writes))
-			scaled = true
 		}
 		if base == 0 {
 			base = total
 		}
-		res.Rows = append(res.Rows, LDRow{
-			Tech: name, PaperName: paper,
-			Total: total, RelStd: s.RelStd, N: s.N,
-			P50: s.P50, P95: s.P95, P99: s.P99,
-			Normalized: float64(total) / float64(base),
-			PerBlock:   total / time.Duration(cfg.LDWrites),
-			Scaled:     scaled,
-		})
+		out.sample(name, "total_ns", total, s)
+		out.derived(name, "normalized", "ratio", float64(total)/float64(base), s)
+		out.add(name, "per_block_ns", "ns", float64(total/time.Duration(cfg.LDWrites)))
+		if writes != cfg.LDWrites {
+			out.add(name, "scaled_by", "ratio", float64(cfg.LDWrites)/float64(writes))
+		}
 		return nil
 	}
 
@@ -93,7 +69,7 @@ func RunLD(cfg Config) (*LDResult, error) {
 			writes = max(cfg.LDWrites/8, 1024)
 			runs = min(cfg.Runs, 5)
 		}
-		if err := measure(string(id), tech.PaperName(id), Class(id, tech.Options{VM: cfg.VM}), writes, runs); err != nil {
+		if err := measure(string(id), Class(id, tech.Options{VM: cfg.VM}), writes, runs); err != nil {
 			return nil, fmt.Errorf("ld %s: %w", id, err)
 		}
 	}
@@ -101,10 +77,10 @@ func RunLD(cfg Config) (*LDResult, error) {
 	// Upcall row: one domain crossing per block write, the paper's §5.6
 	// user-level-server analysis.
 	up := Upcall(tech.CompiledUnsafe, tech.Options{}, 0)
-	if err := measure("upcall-server", "C in user-level server", up, max(cfg.LDWrites/8, 1024), min(cfg.Runs, 5)); err != nil {
+	if err := measure(upcallRow, up, max(cfg.LDWrites/8, 1024), min(cfg.Runs, 5)); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return out.cells, nil
 }
 
 // ldSavings computes the virtual disk time batching saves per block:
@@ -141,10 +117,11 @@ func ldSavings(cfg Config) time.Duration {
 	return directPer - ldPer
 }
 
-// Table renders the paper's Table 6 shape.
-func (r *LDResult) Table() *stats.Table {
+// ldTable renders the paper's Table 6 shape.
+func ldTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
-		Title:  fmt.Sprintf("Table 6: Logical Disk (%d writes, 80/20 skew)", r.Writes),
+		Title:  fmt.Sprintf("Table 6: Logical Disk (%d writes, 80/20 skew)", int(x.v("", "writes"))),
 		Header: []string{"technology", "stands in for", "raw", "normalized", "per block"},
 		Caption: fmt.Sprintf(
 			"Bookkeeping time for the logical->physical mapping. The graft breaks even\n"+
@@ -152,16 +129,13 @@ func (r *LDResult) Table() *stats.Table {
 				"disk. '~' rows measured at reduced size, scaled. Paper (Solaris): C\n"+
 				"1.9s/1.0/7.2µs, Java 24.6s/13/94µs, Modula-3 2.9s/1.5/11.1µs, Omniware\n"+
 				"2.2s/1.16/8.4µs per 262,144 writes.",
-			stats.FormatDuration(r.SavedPerBlock)),
+			stats.FormatDuration(x.dur("", "saved_per_block_ns"))),
 	}
-	for _, row := range r.Rows {
-		raw := fmt.Sprintf("%s(%.1f%%)", stats.FormatDuration(row.Total), row.RelStd*100)
-		if row.Scaled {
-			raw = "~" + raw
-		}
-		t.AddRow(row.Tech, row.PaperName, raw,
-			stats.Ratio(row.Normalized),
-			stats.FormatDuration(row.PerBlock))
+	for _, row := range rowsWith(cells, "total_ns") {
+		total, _ := x.cell(row, "total_ns")
+		t.AddRow(row, standsIn(row, "C in user-level server"), scaledMark(x, row)+withSpread(total),
+			stats.Ratio(x.v(row, "normalized")),
+			stats.FormatDuration(x.dur(row, "per_block_ns")))
 	}
 	return t
 }

@@ -39,38 +39,6 @@ const swapEvery = 64
 // loadable bytecode headline, and its verified-native AOT variant.
 var swapTechs = []tech.ID{tech.CompiledUnsafe, tech.Bytecode, tech.AOT}
 
-// SwapCell is one (technology, mode) measurement.
-type SwapCell struct {
-	// Mode is "direct", "slot", or "slot-swap".
-	Mode   string        `json:"mode"`
-	PerOp  time.Duration `json:"per_op_ns"`
-	RelStd float64       `json:"rel_std"`
-	N      int           `json:"n,omitempty"`
-	P50    time.Duration `json:"p50,omitempty"`
-	P95    time.Duration `json:"p95,omitempty"`
-	P99    time.Duration `json:"p99,omitempty"`
-	// Overhead is PerOp relative to the same row's direct cell.
-	Overhead float64 `json:"overhead"`
-	// Swaps is the number of Stage+Promote cycles executed inside the
-	// measured runs (slot-swap mode only).
-	Swaps uint64 `json:"swaps,omitempty"`
-}
-
-// SwapRow is one technology line.
-type SwapRow struct {
-	Tech      string     `json:"tech"`
-	PaperName string     `json:"paper_name"`
-	Cells     []SwapCell `json:"cells"`
-}
-
-// SwapResult is the swap-under-load experiment.
-type SwapResult struct {
-	// Ops is the invocation count of one measured run.
-	Ops       int       `json:"ops"`
-	SwapEvery int       `json:"swap_every"`
-	Rows      []SwapRow `json:"rows"`
-}
-
 // swapBenchFrame writes one matching UDP frame into the filter's buffer
 // so every measured invocation takes the accept path.
 func swapBenchFrame(m *mem.Memory, port uint16) {
@@ -92,21 +60,26 @@ func swapBenchPrep(m *mem.Memory) error {
 	return nil
 }
 
-// RunSwapUnderLoad measures lifecycle-slot overhead per technology.
-func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
+// RunSwapUnderLoad measures lifecycle-slot overhead per technology. Each
+// (technology, mode) is a row named "tech/mode": per_op_ns, overhead
+// (per_op_ns over the same technology's direct row) and, for slot-swap,
+// swaps, the Stage+Promote cycles executed inside the measured runs. The
+// scalars are the invocation count of one run and the churn period.
+func RunSwapUnderLoad(cfg Config) ([]Cell, error) {
 	ops := cfg.EvictIters / 10
 	if ops < 200 {
 		ops = 200
 	}
-	res := &SwapResult{Ops: ops, SwapEvery: swapEvery}
+	out := &cellList{exp: "swap-under-load"}
+	out.add("", "ops", "count", float64(ops))
+	out.add("", "swap_every", "count", swapEvery)
 
 	for _, id := range swapTechs {
-		row := SwapRow{Tech: string(id), PaperName: tech.PaperName(id)}
-		runs := cfg.Runs
+		var direct time.Duration
 
 		// measureMode times one run of `ops` invocations through op,
 		// repeating the block until a run is long enough to trust.
-		measureMode := func(mode string, op func() error) (SwapCell, error) {
+		measureMode := func(mode string, op func() error) error {
 			sc := Scenario{Run: func(n int) error {
 				for i := 0; i < n; i++ {
 					if err := op(); err != nil {
@@ -117,24 +90,23 @@ func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
 			}}
 			iters, err := calibrate(sc, ops)
 			if err != nil {
-				return SwapCell{}, err
+				return err
 			}
-			ss, err := measureSeries(cfg.EffectiveWarmup(), runs, arm{sc, ops * iters, ops * iters})
+			ss, err := measureSeries(cfg.EffectiveWarmup(), cfg.Runs, arm{sc, ops * iters, ops * iters})
 			if err != nil {
-				return SwapCell{}, err
+				return err
 			}
 			s := ss[0]
-			cell := SwapCell{
-				Mode:  mode,
-				PerOp: s.Mean, RelStd: s.RelStd, N: s.N,
-				P50: s.P50, P95: s.P95, P99: s.P99,
+			row := string(id) + "/" + mode
+			out.sample(row, "per_op_ns", s.Mean, s)
+			overhead := 1.0
+			if mode == "direct" {
+				direct = s.Mean
+			} else if direct > 0 {
+				overhead = float64(s.Mean) / float64(direct)
 			}
-			if len(row.Cells) > 0 && row.Cells[0].PerOp > 0 {
-				cell.Overhead = float64(s.Mean) / float64(row.Cells[0].PerOp)
-			} else {
-				cell.Overhead = 1
-			}
-			return cell, nil
+			out.add(row, "overhead", "ratio", overhead)
+			return nil
 		}
 
 		// direct: the raw graft, no lifecycle.
@@ -145,17 +117,15 @@ func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
 		if err := swapBenchPrep(g.Memory()); err != nil {
 			return nil, err
 		}
-		cell, err := measureMode("direct", func() error {
+		if err := measureMode("direct", func() error {
 			v, err := g.Invoke("filter", 60)
 			if err == nil && v != 1 {
 				err = fmt.Errorf("filter dropped the staged frame")
 			}
 			return err
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, fmt.Errorf("swap-under-load %s/direct: %w", id, err)
 		}
-		row.Cells = append(row.Cells, cell)
 
 		// newSlot builds a fresh slot over two cached engines (artifact
 		// versions alternate between them, so swaps never pay a load).
@@ -186,17 +156,15 @@ func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("swap-under-load %s/slot: %w", id, err)
 		}
-		cell, err = measureMode("slot", func() error {
+		if err := measureMode("slot", func() error {
 			r, err := s.Invoke("filter", 60)
 			if err == nil && r.Value != 1 {
 				err = fmt.Errorf("filter dropped the staged frame")
 			}
 			return err
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, fmt.Errorf("swap-under-load %s/slot: %w", id, err)
 		}
-		row.Cells = append(row.Cells, cell)
 
 		// slot-swap: the slot under deployment churn.
 		s, err = newSlot()
@@ -205,7 +173,7 @@ func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
 		}
 		var n, ver, swaps uint64
 		ver = 1
-		cell, err = measureMode("slot-swap", func() error {
+		if err := measureMode("slot-swap", func() error {
 			n++
 			if n%swapEvery == 0 {
 				ver++
@@ -222,40 +190,42 @@ func RunSwapUnderLoad(cfg Config) (*SwapResult, error) {
 				err = fmt.Errorf("filter dropped the staged frame")
 			}
 			return err
-		})
-		if err != nil {
+		}); err != nil {
 			return nil, fmt.Errorf("swap-under-load %s/slot-swap: %w", id, err)
 		}
-		cell.Swaps = swaps
-		row.Cells = append(row.Cells, cell)
-
-		res.Rows = append(res.Rows, row)
+		out.add(string(id)+"/slot-swap", "swaps", "count", float64(swaps))
 	}
-	return res, nil
+	return out.cells, nil
 }
 
-// Table renders the experiment.
-func (r *SwapResult) Table() *stats.Table {
+// swapTable renders the experiment: one line per technology, one
+// column per mode, and the churn toll (slot-swap minus slot).
+func swapTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
+	every := int(x.v("", "swap_every"))
 	t := &stats.Table{
-		Title:  fmt.Sprintf("Swap Under Load (per-invocation cost, 1 swap per %d ops)", r.SwapEvery),
+		Title:  fmt.Sprintf("Swap Under Load (per-invocation cost, 1 swap per %d ops)", every),
 		Header: []string{"technology", "direct", "slot", "slot-swap", "swap toll"},
 		Caption: "Per-invocation time for the raw graft (direct), the same graft routed\n" +
 			"through a versioned lifecycle slot (slot), and the slot while a hot swap\n" +
-			"commits every " + fmt.Sprint(r.SwapEvery) + " invocations (slot-swap). (xN) = overhead over direct.\n" +
+			"commits every " + fmt.Sprint(every) + " invocations (slot-swap). (xN) = overhead over direct.\n" +
 			"The lifecycle corollary of the cheap-crossing thesis: a procedure-call\n" +
 			"boundary stays procedure-call-priced even once it is versioned and\n" +
 			"hot-swappable; the churn toll is the slot-swap minus slot delta.",
 	}
-	for _, row := range r.Rows {
-		cells := []string{row.Tech}
-		for _, c := range row.Cells {
-			cells = append(cells, fmt.Sprintf("%s (x%.2f)", stats.FormatDuration(c.PerOp), c.Overhead))
+	lines, modes := pivot(cells, "per_op_ns", "/")
+	for _, id := range lines {
+		row := []string{id}
+		for _, mode := range modes {
+			if c, ok := x.cell(id+"/"+mode, "per_op_ns"); ok {
+				row = append(row, fmt.Sprintf("%s (x%.2f)", stats.FormatDuration(time.Duration(c.Value)), x.v(id+"/"+mode, "overhead")))
+			}
 		}
-		if len(row.Cells) == 3 {
-			toll := row.Cells[2].PerOp - row.Cells[1].PerOp
-			cells = append(cells, stats.FormatDuration(toll)+"/op")
+		if len(row) == 4 {
+			toll := x.dur(id+"/slot-swap", "per_op_ns") - x.dur(id+"/slot", "per_op_ns")
+			row = append(row, stats.FormatDuration(toll)+"/op")
 		}
-		t.AddRow(cells...)
+		t.AddRow(row...)
 	}
 	return t
 }

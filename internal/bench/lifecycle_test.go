@@ -5,60 +5,55 @@ import (
 )
 
 func TestRunSwapUnderLoadShape(t *testing.T) {
-	res, err := RunSwapUnderLoad(tiny())
+	cells, err := RunSwapUnderLoad(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops < 200 || res.SwapEvery != swapEvery {
-		t.Fatalf("ops=%d swapEvery=%d", res.Ops, res.SwapEvery)
+	x := indexCells(cells)
+	if ops := x.v("", "ops"); ops < 200 || x.v("", "swap_every") != swapEvery {
+		t.Fatalf("ops=%v swap_every=%v", ops, x.v("", "swap_every"))
 	}
-	if len(res.Rows) != len(swapTechs) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(swapTechs))
+	lines, modes := pivot(cells, "per_op_ns", "/")
+	if len(lines) != len(swapTechs) {
+		t.Fatalf("lines = %d, want %d", len(lines), len(swapTechs))
 	}
-	modes := []string{"direct", "slot", "slot-swap"}
-	for _, row := range res.Rows {
-		if len(row.Cells) != len(modes) {
-			t.Fatalf("%s: %d cells, want %d", row.Tech, len(row.Cells), len(modes))
-		}
-		for i, c := range row.Cells {
-			if c.Mode != modes[i] {
-				t.Fatalf("%s cell %d mode %q, want %q", row.Tech, i, c.Mode, modes[i])
-			}
-			if c.PerOp <= 0 {
-				t.Fatalf("%s/%s: per-op %v", row.Tech, c.Mode, c.PerOp)
-			}
-			if c.Overhead <= 0 {
-				t.Fatalf("%s/%s: overhead %v", row.Tech, c.Mode, c.Overhead)
-			}
-		}
-		if row.Cells[0].Overhead != 1 {
-			t.Fatalf("%s: direct overhead %v, want 1", row.Tech, row.Cells[0].Overhead)
-		}
-		if row.Cells[2].Swaps == 0 {
-			t.Fatalf("%s: slot-swap mode executed no swaps", row.Tech)
+	want := []string{"direct", "slot", "slot-swap"}
+	if len(modes) != len(want) {
+		t.Fatalf("modes = %v, want %v", modes, want)
+	}
+	for i, m := range want {
+		if modes[i] != m {
+			t.Fatalf("mode %d = %q, want %q", i, modes[i], m)
 		}
 	}
-	if res.Table().String() == "" {
-		t.Fatal("empty table")
+	for _, id := range lines {
+		for _, mode := range modes {
+			row := id + "/" + mode
+			if x.v(row, "per_op_ns") <= 0 {
+				t.Fatalf("%s: per-op %v", row, x.v(row, "per_op_ns"))
+			}
+			if x.v(row, "overhead") <= 0 {
+				t.Fatalf("%s: overhead %v", row, x.v(row, "overhead"))
+			}
+		}
+		if o := x.v(id+"/direct", "overhead"); o != 1 {
+			t.Fatalf("%s: direct overhead %v, want 1", id, o)
+		}
+		if x.v(id+"/slot-swap", "swaps") == 0 {
+			t.Fatalf("%s: slot-swap mode executed no swaps", id)
+		}
+	}
+	if len(swapTable(cells).Rows) != len(swapTechs) {
+		t.Fatal("table lines missing")
 	}
 
-	// The experiment flows through the exporters and gates itself cleanly.
-	r := &Report{Swap: res}
-	cells := Flatten(r, 0)
-	perMode := 0
-	for _, c := range cells {
-		if c.Experiment == "swap-under-load" {
-			perMode++
-		}
-	}
-	if want := len(swapTechs) * len(modes); perMode != want {
-		t.Fatalf("flattened %d swap cells, want %d", perMode, want)
-	}
+	// The experiment gates itself cleanly, one cell per (technology, mode).
+	r := &Report{Cells: cells}
 	cmp := CompareReports(r, r, CompareOptions{Tolerance: 0.45})
 	if regs := cmp.Regressions(); len(regs) != 0 {
 		t.Fatalf("self-comparison regressed: %v", regs)
 	}
-	if cmp.Compared() != len(swapTechs)*len(modes) {
-		t.Fatalf("gated %d cells, want %d", cmp.Compared(), len(swapTechs)*len(modes))
+	if cmp.Compared() != len(swapTechs)*len(want) {
+		t.Fatalf("gated %d cells, want %d", cmp.Compared(), len(swapTechs)*len(want))
 	}
 }

@@ -10,47 +10,45 @@ import (
 	"graftlab/internal/upcall"
 )
 
-// SignalResult reproduces Table 1: the cost of kernel-to-user control
-// transfer, the paper's proxy for an upcall.
-type SignalResult struct {
-	// PerSignal is the real measured signal-handling time (child process,
-	// handled-minus-ignored methodology).
-	PerSignal time.Duration
-	// Crossing is the goroutine protection-domain crossing, this repo's
-	// floor for an aggressively tuned upcall path.
-	Crossing time.Duration
-	// SignalErr records why the child-process measurement was skipped.
-	SignalErr error `json:"-"`
-}
-
-// RunSignal regenerates Table 1.
-func RunSignal(cfg Config) (*SignalResult, error) {
-	res := &SignalResult{}
+// RunSignal regenerates Table 1, the cost of kernel-to-user control
+// transfer, the paper's proxy for an upcall: crossing_ns, the goroutine
+// protection-domain crossing (this repo's floor for an aggressively
+// tuned upcall path), and per_signal_ns, the real signal-handling time
+// measured in a child process (handled-minus-ignored methodology). When
+// the child cannot be run, per_signal_ns is absent and the reason goes
+// to stderr.
+func RunSignal(cfg Config) ([]Cell, error) {
 	crossing, err := upcall.MeasureCrossing(20000)
 	if err != nil {
 		return nil, err
 	}
-	res.Crossing = crossing
-
+	out := &cellList{exp: "table1"}
+	out.add("", "crossing_ns", "ns", float64(crossing))
 	exe := cfg.Exe
 	if exe == "" {
 		exe, err = os.Executable()
-		if err != nil {
-			res.SignalErr = err
-			return res, nil
-		}
 	}
-	sig, err := upcall.MeasureSignal(exe, upcall.DefaultSignalBatch, cfg.SignalIters)
+	var sig upcall.SignalTiming
+	if err == nil {
+		sig, err = upcall.MeasureSignal(exe, upcall.DefaultSignalBatch, cfg.SignalIters)
+	}
 	if err != nil {
-		res.SignalErr = err
-		return res, nil
+		unavailable("table1 signal delivery", err)
+		return out.cells, nil
 	}
-	res.PerSignal = sig.PerSignal
-	return res, nil
+	out.add("", "per_signal_ns", "ns", float64(sig.PerSignal))
+	return out.cells, nil
 }
 
-// Table renders the paper's Table 1 shape.
-func (r *SignalResult) Table() *stats.Table {
+// unavailable reports why a machine measurement is missing from its
+// table, which then reads "unavailable".
+func unavailable(what string, err error) {
+	fmt.Fprintf(os.Stderr, "bench: %s unavailable: %v\n", what, err)
+}
+
+// signalTable renders the paper's Table 1 shape.
+func signalTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
 		Title:  "Table 1: Upcall Cost Proxies",
 		Header: []string{"mechanism", "per-crossing"},
@@ -59,38 +57,33 @@ func (r *SignalResult) Table() *stats.Table {
 			"25.8µs, Linux-1995 55.9µs, Solaris 40.3µs; upcall measured ~40% quicker\n" +
 			"than a signal on BSD/OS.",
 	}
-	if r.SignalErr != nil {
-		t.AddRow("signal delivery (this machine)", "unavailable: "+r.SignalErr.Error())
-	} else {
-		t.AddRow("signal delivery (this machine)", stats.FormatDuration(r.PerSignal))
+	signal := "unavailable"
+	if _, ok := x.cell("", "per_signal_ns"); ok {
+		signal = stats.FormatDuration(x.dur("", "per_signal_ns"))
 	}
-	t.AddRow("goroutine domain crossing", stats.FormatDuration(r.Crossing))
+	t.AddRow("signal delivery (this machine)", signal)
+	t.AddRow("goroutine domain crossing", stats.FormatDuration(x.dur("", "crossing_ns")))
 	return t
 }
 
-// FaultResult reproduces Table 3: page fault service time, measured on
-// the real machine and modeled for the 1990s disk.
-type FaultResult struct {
-	Measured  time.Duration // real COW fault, lat_pagefault style
-	Simulated time.Duration // disk-backed fault under the model geometry
-	Pages     int
-}
-
-// RunFault regenerates Table 3.
-func RunFault(cfg Config) (*FaultResult, error) {
+// RunFault regenerates Table 3, page fault service time: measured on
+// the real machine (a COW fault, lat_pagefault style) and modeled for
+// the 1990s disk, with the number of pages the measurement faulted.
+func RunFault(cfg Config) ([]Cell, error) {
 	pf, err := lmb.MeasurePageFault(cfg.FaultPages)
 	if err != nil {
 		return nil, err
 	}
-	return &FaultResult{
-		Measured:  pf.PerFault,
-		Simulated: cfg.SimulatedFaultTime(),
-		Pages:     pf.Pages,
-	}, nil
+	out := &cellList{exp: "table3"}
+	out.add("", "measured_fault_ns", "ns", float64(pf.PerFault))
+	out.add("", "simulated_fault_ns", "ns", float64(cfg.SimulatedFaultTime()))
+	out.add("", "pages", "count", float64(pf.Pages))
+	return out.cells, nil
 }
 
-// Table renders the paper's Table 3 shape.
-func (r *FaultResult) Table() *stats.Table {
+// faultTable renders the paper's Table 3 shape.
+func faultTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
 		Title:  "Table 3: Page Fault Time",
 		Header: []string{"fault type", "time"},
@@ -98,46 +91,37 @@ func (r *FaultResult) Table() *stats.Table {
 			"Measured: %d COW faults via mmap (lat_pagefault method) — today's minor\n"+
 				"fault. Simulated: disk-backed fault under the modeled geometry, the\n"+
 				"quantity the paper's break-even uses. Paper: Alpha 25.1ms(16 pages),\n"+
-				"HP-UX 17.9ms(4), Linux 4.7ms(1), Solaris 6.9ms(1).", r.Pages),
+				"HP-UX 17.9ms(4), Linux 4.7ms(1), Solaris 6.9ms(1).", int(x.v("", "pages"))),
 	}
-	t.AddRow("measured minor fault (this machine)", stats.FormatDuration(r.Measured))
-	t.AddRow("simulated disk-backed fault (model)", stats.FormatDuration(r.Simulated))
+	t.AddRow("measured minor fault (this machine)", stats.FormatDuration(x.dur("", "measured_fault_ns")))
+	t.AddRow("simulated disk-backed fault (model)", stats.FormatDuration(x.dur("", "simulated_fault_ns")))
 	return t
 }
 
-// DiskResult reproduces Table 4: delivered write bandwidth and the time
-// to move 1 MB.
-type DiskResult struct {
-	MeasuredBW   int64 // bytes/s on the real machine (lmdd method)
-	ModelBW      int64 // bytes/s under the simulated geometry
-	Measured1MB  time.Duration
-	Model1MB     time.Duration
-	MeasureErr   error `json:"-"`
-	BytesWritten int64
-}
-
-// RunDisk regenerates Table 4.
-func RunDisk(cfg Config) (*DiskResult, error) {
-	res := &DiskResult{}
+// RunDisk regenerates Table 4: delivered write bandwidth and the time to
+// move 1 MB, on this machine (lmdd method; absent, with the reason on
+// stderr, when the write failed) and under the simulated geometry.
+func RunDisk(cfg Config) ([]Cell, error) {
+	out := &cellList{exp: "table4"}
 	dw, err := lmb.MeasureDiskWrite(os.TempDir(), cfg.DiskWriteBytes)
-	if err != nil {
-		res.MeasureErr = err
-	} else {
-		res.MeasuredBW = dw.BytesPerSec
-		res.BytesWritten = dw.Bytes
-		if dw.BytesPerSec > 0 {
-			res.Measured1MB = time.Duration(int64(time.Second) * (1 << 20) / dw.BytesPerSec)
-		}
+	switch {
+	case err != nil:
+		unavailable("table4 disk write", err)
+	case dw.BytesPerSec > 0:
+		out.add("", "measured_bw", "bytes/s", float64(dw.BytesPerSec))
+		out.add("", "measured_1mb_ns", "ns", float64(time.Duration(int64(time.Second)*(1<<20)/dw.BytesPerSec)))
 	}
 	g := cfg.Geometry
-	res.Model1MB = g.AvgSeek + g.HalfRotation +
+	model1MB := g.AvgSeek + g.HalfRotation +
 		time.Duration(int64(1<<20)*int64(time.Second)/g.TransferRate)
-	res.ModelBW = int64(float64(1<<20) / res.Model1MB.Seconds())
-	return res, nil
+	out.add("", "model_bw", "bytes/s", float64(int64(float64(1<<20)/model1MB.Seconds())))
+	out.add("", "model_1mb_ns", "ns", float64(model1MB))
+	return out.cells, nil
 }
 
-// Table renders the paper's Table 4 shape.
-func (r *DiskResult) Table() *stats.Table {
+// diskTable renders the paper's Table 4 shape.
+func diskTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
 		Title:  "Table 4: Disk I/O Time",
 		Header: []string{"disk", "bandwidth", "1MB access"},
@@ -146,15 +130,12 @@ func (r *DiskResult) Table() *stats.Table {
 			"(235ms/MB), HP-UX 1855KB/s (552ms), Linux 1694KB/s (604ms), Solaris\n" +
 			"3126KB/s (320ms).",
 	}
-	if r.MeasureErr != nil {
-		t.AddRow("this machine", "unavailable: "+r.MeasureErr.Error(), "")
+	kbs := func(metric string) string { return fmt.Sprintf("%d KB/s", int64(x.v("", metric))>>10) }
+	if _, ok := x.cell("", "measured_bw"); ok {
+		t.AddRow("this machine", kbs("measured_bw"), stats.FormatDuration(x.dur("", "measured_1mb_ns")))
 	} else {
-		t.AddRow("this machine",
-			fmt.Sprintf("%d KB/s", r.MeasuredBW>>10),
-			stats.FormatDuration(r.Measured1MB))
+		t.AddRow("this machine", "unavailable", "")
 	}
-	t.AddRow("simulated model",
-		fmt.Sprintf("%d KB/s", r.ModelBW>>10),
-		stats.FormatDuration(r.Model1MB))
+	t.AddRow("simulated model", kbs("model_bw"), stats.FormatDuration(x.dur("", "model_1mb_ns")))
 	return t
 }

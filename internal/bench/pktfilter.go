@@ -9,42 +9,21 @@ import (
 	"graftlab/internal/tech"
 )
 
-// PFRow is one technology's line in the packet-filter experiment.
-type PFRow struct {
-	Tech      string
-	PaperName string
-	PerPacket time.Duration
-	RelStd    float64
-	// N is the measurement-run count behind this row (warmup excluded).
-	N int `json:"n,omitempty"`
-	// Tail percentiles across per-run per-packet means.
-	P50        time.Duration `json:"p50,omitempty"`
-	P95        time.Duration `json:"p95,omitempty"`
-	P99        time.Duration `json:"p99,omitempty"`
-	Normalized float64
-	// PacketsPerSec is the demultiplexing rate one endpoint sustains.
-	PacketsPerSec float64
-}
-
-// PFResult is the packet-filter experiment: not a numbered table in the
-// paper, but the extension domain its related work leads with (§2's
-// packet filters, "implemented in a simple interpreted language ... the
-// performance of interpreted packet filters is close to that of compiled
-// code" — a claim this experiment puts to the test across technology
-// classes).
-type PFResult struct {
-	Packets int
-	Rows    []PFRow
-}
-
 var pfBenchTechs = []tech.ID{
 	tech.CompiledUnsafe, tech.Bytecode, tech.AOT, tech.CompiledSafe, tech.CompiledSFI,
 	tech.Script, tech.NativeUnsafe, tech.Domain,
 }
 
 // RunPacketFilter measures per-packet filter cost per technology over the
-// standard trace.
-func RunPacketFilter(cfg Config) (*PFResult, error) {
+// standard trace: the packet-filter experiment is not a numbered table
+// in the paper, but the extension domain its related work leads with
+// (§2's packet filters, "implemented in a simple interpreted language
+// ... the performance of interpreted packet filters is close to that of
+// compiled code" — a claim this experiment puts to the test across
+// technology classes). Per row: per_packet_ns, pkts_per_sec (the
+// demultiplexing rate one endpoint sustains) and normalized; the scalar
+// is the trace length.
+func RunPacketFilter(cfg Config) ([]Cell, error) {
 	nPackets := cfg.EvictIters / 10
 	if nPackets < 200 {
 		nPackets = 200
@@ -53,10 +32,11 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &PFResult{Packets: nPackets}
+	out := &cellList{exp: "pktfilter"}
+	out.add("", "packets", "count", float64(nPackets))
 	var base time.Duration
 
-	measure := func(name, paper string, load Loader, packets []netsim.Packet, runs int) error {
+	measure := func(name string, load Loader, packets []netsim.Packet, runs int) error {
 		sc, err := PacketFilterScenario(load, packets)
 		if err != nil {
 			return err
@@ -70,16 +50,9 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 		if base == 0 {
 			base = s.Mean
 		}
-		row := PFRow{
-			Tech: name, PaperName: paper,
-			PerPacket: s.Mean, RelStd: s.RelStd, N: s.N,
-			P50: s.P50, P95: s.P95, P99: s.P99,
-			Normalized: float64(s.Mean) / float64(base),
-		}
-		if s.Mean > 0 {
-			row.PacketsPerSec = float64(time.Second) / float64(s.Mean)
-		}
-		res.Rows = append(res.Rows, row)
+		out.sample(name, "per_packet_ns", s.Mean, s)
+		out.derived(name, "pkts_per_sec", "ops/s", perSecond(s.Mean), s)
+		out.derived(name, "normalized", "ratio", float64(s.Mean)/float64(base), s)
 		return nil
 	}
 
@@ -93,7 +66,7 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 		case tech.Bytecode:
 			runs = min(cfg.Runs, 10)
 		}
-		if err := measure(string(id), tech.PaperName(id), Class(id, tech.Options{VM: cfg.VM}), packets, runs); err != nil {
+		if err := measure(string(id), Class(id, tech.Options{VM: cfg.VM}), packets, runs); err != nil {
 			return nil, fmt.Errorf("pktfilter %s: %w", id, err)
 		}
 	}
@@ -101,26 +74,28 @@ func RunPacketFilter(cfg Config) (*PFResult, error) {
 	// Upcall row: one crossing per packet — the configuration whose cost
 	// motivated in-kernel packet filters in the first place [MOGUL87].
 	up := Upcall(tech.CompiledUnsafe, tech.Options{}, 0)
-	if err := measure("upcall-server", "user-level packet filter", up, trace[:min(len(trace), 2000)], min(cfg.Runs, 5)); err != nil {
+	if err := measure(upcallRow, up, trace[:min(len(trace), 2000)], min(cfg.Runs, 5)); err != nil {
 		return nil, err
 	}
-	return res, nil
+	return out.cells, nil
 }
 
-// Table renders the experiment.
-func (r *PFResult) Table() *stats.Table {
+// packetFilterTable renders the experiment.
+func packetFilterTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
 	t := &stats.Table{
-		Title:  fmt.Sprintf("Packet Filter (%d-frame trace, UDP port endpoint)", r.Packets),
+		Title:  fmt.Sprintf("Packet Filter (%d-frame trace, UDP port endpoint)", int(x.v("", "packets"))),
 		Header: []string{"technology", "stands in for", "per packet", "normalized", "pkts/sec"},
 		Caption: "The §2 extension domain: a BPF-style demultiplexing filter. The paper notes\n" +
 			"interpreted packet filters historically ran 'close to compiled code' because\n" +
 			"their domain language was tiny; a general-purpose script class does not.",
 	}
-	for _, row := range r.Rows {
-		t.AddRow(row.Tech, row.PaperName,
-			fmt.Sprintf("%s(%.1f%%)", stats.FormatDuration(row.PerPacket), row.RelStd*100),
-			stats.Ratio(row.Normalized),
-			fmt.Sprintf("%.0f", row.PacketsPerSec))
+	for _, row := range rowsWith(cells, "per_packet_ns") {
+		per, _ := x.cell(row, "per_packet_ns")
+		t.AddRow(row, standsIn(row, "user-level packet filter"),
+			withSpread(per),
+			stats.Ratio(x.v(row, "normalized")),
+			fmt.Sprintf("%.0f", x.v(row, "pkts_per_sec")))
 	}
 	return t
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"graftlab/internal/grafts"
@@ -29,38 +30,6 @@ import (
 //     amortizes it dramatically — severalfold to an order of magnitude,
 //     exactly as it does for real user-space packet paths.
 
-// PFBatchCell is one batch-size measurement of a row.
-type PFBatchCell struct {
-	Batch     int           `json:"batch"`
-	PerPacket time.Duration `json:"per_packet_ns"`
-	RelStd    float64       `json:"rel_std"`
-	N         int           `json:"n,omitempty"`
-	P50       time.Duration `json:"p50,omitempty"`
-	P95       time.Duration `json:"p95,omitempty"`
-	P99       time.Duration `json:"p99,omitempty"`
-	// PacketsPerSec is the sustained demultiplexing rate at this batch size.
-	PacketsPerSec float64 `json:"pkts_per_sec"`
-	// Speedup is this cell's rate relative to the same row's batch=1 cell.
-	Speedup float64 `json:"speedup"`
-}
-
-// PFBatchRow is one (technology, boundary) line of the experiment.
-type PFBatchRow struct {
-	Tech string `json:"tech"`
-	// Boundary is "kernel" (in-kernel direct call) or "upcall"
-	// (protection-domain crossing per batch).
-	Boundary  string        `json:"boundary"`
-	PaperName string        `json:"paper_name"`
-	Cells     []PFBatchCell `json:"cells"`
-}
-
-// PFBatchResult is the pktfilter-batch experiment.
-type PFBatchResult struct {
-	Packets    int          `json:"packets"`
-	BatchSizes []int        `json:"batch_sizes"`
-	Rows       []PFBatchRow `json:"rows"`
-}
-
 // pfBatchSizes are the delivery batch sizes; a crossing still carries at
 // most 32 frames (the mask width), so batch=128 is four crossings per
 // delivery — amortizing the per-delivery setup further without widening
@@ -74,8 +43,12 @@ var pfBatchSizes = []int{1, 8, 32, 128}
 var pfBatchUpcallTechs = []tech.ID{tech.Bytecode, tech.CompiledUnsafe}
 
 // RunPacketFilterBatch measures batched demultiplexing throughput per
-// technology class and boundary over the standard fixed-seed trace.
-func RunPacketFilterBatch(cfg Config) (*PFBatchResult, error) {
+// technology class and boundary over the standard fixed-seed trace. Each
+// (technology, boundary, batch size) is a row named "tech/boundary b=N":
+// per_packet_ns, pkts_per_sec (the sustained demultiplexing rate) and
+// speedup (the rate over the same technology and boundary at b=1). The
+// scalar is the trace length.
+func RunPacketFilterBatch(cfg Config) ([]Cell, error) {
 	nPackets := cfg.EvictIters / 10
 	if nPackets < 200 {
 		nPackets = 200
@@ -86,7 +59,8 @@ func RunPacketFilterBatch(cfg Config) (*PFBatchResult, error) {
 	}
 	ref := grafts.ReferencePacketFilter(5001)
 
-	res := &PFBatchResult{Packets: nPackets, BatchSizes: pfBatchSizes}
+	out := &cellList{exp: "pktfilter-batch"}
+	out.add("", "packets", "count", float64(nPackets))
 
 	measure := func(id tech.ID, boundary string, g tech.Graft, closer func(), packets []netsim.Packet, runs int) error {
 		if closer != nil {
@@ -104,7 +78,6 @@ func RunPacketFilterBatch(cfg Config) (*PFBatchResult, error) {
 				want++
 			}
 		}
-		row := PFBatchRow{Tech: string(id), Boundary: boundary, PaperName: tech.PaperName(id)}
 		pass := func(batch int) {
 			for off := 0; off < len(packets); off += batch {
 				end := off + batch
@@ -114,6 +87,7 @@ func RunPacketFilterBatch(cfg Config) (*PFBatchResult, error) {
 				d.DeliverBatch(packets[off:end])
 			}
 		}
+		var unbatched time.Duration
 		for _, batch := range pfBatchSizes {
 			// One operation is one pass over the trace; a run checks that
 			// its passes matched exactly the reference filter's frames.
@@ -140,22 +114,17 @@ func RunPacketFilterBatch(cfg Config) (*PFBatchResult, error) {
 				return err
 			}
 			s := ss[0]
-			cell := PFBatchCell{
-				Batch:     batch,
-				PerPacket: s.Mean, RelStd: s.RelStd, N: s.N,
-				P50: s.P50, P95: s.P95, P99: s.P99,
+			row := fmt.Sprintf("%s/%s b=%d", id, boundary, batch)
+			out.sample(row, "per_packet_ns", s.Mean, s)
+			out.derived(row, "pkts_per_sec", "ops/s", perSecond(s.Mean), s)
+			speedup := 1.0
+			if batch == pfBatchSizes[0] {
+				unbatched = s.Mean
+			} else if s.Mean > 0 {
+				speedup = float64(unbatched) / float64(s.Mean)
 			}
-			if s.Mean > 0 {
-				cell.PacketsPerSec = float64(time.Second) / float64(s.Mean)
-			}
-			if len(row.Cells) > 0 && s.Mean > 0 {
-				cell.Speedup = float64(row.Cells[0].PerPacket) / float64(s.Mean)
-			} else {
-				cell.Speedup = 1
-			}
-			row.Cells = append(row.Cells, cell)
+			out.add(row, "speedup", "ratio", speedup)
 		}
-		res.Rows = append(res.Rows, row)
 		return nil
 	}
 
@@ -192,18 +161,17 @@ func RunPacketFilterBatch(cfg Config) (*PFBatchResult, error) {
 			return nil, fmt.Errorf("pktfilter-batch upcall %s: %w", id, err)
 		}
 	}
-	return res, nil
+	return out.cells, nil
 }
 
-// Table renders the experiment.
-func (r *PFBatchResult) Table() *stats.Table {
-	header := []string{"technology", "boundary"}
-	for _, b := range r.BatchSizes {
-		header = append(header, fmt.Sprintf("b=%d", b))
-	}
+// pfBatchTable renders the experiment: one line per technology and
+// boundary, one column per batch size.
+func pfBatchTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
+	lines, batches := pivot(cells, "pkts_per_sec", " ")
 	t := &stats.Table{
-		Title:  fmt.Sprintf("Batched Packet Filter (%d-frame trace, pps by delivery batch size)", r.Packets),
-		Header: header,
+		Title:  fmt.Sprintf("Batched Packet Filter (%d-frame trace, pps by delivery batch size)", int(x.v("", "packets"))),
+		Header: append([]string{"technology", "boundary"}, batches...),
 		Caption: "Frames/sec through the demultiplexer when the technology boundary is crossed\n" +
 			"once per batch (up to 32 frames/crossing). In-kernel crossings are direct calls:\n" +
 			"batching only amortizes per-invocation engine setup, a modest factor. Across the\n" +
@@ -211,12 +179,15 @@ func (r *PFBatchResult) Table() *stats.Table {
 			"magnitude: batching pays in proportion to what a crossing costs, which is the\n" +
 			"cheap-crossing thesis read off one table. (xN) = speedup over b=1.",
 	}
-	for _, row := range r.Rows {
-		cells := []string{row.Tech, row.Boundary}
-		for _, c := range row.Cells {
-			cells = append(cells, fmt.Sprintf("%s/s (x%.2f)", stats.Count(c.PacketsPerSec), c.Speedup))
+	for _, line := range lines {
+		id, boundary, _ := strings.Cut(line, "/")
+		row := []string{id, boundary}
+		for _, b := range batches {
+			if c, ok := x.cell(line+" "+b, "pkts_per_sec"); ok {
+				row = append(row, fmt.Sprintf("%s/s (x%.2f)", stats.Count(c.Value), x.v(line+" "+b, "speedup")))
+			}
 		}
-		t.AddRow(cells...)
+		t.AddRow(row...)
 	}
 	return t
 }

@@ -10,8 +10,6 @@ import (
 
 // ReportOptions parameterizes the generated REPORT.md.
 type ReportOptions struct {
-	// CVThreshold is the stability bar; <= 0 means DefaultCVThreshold.
-	CVThreshold float64
 	// BaselinePath names the archived report the comparison section was
 	// gated against ("" when no comparison ran).
 	BaselinePath string
@@ -19,13 +17,6 @@ type ReportOptions struct {
 	// report so an archived REPORT.md is self-describing.
 	Tolerance       float64
 	EffectThreshold float64
-}
-
-func (o ReportOptions) cv() float64 {
-	if o.CVThreshold > 0 {
-		return o.CVThreshold
-	}
-	return DefaultCVThreshold
 }
 
 // fmtCellValue renders a cell value in its natural unit.
@@ -68,36 +59,21 @@ func GenerateReportMD(r *Report, cmp *Comparison, opts ReportOptions) string {
 				"(std/mean). Cells with CV > %.0f%% are flagged `NOISY` and should not "+
 				"anchor fine-grained comparisons. VM engine: %q. Telemetry during the "+
 				"run: %t.\n",
-			c.EffectiveWarmup(), c.Runs, c.Seed, opts.cv()*100, string(c.VM), c.Telemetry)
+			c.EffectiveWarmup(), c.Runs, c.Seed, DefaultCVThreshold*100, string(c.VM), c.Telemetry)
 	}
 	b.WriteString("\nAll durations in source artifacts are nanoseconds (`results.json`, `results.csv`).\n")
 
-	cells := Flatten(r, opts.cv())
-	titles := map[string]string{}
-	order := []string{}
 	for _, spec := range Experiments() {
-		titles[spec.Name] = spec.Title
-		order = append(order, spec.Name)
-	}
-	byExp := map[string][]Cell{}
-	for _, c := range cells {
-		byExp[c.Experiment] = append(byExp[c.Experiment], c)
-	}
-	for _, exp := range order {
-		group := byExp[exp]
+		group := CellsOf(r.Cells, spec.Name)
 		if len(group) == 0 {
 			continue
 		}
-		title := titles[exp]
-		if title == "" {
-			title = exp
-		}
-		fmt.Fprintf(&b, "\n## %s\n\n", title)
+		fmt.Fprintf(&b, "\n## %s\n\n", spec.Title)
 		b.WriteString("| row | metric | value | CV | n | p50 | p95 | p99 | stability |\n")
 		b.WriteString("|---|---|---:|---:|---:|---:|---:|---:|---|\n")
 		for _, c := range group {
 			stab := "ok"
-			if !c.Stable {
+			if !c.Stable() {
 				stab = "NOISY"
 			}
 			p := func(v float64) string {

@@ -9,10 +9,11 @@ import (
 
 // This file is the suite runner's spine: the one measurement loop every
 // graft cell goes through (warmup discarded, then N timed rounds), and
-// the declarative experiment matrix that replaces cmd/graftbench's
-// hand-rolled dispatch. Each ExperimentSpec knows how to populate its
-// slot of a Report and how to render it, so the CLI, the CSV/REPORT.md
-// exporters, and the regression gate all iterate the same list.
+// the declarative experiment matrix. Each ExperimentSpec names the
+// function that measures the experiment into cells, the one that lays
+// those cells out as its table, and its gate rule, so the CLI, the
+// CSV/REPORT.md exporters, and the regression gate all iterate the same
+// list.
 
 // An arm is one timed side of a cell: n operations of a scenario per
 // run, whose time divided by per is the run's sample (per = n for the
@@ -89,194 +90,88 @@ type ExperimentSpec struct {
 	// interleaves goroutines with the single-threaded tables' timing
 	// loops, so they run only when selected explicitly.
 	Concurrent bool
-	// Run populates the experiment's slot in the report.
-	Run func(cfg Config, r *Report) error
-	// Render returns the experiment's text table, or "" when its slot in
-	// the report is empty.
-	Render func(r *Report) string
+	// Run measures the experiment and returns its cells. ran holds the
+	// cells of the experiments that already ran in this invocation:
+	// figure1 reuses table2's eviction measurements from them.
+	Run func(cfg Config, ran []Cell) ([]Cell, error)
+	// Render lays the experiment's cells out as its paper-shaped table.
+	Render func(cells []Cell) *stats.Table
+	// Gate is the regression gate's rule; nil for the experiments the
+	// gate does not compare.
+	Gate *Gate
+}
+
+// Gate is how CompareReports judges an experiment. The bad direction
+// comes from the gated cells' unit: a rate (ops/s, bytes/s) is worse
+// lower, a time worse higher.
+type Gate struct {
+	// Metric names the gated cells: each row's cell of this metric is
+	// compared with the baseline's cell of the same row.
+	Metric string
+	// Floor is the least relative tolerance the cells are judged at,
+	// whatever the gate's own (microFloor lets them move up to 2.5x).
+	Floor float64
+	// Size names the scalar cell that stamps the workload a run
+	// measured; "" when Metric is already per operation. Where the two
+	// runs' stamps differ, rows are compared on their "normalized" cells
+	// instead, or not at all when Incomparable is set, and Mismatch,
+	// formatted with the baseline's and the current stamp, is the note
+	// or skip that says so.
+	Size, Mismatch string
+	Incomparable   bool
+}
+
+// microFloor is the tolerance floor of the ns-scale micro cells
+// (pktfilter-batch, swap-under-load): between-invocation drift on a
+// shared runner (frequency scaling, CPU migration) reaches ~2x even
+// when each run's own CV is tight, so Cohen's d cannot excuse it as
+// noise. They exist to catch protocol-level regressions — losing the
+// batched fast path, or the slot path growing a lock or an allocation,
+// is a 5-10x move — not scheduler weather.
+const microFloor = 1.5
+
+// alone adapts an experiment that needs no earlier cells to Run.
+func alone(run func(Config) ([]Cell, error)) func(Config, []Cell) ([]Cell, error) {
+	return func(cfg Config, _ []Cell) ([]Cell, error) { return run(cfg) }
 }
 
 // Experiments returns the suite matrix in presentation order.
 func Experiments() []ExperimentSpec {
+	// sized gates a table whose raw times grow with its workload size: a
+	// run at another size is compared on the normalized cells.
+	sized := func(metric, size, differs string) *Gate {
+		return &Gate{Metric: metric, Size: size, Mismatch: differs + ": comparing normalized, not raw"}
+	}
 	return []ExperimentSpec{
-		{
-			Name: "table1", Title: "Table 1: Signal Delivery",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunSignal(cfg)
-				r.Signal = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Signal == nil {
-					return ""
-				}
-				return r.Signal.Table().String()
-			},
-		},
-		{
-			Name: "table2", Title: "Table 2: VM Page Eviction",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunEviction(cfg)
-				r.Evict = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Evict == nil {
-					return ""
-				}
-				return r.Evict.Table().String()
-			},
-		},
-		{
-			Name: "table3", Title: "Table 3: Page Fault Time",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunFault(cfg)
-				r.Fault = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Fault == nil {
-					return ""
-				}
-				return r.Fault.Table().String()
-			},
-		},
-		{
-			Name: "table4", Title: "Table 4: Disk Characteristics",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunDisk(cfg)
-				r.Disk = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Disk == nil {
-					return ""
-				}
-				return r.Disk.Table().String()
-			},
-		},
-		{
-			Name: "table5", Title: "Table 5: MD5 Fingerprinting",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunMD5(cfg)
-				r.MD5 = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.MD5 == nil {
-					return ""
-				}
-				return r.MD5.Table().String()
-			},
-		},
-		{
-			Name: "table6", Title: "Table 6: Logical Disk",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunLD(cfg)
-				r.LD = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.LD == nil {
-					return ""
-				}
-				return r.LD.Table().String()
-			},
-		},
-		{
-			Name: "figure1", Title: "Figure 1: Upcall Break-Even",
-			Run: func(cfg Config, r *Report) error {
-				// Figure 1 is derived from the Table 2 measurement; reuse
-				// it when table2 already ran in this invocation.
-				ev := r.Evict
-				if ev == nil {
-					var err error
-					if ev, err = RunEviction(cfg); err != nil {
-						return err
-					}
-				}
-				fig, err := RunFigure1(cfg, ev)
-				r.Figure1 = fig
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Figure1 == nil {
-					return ""
-				}
-				return r.Figure1.Table().String()
-			},
-		},
-		{
-			Name: "pktfilter", Title: "Packet Filter",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunPacketFilter(cfg)
-				r.PacketFilter = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.PacketFilter == nil {
-					return ""
-				}
-				return r.PacketFilter.Table().String()
-			},
-		},
-		{
-			Name: "pktfilter-batch", Title: "Batched Packet Filter",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunPacketFilterBatch(cfg)
-				r.PFBatch = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.PFBatch == nil {
-					return ""
-				}
-				return r.PFBatch.Table().String()
-			},
-		},
-		{
-			Name: "swap-under-load", Title: "Swap Under Load",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunSwapUnderLoad(cfg)
-				r.Swap = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Swap == nil {
-					return ""
-				}
-				return r.Swap.Table().String()
-			},
-		},
-		{
-			Name: "ablation", Title: "Ablations",
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunAblation(cfg)
-				r.Ablation = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Ablation == nil {
-					return ""
-				}
-				return r.Ablation.Table().String()
-			},
-		},
-		{
-			Name: "scale", Title: "Table 7: Multicore Graft Throughput",
-			Concurrent: true,
-			Run: func(cfg Config, r *Report) error {
-				res, err := RunScale(cfg)
-				r.Scale = res
-				return err
-			},
-			Render: func(r *Report) string {
-				if r.Scale == nil {
-					return ""
-				}
-				return r.Scale.Table().String()
-			},
-		},
+		{Name: "table1", Title: "Table 1: Signal Delivery", Run: alone(RunSignal), Render: signalTable},
+		{Name: "table2", Title: "Table 2: VM Page Eviction", Run: alone(RunEviction), Render: evictionTable,
+			Gate: sized("per_eviction_ns", "hot_list_len", "hot-list length differs (baseline %s, current %s)")},
+		{Name: "table3", Title: "Table 3: Page Fault Time", Run: alone(RunFault), Render: faultTable},
+		{Name: "table4", Title: "Table 4: Disk Characteristics", Run: alone(RunDisk), Render: diskTable},
+		{Name: "table5", Title: "Table 5: MD5 Fingerprinting", Run: alone(RunMD5), Render: md5Table,
+			Gate: sized("total_ns", "bytes", "input sizes differ (baseline %s, current %s bytes)")},
+		{Name: "table6", Title: "Table 6: Logical Disk", Run: alone(RunLD), Render: ldTable,
+			Gate: sized("total_ns", "writes", "write counts differ (baseline %s, current %s)")},
+		{Name: "figure1", Title: "Figure 1: Upcall Break-Even", Run: RunFigure1, Render: figure1Table},
+		// Per-packet and per-op times are intensive, so they compare
+		// across trace and workload sizes.
+		{Name: "pktfilter", Title: "Packet Filter", Run: alone(RunPacketFilter), Render: packetFilterTable,
+			Gate: &Gate{Metric: "per_packet_ns"}},
+		{Name: "pktfilter-batch", Title: "Batched Packet Filter", Run: alone(RunPacketFilterBatch), Render: pfBatchTable,
+			Gate: &Gate{Metric: "per_packet_ns", Floor: microFloor}},
+		{Name: "swap-under-load", Title: "Swap Under Load", Run: alone(RunSwapUnderLoad), Render: swapTable,
+			Gate: &Gate{Metric: "per_op_ns", Floor: microFloor}},
+		{Name: "ablation", Title: "Ablations", Run: alone(RunAblation), Render: ablationTable},
+		// The closed-loop throughputs are a model of the service time:
+		// runs with different service times are not comparable. They
+		// carry no variance, so the gate falls back to the pure ratio
+		// (zero-variance d is ±Inf: the effect test always passes).
+		{Name: "scale", Title: "Table 7: Multicore Graft Throughput", Concurrent: true,
+			Run: alone(RunScale), Render: scaleTable,
+			Gate: &Gate{
+				Metric: "ops_per_sec", Size: "service_time_ns", Incomparable: true,
+				Mismatch: "service_time mismatch (baseline %s, current %s): closed-loop throughputs are not comparable",
+			}},
 	}
 }
 

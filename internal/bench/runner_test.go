@@ -97,13 +97,13 @@ func TestMeasureSeriesNegativeWarmupClamped(t *testing.T) {
 func TestRowsExcludeWarmupRuns(t *testing.T) {
 	cfg := tiny()
 	cfg.WarmupRuns = 2
-	res, err := RunMD5(cfg)
+	cells, err := RunMD5(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
-		if r.N <= 0 || r.N > cfg.Runs {
-			t.Errorf("%s: N = %d, want 1..%d (warmup excluded)", r.Tech, r.N, cfg.Runs)
+	for _, c := range cells {
+		if c.Metric == "total_ns" && (c.N <= 0 || c.N > cfg.Runs) {
+			t.Errorf("%s: N = %d, want 1..%d (warmup excluded)", c.Row, c.N, cfg.Runs)
 		}
 	}
 }
@@ -122,25 +122,33 @@ func TestEffectiveWarmupDefaults(t *testing.T) {
 }
 
 // TestExperimentMatrix pins the declarative matrix: every selector the
-// CLI documents resolves, "scale" is the only concurrent experiment, and
-// an unknown name errors.
+// CLI documents resolves, "scale" is the only concurrent experiment, the
+// gated experiments are the ones the committed baselines gate, and an
+// unknown name errors.
 func TestExperimentMatrix(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "table4", "table5",
 		"table6", "figure1", "pktfilter", "pktfilter-batch", "swap-under-load",
 		"ablation", "scale"}
+	gated := map[string]string{"table2": "per_eviction_ns", "table5": "total_ns", "table6": "total_ns",
+		"pktfilter": "per_packet_ns", "pktfilter-batch": "per_packet_ns", "swap-under-load": "per_op_ns",
+		"scale": "ops_per_sec"}
 	specs := Experiments()
 	if len(specs) != len(want) {
 		t.Fatalf("matrix has %d experiments, want %d", len(specs), len(want))
 	}
 	for i, name := range want {
-		if specs[i].Name != name {
-			t.Errorf("matrix[%d] = %q, want %q", i, specs[i].Name, name)
+		s := specs[i]
+		if s.Name != name {
+			t.Errorf("matrix[%d] = %q, want %q", i, s.Name, name)
 		}
-		if specs[i].Concurrent != (name == "scale") {
-			t.Errorf("%s: Concurrent = %v", name, specs[i].Concurrent)
+		if s.Concurrent != (name == "scale") {
+			t.Errorf("%s: Concurrent = %v", name, s.Concurrent)
 		}
-		if specs[i].Run == nil || specs[i].Render == nil || specs[i].Title == "" {
+		if s.Run == nil || s.Render == nil || s.Title == "" {
 			t.Errorf("%s: incomplete spec", name)
+		}
+		if metric := gated[name]; (s.Gate == nil) != (metric == "") || s.Gate != nil && s.Gate.Metric != metric {
+			t.Errorf("%s: gate %+v, want metric %q", name, s.Gate, metric)
 		}
 	}
 	if _, err := FindExperiment("table5"); err != nil {
@@ -151,24 +159,23 @@ func TestExperimentMatrix(t *testing.T) {
 	}
 }
 
-// TestExperimentSpecRoundTrip runs one spec through Run+Render and checks
-// the report slot and the rendered table line up.
+// TestExperimentSpecRoundTrip runs one spec through Run+Render: every
+// cell carries the spec's name, and the table lays out one line per row.
 func TestExperimentSpecRoundTrip(t *testing.T) {
 	spec, err := FindExperiment("table5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Report{}
-	if spec.Render(r) != "" {
-		t.Error("Render of empty slot should be empty")
-	}
-	if err := spec.Run(tiny(), r); err != nil {
+	cells, err := spec.Run(tiny(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MD5 == nil {
-		t.Fatal("Run did not populate the report slot")
+	for _, c := range cells {
+		if c.Experiment != spec.Name {
+			t.Fatalf("cell of %q from the %s spec: %+v", c.Experiment, spec.Name, c)
+		}
 	}
-	if out := spec.Render(r); out == "" {
-		t.Error("Render of populated slot is empty")
+	if rows, tbl := rowsWith(cells, "total_ns"), spec.Render(cells); len(tbl.Rows) != len(rows) || len(rows) == 0 {
+		t.Errorf("table has %d lines for %d rows", len(tbl.Rows), len(rows))
 	}
 }

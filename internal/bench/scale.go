@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,39 +29,6 @@ import (
 // throughput scales with the worker count even on one core, while
 // expensive (script-class) invocations serialize on the CPU and flatline
 // — the multicore restatement of the paper's break-even argument.
-
-// ScaleCell is one worker-count measurement of a (workload, technology)
-// pair.
-type ScaleCell struct {
-	Workers int `json:"workers"`
-	// Ops is the total request count across workers for this cell.
-	Ops        int     `json:"ops"`
-	Throughput float64 `json:"ops_per_sec"`
-	// Speedup is Throughput relative to the 1-worker cell of the same row.
-	Speedup float64 `json:"speedup"`
-	// Per-request latency percentiles (invocation + simulated wait).
-	P50 time.Duration `json:"p50"`
-	P95 time.Duration `json:"p95"`
-	P99 time.Duration `json:"p99"`
-}
-
-// ScaleRow is one (workload, technology) line in Table 7.
-type ScaleRow struct {
-	Workload     string      `json:"workload"`
-	Tech         string      `json:"tech"`
-	PaperName    string      `json:"paper_name"`
-	OpsPerWorker int         `json:"ops_per_worker"`
-	Instances    int         `json:"instances"` // pool instances ever created
-	Cells        []ScaleCell `json:"cells"`
-}
-
-// ScaleResult reproduces Table 7.
-type ScaleResult struct {
-	ServiceTime  time.Duration `json:"service_time"`
-	WorkerCounts []int         `json:"worker_counts"`
-	MaxProcs     int           `json:"max_procs"`
-	Rows         []ScaleRow    `json:"rows"`
-}
 
 // scaleTechs are Table 7's technologies: one representative per class
 // plus the SFI variant, so the table shows the compiled/interpreted split
@@ -261,11 +229,13 @@ var scaleWorkloads = []scaleWorkload{
 	},
 }
 
-// runScaleCell drives one (pool, workload, worker count) measurement.
-// Each worker checks out an engine, binds its request closure, and the
-// timed region starts only once every worker is ready — bind cost (map
+// runScaleCell drives one (pool, workload, worker count) measurement and
+// returns its throughput in requests per second and the summary of its
+// per-request latencies (invocation + simulated wait). Each worker
+// checks out an engine, binds its request closure, and the timed region
+// starts only once every worker is ready — bind cost (map
 // initialization, entry resolution) is setup, not service.
-func runScaleCell(cfg Config, p *tech.Pool, w *scaleWorkload, id tech.ID, workers, ops int) (ScaleCell, error) {
+func runScaleCell(cfg Config, p *tech.Pool, w *scaleWorkload, id tech.ID, workers, ops int) (float64, stats.Sample, error) {
 	var (
 		ready, done sync.WaitGroup
 		start       = make(chan struct{})
@@ -316,30 +286,27 @@ func runScaleCell(cfg Config, p *tech.Pool, w *scaleWorkload, id tech.ID, worker
 
 	for _, err := range errs {
 		if err != nil {
-			return ScaleCell{}, err
+			return 0, stats.Sample{}, err
 		}
 	}
 	var all []time.Duration
 	for _, s := range lats {
 		all = append(all, s...)
 	}
-	sum := stats.Summarize(all)
-	total := workers * ops
-	return ScaleCell{
-		Workers:    workers,
-		Ops:        total,
-		Throughput: float64(total) / wall.Seconds(),
-		P50:        sum.P50, P95: sum.P95, P99: sum.P99,
-	}, nil
+	return float64(workers*ops) / wall.Seconds(), stats.Summarize(all), nil
 }
 
-// RunScale regenerates Table 7.
-func RunScale(cfg Config) (*ScaleResult, error) {
-	res := &ScaleResult{
-		ServiceTime:  cfg.ScaleServiceTime,
-		WorkerCounts: scaleWorkerCounts(),
-		MaxProcs:     runtime.GOMAXPROCS(0),
-	}
+// RunScale regenerates Table 7. Each (workload, technology) pair is a
+// row named "workload/tech" holding ops_per_worker and instances (the
+// pool instances ever created); each of its worker counts is a row named
+// "workload/tech w=N" holding ops_per_sec with the per-request latency
+// percentiles, speedup (the throughput over the same pair's 1-worker
+// row) and ops (the request count across workers). The scalars are the
+// simulated service time and GOMAXPROCS.
+func RunScale(cfg Config) ([]Cell, error) {
+	out := &cellList{exp: "scale"}
+	out.add("", "service_time_ns", "ns", float64(cfg.ScaleServiceTime))
+	out.add("", "max_procs", "count", float64(runtime.GOMAXPROCS(0)))
 	for wi := range scaleWorkloads {
 		w := &scaleWorkloads[wi]
 		for _, id := range scaleTechs {
@@ -347,29 +314,35 @@ func RunScale(cfg Config) (*ScaleResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scale %s/%s: %w", w.name, id, err)
 			}
-			row := ScaleRow{
-				Workload: w.name, Tech: string(id), PaperName: tech.PaperName(id),
-				OpsPerWorker: scaleOps(cfg, id),
-			}
-			for _, workers := range res.WorkerCounts {
-				cell, err := runScaleCell(cfg, pool, w, id, workers, row.OpsPerWorker)
+			pair := w.name + "/" + string(id)
+			ops := scaleOps(cfg, id)
+			var one float64 // the 1-worker throughput
+			for _, workers := range scaleWorkerCounts() {
+				thr, lat, err := runScaleCell(cfg, pool, w, id, workers, ops)
 				if err != nil {
 					pool.Close()
 					return nil, fmt.Errorf("scale %s/%s w=%d: %w", w.name, id, workers, err)
 				}
-				if len(row.Cells) == 0 {
-					cell.Speedup = 1
-				} else if base := row.Cells[0].Throughput; base > 0 {
-					cell.Speedup = cell.Throughput / base
+				row := fmt.Sprintf("%s w=%d", pair, workers)
+				out.cells = append(out.cells, Cell{
+					Experiment: out.exp, Row: row, Metric: "ops_per_sec", Unit: "ops/s", Value: thr,
+					P50: float64(lat.P50), P95: float64(lat.P95), P99: float64(lat.P99),
+				})
+				speedup := 1.0
+				if workers == 1 {
+					one = thr
+				} else if one > 0 {
+					speedup = thr / one
 				}
-				row.Cells = append(row.Cells, cell)
+				out.add(row, "speedup", "ratio", speedup)
+				out.add(row, "ops", "count", float64(workers*ops))
 			}
-			row.Instances = pool.Created()
+			out.add(pair, "ops_per_worker", "count", float64(ops))
+			out.add(pair, "instances", "count", float64(pool.Created()))
 			pool.Close()
-			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res, nil
+	return out.cells, nil
 }
 
 // scaleSourceFor maps a workload name to its graft source.
@@ -386,15 +359,14 @@ func scaleSourceFor(name string) tech.Source {
 	}
 }
 
-// Table renders Table 7.
-func (r *ScaleResult) Table() *stats.Table {
-	header := []string{"workload", "technology"}
-	for _, w := range r.WorkerCounts {
-		header = append(header, fmt.Sprintf("w=%d", w))
-	}
+// scaleTable renders Table 7: one line per (workload, technology), one
+// column per worker count.
+func scaleTable(cells []Cell) *stats.Table {
+	x := indexCells(cells)
+	lines, workers := pivot(cells, "ops_per_sec", " ")
 	t := &stats.Table{
 		Title:  "Table 7: Multicore Graft Throughput (closed loop)",
-		Header: header,
+		Header: append([]string{"workload", "technology"}, workers...),
 		Caption: fmt.Sprintf(
 			"Requests/sec for N workers sharing one tech.Pool; a request is one graft\n"+
 				"invocation plus a %s simulated device wait (real wall time). Cheap\n"+
@@ -402,14 +374,17 @@ func (r *ScaleResult) Table() *stats.Table {
 				"scales with workers even on one core; script-class requests are compute-\n"+
 				"bound and flatline — the paper's break-even argument, restated for\n"+
 				"multicore. (xN) = speedup over 1 worker. GOMAXPROCS=%d on this host.",
-			stats.FormatDuration(r.ServiceTime), r.MaxProcs),
+			stats.FormatDuration(x.dur("", "service_time_ns")), int(x.v("", "max_procs"))),
 	}
-	for _, row := range r.Rows {
-		cells := []string{row.Workload, row.Tech}
-		for _, c := range row.Cells {
-			cells = append(cells, fmt.Sprintf("%s/s (x%.1f)", stats.Count(c.Throughput), c.Speedup))
+	for _, line := range lines {
+		workload, id, _ := strings.Cut(line, "/")
+		row := []string{workload, id}
+		for _, w := range workers {
+			if c, ok := x.cell(line+" "+w, "ops_per_sec"); ok {
+				row = append(row, fmt.Sprintf("%s/s (x%.1f)", stats.Count(c.Value), x.v(line+" "+w, "speedup")))
+			}
 		}
-		t.AddRow(cells...)
+		t.AddRow(row...)
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -16,34 +17,36 @@ func TestConcurrentRunScale(t *testing.T) {
 	cfg := tiny()
 	cfg.ScaleOps = 16
 	cfg.ScaleServiceTime = 0
-	res, err := RunScale(cfg)
+	cells, err := RunScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 24 {
-		t.Fatalf("rows = %d, want 24 (4 workloads x 6 technologies)", len(res.Rows))
+	x := indexCells(cells)
+	lines, workers := pivot(cells, "ops_per_sec", " ")
+	if len(lines) != 24 {
+		t.Fatalf("lines = %d, want 24 (4 workloads x 6 technologies)", len(lines))
+	}
+	if want := scaleWorkerCounts(); len(workers) != len(want) {
+		t.Fatalf("worker columns %v, want %v", workers, want)
 	}
 	seen := map[string]bool{}
-	for _, row := range res.Rows {
-		key := row.Workload + "/" + row.Tech
+	for _, key := range lines {
 		if seen[key] {
 			t.Errorf("%s: duplicate row", key)
 		}
 		seen[key] = true
-		if row.Instances < 1 {
-			t.Errorf("%s: %d pool instances created", key, row.Instances)
+		if x.v(key, "instances") < 1 {
+			t.Errorf("%s: %v pool instances created", key, x.v(key, "instances"))
 		}
-		if len(row.Cells) != len(res.WorkerCounts) {
-			t.Fatalf("%s: %d cells for %d worker counts", key, len(row.Cells), len(res.WorkerCounts))
-		}
-		for i, c := range row.Cells {
-			if c.Workers != res.WorkerCounts[i] || c.Ops != c.Workers*row.OpsPerWorker {
-				t.Errorf("%s cell %d: workers %d ops %d, want %d and %d",
-					key, i, c.Workers, c.Ops, res.WorkerCounts[i], res.WorkerCounts[i]*row.OpsPerWorker)
+		per := x.v(key, "ops_per_worker")
+		for i, n := range scaleWorkerCounts() {
+			row := fmt.Sprintf("%s w=%d", key, n)
+			if workers[i] != fmt.Sprintf("w=%d", n) || x.v(row, "ops") != float64(n)*per {
+				t.Errorf("%s: column %q ops %v, want w=%d and %v", row, workers[i], x.v(row, "ops"), n, float64(n)*per)
 			}
 		}
 	}
-	if !strings.Contains(res.Table().String(), "Table 7") {
+	if !strings.Contains(scaleTable(cells).String(), "Table 7") {
 		t.Error("table title missing")
 	}
 }

@@ -41,11 +41,14 @@ type Scenario struct {
 // it with a closer for whatever it started alongside.
 type Loader func(src tech.Source, m *mem.Memory) (tech.Graft, func(), error)
 
-// Class loads under the registry technology id with opts.
+// Class loads under the registry technology id with opts. Its closer
+// flushes the graft's batched telemetry (tech.Flush), so a scenario that
+// ran fewer calls than one sampling interval still shows in the run's
+// telemetry snapshot.
 func Class(id tech.ID, opts tech.Options) Loader {
 	return func(src tech.Source, m *mem.Memory) (tech.Graft, func(), error) {
 		g, err := tech.Load(id, src, m, opts)
-		return g, func() {}, err
+		return g, func() { tech.Flush(g) }, err
 	}
 }
 
@@ -58,7 +61,7 @@ func Upcall(id tech.ID, opts tech.Options, latency time.Duration) Loader {
 			return nil, nil, err
 		}
 		d := upcall.NewDomain(g, latency)
-		return d, d.Close, nil
+		return d, func() { d.Close(); tech.Flush(g) }, nil
 	}
 }
 

@@ -1,20 +1,25 @@
 package bench
 
 import (
+	"encoding/csv"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"graftlab/internal/stats"
+	"graftlab/internal/tech"
 )
 
-// The suite exporter flattens a Report — whose per-experiment result
-// types mirror the paper's table shapes — into a uniform cell matrix:
-// one line per (experiment, row, metric) with the run count, coefficient
-// of variation, tail percentiles, and a stability flag. results.csv is
-// this matrix verbatim; REPORT.md (reportmd.go) renders it with the
-// methodology header and effect-size verdicts; the regression gate
-// (compare.go) compares the cells that carry a Gate. Flatten is the one
-// reader of a report's typed results.
+// The cell is the suite's one result type: one measurement of the
+// experiment matrix, named by (experiment, row, metric), with its run
+// count, coefficient of variation and tail percentiles. Every
+// experiment's Run returns its cells, and everything downstream reads
+// them: the paper-shaped tables (each spec's Render), Figure 1's CSV,
+// results.csv (CSV), REPORT.md (reportmd.go) and the regression gate
+// (compare.go), which compares the cells its spec's Gate names. A
+// BENCH_*.json report is a cell list with the run's host and config.
 
 // DefaultCVThreshold is the stability bar: a cell whose coefficient of
 // variation exceeds it is flagged unstable in results.csv and REPORT.md,
@@ -22,180 +27,161 @@ import (
 // laboratory standards but realistic for shared CI runners.
 const DefaultCVThreshold = 0.15
 
-// Cell is one measurement of the flattened suite matrix.
+// Cell is one measurement of the suite matrix.
 type Cell struct {
-	Experiment string  `json:"experiment"`
-	Row        string  `json:"row,omitempty"` // "" for experiment-level scalars
-	Metric     string  `json:"metric"`
-	Unit       string  `json:"unit"` // "ns", "ops/s", "bytes/s"
-	Value      float64 `json:"value"`
+	Experiment string `json:"experiment"`
+	Row        string `json:"row,omitempty"` // "" for experiment-level scalars
+	Metric     string `json:"metric"`
+	// Unit is "ns", "ops/s" or "bytes/s" for measurements, "ratio" for
+	// dimensionless ones, "count" or "bytes" for workload sizes.
+	Unit  string  `json:"unit"`
+	Value float64 `json:"value"`
 	// N is the measurement-run count (warmup excluded); 0 when the
-	// metric is a derived scalar without repeated runs.
+	// metric is a scalar without repeated runs.
 	N  int     `json:"n,omitempty"`
 	CV float64 `json:"cv"`
 	// Tail percentiles in ns; zero when the metric doesn't record them.
 	P50 float64 `json:"p50,omitempty"`
 	P95 float64 `json:"p95,omitempty"`
 	P99 float64 `json:"p99,omitempty"`
-	// Stable is CV <= the flattening threshold.
-	Stable bool `json:"stable"`
-	// Gate is the regression gate's rule for the cell; nil for the
-	// cells the gate does not compare.
-	Gate *Gate `json:"-"`
 }
 
-// Gate is how CompareReports judges a cell, declared by Flatten on the
-// one metric per experiment it compares. The bad direction comes from
-// the cell's unit: a rate (ops/s, bytes/s) is worse lower, a time worse
-// higher.
-type Gate struct {
-	// Floor is the least relative tolerance the cell is judged at,
-	// whatever the gate's own (microFloor lets it move up to 2.5x).
-	Floor float64
-	// Size stamps the workload the run measured; "" when the metric is
-	// already per operation. Where the two runs' stamps differ, the
-	// cells are compared on Normalized instead of Value, or not at all
-	// when Incomparable is set, and Mismatch, formatted with the
-	// baseline's and the current stamp, is the note or skip that says so.
-	Size, Mismatch string
-	Incomparable   bool
-	Normalized     float64
+// Stable reports whether the cell's CV is within DefaultCVThreshold.
+func (c Cell) Stable() bool { return c.CV <= DefaultCVThreshold }
+
+// CellsOf returns the cells of one experiment, in order.
+func CellsOf(cells []Cell, experiment string) []Cell {
+	var out []Cell
+	for _, c := range cells {
+		if c.Experiment == experiment {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
-// microFloor is the tolerance floor of the ns-scale micro cells
-// (pktfilter-batch, swap-under-load): between-invocation drift on a
-// shared runner (frequency scaling, CPU migration) reaches ~2x even
-// when each run's own CV is tight, so Cohen's d cannot excuse it as
-// noise. They exist to catch protocol-level regressions — losing the
-// batched fast path, or the slot path growing a lock or an allocation,
-// is a 5-10x move — not scheduler weather.
-const microFloor = 1.5
-
-// Flatten turns a report into the uniform cell matrix. cvThreshold <= 0
-// means DefaultCVThreshold.
-func Flatten(r *Report, cvThreshold float64) []Cell {
-	if cvThreshold <= 0 {
-		cvThreshold = DefaultCVThreshold
-	}
-	var cells []Cell
-	add := func(c Cell) {
-		c.Stable = c.CV <= cvThreshold
-		cells = append(cells, c)
-	}
-	durCell := func(exp, row, metric string, v time.Duration, cv float64, n int, p50, p95, p99 time.Duration, g *Gate) {
-		add(Cell{
-			Experiment: exp, Row: row, Metric: metric, Unit: "ns",
-			Value: float64(v), CV: cv, N: n,
-			P50: float64(p50), P95: float64(p95), P99: float64(p99),
-			Gate: g,
-		})
-	}
-	// sized gates a table whose raw times grow with its workload size: a
-	// run at another size is compared on the normalized column.
-	sized := func(size int, mismatch string, normalized float64) *Gate {
-		return &Gate{Size: strconv.Itoa(size), Mismatch: mismatch + ": comparing normalized, not raw", Normalized: normalized}
-	}
-	// Per-packet and per-op times are intensive, so they compare across
-	// trace and workload sizes.
-	perOp, micro := &Gate{}, &Gate{Floor: microFloor}
-	if s := r.Signal; s != nil {
-		durCell("table1", "", "crossing_ns", s.Crossing, 0, 0, 0, 0, 0, nil)
-		if s.PerSignal > 0 {
-			durCell("table1", "", "per_signal_ns", s.PerSignal, 0, 0, 0, 0, 0, nil)
-		}
-	}
-	if e := r.Evict; e != nil {
-		for _, row := range e.Rows {
-			durCell("table2", row.Tech, "per_eviction_ns", row.Per, row.RelStd, row.N, row.P50, row.P95, row.P99,
-				sized(e.HotListLen, "hot-list length differs (baseline %s, current %s)", row.Normalized))
-		}
-	}
-	if f := r.Fault; f != nil {
-		durCell("table3", "", "measured_fault_ns", f.Measured, 0, 0, 0, 0, 0, nil)
-		durCell("table3", "", "simulated_fault_ns", f.Simulated, 0, 0, 0, 0, 0, nil)
-	}
-	if d := r.Disk; d != nil {
-		if d.MeasuredBW > 0 {
-			add(Cell{Experiment: "table4", Metric: "measured_bw", Unit: "bytes/s", Value: float64(d.MeasuredBW)})
-		}
-		add(Cell{Experiment: "table4", Metric: "model_bw", Unit: "bytes/s", Value: float64(d.ModelBW)})
-	}
-	if m := r.MD5; m != nil {
-		for _, row := range m.Rows {
-			durCell("table5", row.Tech, "total_ns", row.Total, row.RelStd, row.N, row.P50, row.P95, row.P99,
-				sized(m.Bytes, "input sizes differ (baseline %s, current %s bytes)", row.Normalized))
-		}
-	}
-	if l := r.LD; l != nil {
-		for _, row := range l.Rows {
-			durCell("table6", row.Tech, "total_ns", row.Total, row.RelStd, row.N, row.P50, row.P95, row.P99,
-				sized(l.Writes, "write counts differ (baseline %s, current %s)", row.Normalized))
-		}
-	}
-	if p := r.PacketFilter; p != nil {
-		for _, row := range p.Rows {
-			durCell("pktfilter", row.Tech, "per_packet_ns", row.PerPacket, row.RelStd, row.N, row.P50, row.P95, row.P99, perOp)
-			add(Cell{
-				Experiment: "pktfilter", Row: row.Tech, Metric: "pkts_per_sec",
-				Unit: "ops/s", Value: row.PacketsPerSec, CV: row.RelStd, N: row.N,
-			})
-		}
-	}
-	if p := r.PFBatch; p != nil {
-		for _, row := range p.Rows {
-			for _, cl := range row.Cells {
-				name := fmt.Sprintf("%s/%s b=%d", row.Tech, row.Boundary, cl.Batch)
-				durCell("pktfilter-batch", name, "per_packet_ns", cl.PerPacket, cl.RelStd, cl.N, cl.P50, cl.P95, cl.P99, micro)
-				add(Cell{
-					Experiment: "pktfilter-batch", Row: name, Metric: "pkts_per_sec",
-					Unit: "ops/s", Value: cl.PacketsPerSec, CV: cl.RelStd, N: cl.N,
-				})
-			}
-		}
-	}
-	if s := r.Swap; s != nil {
-		for _, row := range s.Rows {
-			for _, cl := range row.Cells {
-				name := fmt.Sprintf("%s/%s", row.Tech, cl.Mode)
-				durCell("swap-under-load", name, "per_op_ns", cl.PerOp, cl.RelStd, cl.N, cl.P50, cl.P95, cl.P99, micro)
-			}
-		}
-	}
-	if s := r.Scale; s != nil {
-		// The closed-loop throughputs are a model of the service time:
-		// runs with different service times are not comparable.
-		g := &Gate{
-			Size:         s.ServiceTime.String(),
-			Mismatch:     "service_time mismatch (baseline %s, current %s): closed-loop throughputs are not comparable",
-			Incomparable: true,
-		}
-		for _, row := range s.Rows {
-			for _, cl := range row.Cells {
-				// Throughput cells carry no variance; the gate falls back
-				// to pure ratio (zero-variance d is ±Inf, so the effect
-				// test always passes for them).
-				add(Cell{
-					Experiment: "scale",
-					Row:        fmt.Sprintf("%s/%s w=%d", row.Workload, row.Tech, cl.Workers),
-					Metric:     "ops_per_sec", Unit: "ops/s", Value: cl.Throughput,
-					P50: float64(cl.P50), P95: float64(cl.P95), P99: float64(cl.P99),
-					Gate: g,
-				})
-			}
-		}
-	}
-	return cells
+// cellList builds one experiment's cells in order.
+type cellList struct {
+	exp   string
+	cells []Cell
 }
 
-// CSV renders the cell matrix as results.csv: a stable header then one
-// line per cell, durations in nanoseconds (DurationsNote).
+// add appends a cell without a spread: a scalar when row is "".
+func (l *cellList) add(row, metric, unit string, v float64) {
+	l.cells = append(l.cells, Cell{Experiment: l.exp, Row: row, Metric: metric, Unit: unit, Value: v})
+}
+
+// sample appends row's timed cell: v in ns (the sample's mean, or that
+// mean scaled to the full workload) with the sample's run count, CV and
+// tail percentiles.
+func (l *cellList) sample(row, metric string, v time.Duration, s stats.Sample) {
+	l.cells = append(l.cells, Cell{
+		Experiment: l.exp, Row: row, Metric: metric, Unit: "ns", Value: float64(v),
+		N: s.N, CV: s.RelStd, P50: float64(s.P50), P95: float64(s.P95), P99: float64(s.P99),
+	})
+}
+
+// derived appends a cell of row computed from the sample s, carrying
+// s's run count and CV: the spread the gate judges it by.
+func (l *cellList) derived(row, metric, unit string, v float64, s stats.Sample) {
+	l.cells = append(l.cells, Cell{Experiment: l.exp, Row: row, Metric: metric, Unit: unit, Value: v, N: s.N, CV: s.RelStd})
+}
+
+// cellIndex looks one experiment's cells up by row and metric.
+type cellIndex map[[2]string]Cell
+
+func indexCells(cells []Cell) cellIndex {
+	x := make(cellIndex, len(cells))
+	for _, c := range cells {
+		x[[2]string{c.Row, c.Metric}] = c
+	}
+	return x
+}
+
+func (x cellIndex) cell(row, metric string) (Cell, bool) {
+	c, ok := x[[2]string{row, metric}]
+	return c, ok
+}
+
+// v is the value of row's metric cell, 0 when there is none.
+func (x cellIndex) v(row, metric string) float64 { return x[[2]string{row, metric}].Value }
+
+// dur is v as a duration, for "ns" cells.
+func (x cellIndex) dur(row, metric string) time.Duration { return time.Duration(x.v(row, metric)) }
+
+// rowsWith returns, in order, the rows that hold a metric cell.
+func rowsWith(cells []Cell, metric string) []string {
+	var rows []string
+	for _, c := range cells {
+		if c.Metric == metric && c.Row != "" {
+			rows = append(rows, c.Row)
+		}
+	}
+	return rows
+}
+
+// pivot splits the rows holding metric, each named line+sep+column at
+// its last sep, into the table lines and columns of a matrix table, both
+// in first-seen order.
+func pivot(cells []Cell, metric, sep string) (lines, cols []string) {
+	for _, row := range rowsWith(cells, metric) {
+		i := strings.LastIndex(row, sep)
+		if i < 0 {
+			continue
+		}
+		if line := row[:i]; !slices.Contains(lines, line) {
+			lines = append(lines, line)
+		}
+		if col := row[i+len(sep):]; !slices.Contains(cols, col) {
+			cols = append(cols, col)
+		}
+	}
+	return lines, cols
+}
+
+// withSpread renders a timed cell the way the paper prints it:
+// "mean(cv%)".
+func withSpread(c Cell) string {
+	return fmt.Sprintf("%s(%.1f%%)", stats.FormatDuration(time.Duration(c.Value)), c.CV*100)
+}
+
+// standsIn is the "stands in for" column of a technology row: the
+// paper's name for the registry technology, or upcall for the
+// user-level-server row.
+func standsIn(row, upcall string) string {
+	if row == upcallRow {
+		return upcall
+	}
+	return tech.PaperName(tech.ID(row))
+}
+
+// upcallRow names the row of a graft behind a user-level server.
+const upcallRow = "upcall-server"
+
+// CSV renders cells as results.csv: a stable header then one line per
+// cell, durations in nanoseconds (DurationsNote). Fields are quoted
+// where they need it (an ablation label holds commas); a line without
+// such a field is the plain comma-joined values.
 func CSV(cells []Cell) string {
 	var b strings.Builder
-	b.WriteString("experiment,row,metric,unit,value,n,cv,p50_ns,p95_ns,p99_ns,stable\n")
+	w := csv.NewWriter(&b)
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	w.Write([]string{"experiment", "row", "metric", "unit", "value", "n", "cv", "p50_ns", "p95_ns", "p99_ns", "stable"})
 	for _, c := range cells {
-		fmt.Fprintf(&b, "%s,%s,%s,%s,%g,%d,%.6g,%g,%g,%g,%t\n",
-			c.Experiment, c.Row, c.Metric, c.Unit, c.Value, c.N, c.CV,
-			c.P50, c.P95, c.P99, c.Stable)
+		w.Write([]string{
+			c.Experiment, c.Row, c.Metric, c.Unit, g(c.Value), strconv.Itoa(c.N),
+			strconv.FormatFloat(c.CV, 'g', 6, 64), g(c.P50), g(c.P95), g(c.P99),
+			strconv.FormatBool(c.Stable()),
+		})
 	}
+	w.Flush()
 	return b.String()
+}
+
+// perSecond is the rate of an operation taking d, 0 when d is.
+func perSecond(d time.Duration) float64 {
+	if d <= 0 {
+		return 0
+	}
+	return float64(time.Second) / float64(d)
 }

@@ -1,72 +1,68 @@
 package bench
 
 import (
+	"encoding/csv"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
-// flatReport builds a report covering row-based, scalar, and concurrent
-// experiments for exporter tests.
+// flatReport builds a report of scalar, row and concurrent-experiment
+// cells for exporter tests.
 func flatReport() *Report {
 	return &Report{
 		GeneratedNote: "quick-scale",
 		Host:          &HostInfo{GOOS: "linux", GOARCH: "amd64", NumCPU: 4, GoVersion: "go1.22"},
 		Config:        func() *Config { c := Quick(); return &c }(),
-		Signal:        &SignalResult{Crossing: 2 * time.Microsecond},
-		MD5: &MD5Result{Bytes: 1 << 20, Rows: []MD5Row{
-			{Tech: "compiled-unsafe", Total: 100 * time.Millisecond, RelStd: 0.02, N: 5,
-				P50: 99 * time.Millisecond, P95: 104 * time.Millisecond, P99: 105 * time.Millisecond},
-			{Tech: "script", Total: 40 * time.Second, RelStd: 0.40, N: 3},
-		}},
-		Scale: &ScaleResult{ServiceTime: 200 * time.Microsecond, Rows: []ScaleRow{{
-			Workload: "md5", Tech: "compiled-unsafe",
-			Cells: []ScaleCell{{Workers: 4, Throughput: 3500}},
-		}}},
+		Cells: []Cell{
+			{Experiment: "table1", Metric: "crossing_ns", Unit: "ns", Value: float64(2 * time.Microsecond)},
+			{Experiment: "table5", Metric: "bytes", Unit: "bytes", Value: 1 << 20},
+			{Experiment: "table5", Row: "compiled-unsafe", Metric: "total_ns", Unit: "ns",
+				Value: float64(100 * time.Millisecond), CV: 0.02, N: 5,
+				P50: float64(99 * time.Millisecond), P95: float64(104 * time.Millisecond), P99: float64(105 * time.Millisecond)},
+			{Experiment: "table5", Row: "script", Metric: "total_ns", Unit: "ns", Value: float64(40 * time.Second), CV: 0.40, N: 3},
+			{Experiment: "scale", Row: "md5/compiled-unsafe w=4", Metric: "ops_per_sec", Unit: "ops/s", Value: 3500},
+		},
 	}
 }
 
-func TestFlattenCells(t *testing.T) {
-	cells := Flatten(flatReport(), 0)
-	byKey := map[string]Cell{}
-	for _, c := range cells {
-		byKey[c.Experiment+"/"+c.Row+"/"+c.Metric] = c
+func TestCellsOf(t *testing.T) {
+	r := flatReport()
+	t5 := CellsOf(r.Cells, "table5")
+	if len(t5) != 3 || t5[0].Metric != "bytes" || t5[2].Row != "script" {
+		t.Fatalf("table5 cells out of order or incomplete: %+v", t5)
 	}
-	quiet, ok := byKey["table5/compiled-unsafe/total_ns"]
-	if !ok {
-		t.Fatalf("missing table5 cell: %+v", cells)
+	x := indexCells(t5)
+	quiet, _ := x.cell("compiled-unsafe", "total_ns")
+	if !quiet.Stable() {
+		t.Errorf("CV 2%% cell flagged unstable: %+v", quiet)
 	}
-	if !quiet.Stable || quiet.N != 5 || quiet.Unit != "ns" || quiet.Value != 1e8 {
-		t.Errorf("quiet cell wrong: %+v", quiet)
-	}
-	if quiet.P95 != float64(104*time.Millisecond) {
-		t.Errorf("percentiles lost: %+v", quiet)
-	}
-	noisy := byKey["table5/script/total_ns"]
-	if noisy.Stable {
+	if noisy, _ := x.cell("script", "total_ns"); noisy.Stable() {
 		t.Errorf("CV 40%% cell flagged stable: %+v", noisy)
 	}
-	if c := byKey["table1//crossing_ns"]; c.Value != float64(2*time.Microsecond) {
-		t.Errorf("scalar cell wrong: %+v", c)
-	}
-	sc := byKey["scale/md5/compiled-unsafe w=4/ops_per_sec"]
-	if sc.Unit != "ops/s" || sc.Value != 3500 {
-		t.Errorf("scale cell wrong: %+v", sc)
+	if got := CellsOf(r.Cells, "table2"); len(got) != 0 {
+		t.Errorf("cells of an experiment the report lacks: %+v", got)
 	}
 }
 
 func TestCSVShape(t *testing.T) {
-	out := CSV(Flatten(flatReport(), 0))
+	r := flatReport()
+	out := CSV(r.Cells)
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if lines[0] != "experiment,row,metric,unit,value,n,cv,p50_ns,p95_ns,p99_ns,stable" {
 		t.Fatalf("csv header: %q", lines[0])
 	}
-	if want := 1 + 4; len(lines) != want { // header + crossing + 2 md5 rows + 1 scale cell
+	if want := 1 + len(r.Cells); len(lines) != want {
 		t.Fatalf("csv has %d lines, want %d:\n%s", len(lines), want, out)
 	}
-	for _, l := range lines[1:] {
-		if got := strings.Count(l, ","); got != 10 {
-			t.Errorf("csv line has %d commas, want 10: %q", got, l)
+	// A line that needs no quoting is the plain comma join of its
+	// fields, in the formats results.csv has always used.
+	for i, c := range r.Cells {
+		want := fmt.Sprintf("%s,%s,%s,%s,%g,%d,%.6g,%g,%g,%g,%t",
+			c.Experiment, c.Row, c.Metric, c.Unit, c.Value, c.N, c.CV, c.P50, c.P95, c.P99, c.Stable())
+		if lines[i+1] != want {
+			t.Errorf("line %d = %q, want %q", i+1, lines[i+1], want)
 		}
 	}
 	if !strings.Contains(out, "table5,script,total_ns,ns,") {
@@ -74,6 +70,19 @@ func TestCSVShape(t *testing.T) {
 	}
 	if !strings.Contains(out, ",false\n") {
 		t.Error("csv lacks an unstable flag for the noisy cell")
+	}
+
+	// Ablation labels hold commas (and a label may hold a quote): each
+	// still reads back as one field.
+	label := `MD5 256KB, SFI "write/jump"`
+	back, err := csv.NewReader(strings.NewReader(CSV([]Cell{
+		{Experiment: "ablation", Row: label, Metric: "best_ns", Unit: "ns", Value: 1},
+	}))).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 2 || len(back[1]) != 11 || back[1][1] != label {
+		t.Fatalf("quoted label did not read back as one field: %q", back)
 	}
 }
 
@@ -101,8 +110,8 @@ func TestGenerateReportMD(t *testing.T) {
 func TestGenerateReportMDWithComparison(t *testing.T) {
 	r := flatReport()
 	base := flatReport()
-	base.MD5.Rows[0].Total = 50 * time.Millisecond // current is 2x slower, CV 2% -> regression
-	base.MD5.Rows = base.MD5.Rows[:1]              // script row absent from baseline -> skip
+	base.Cells[2].Value = float64(50 * time.Millisecond) // current is 2x slower, CV 2% -> regression
+	base.Cells = base.Cells[:3]                          // script row absent from baseline -> skip
 	cmp := CompareReports(base, r, CompareOptions{Tolerance: 0.30})
 	md := GenerateReportMD(r, cmp, ReportOptions{
 		BaselinePath: "BENCH_baseline.json", Tolerance: 0.30,

@@ -169,3 +169,16 @@ func (ig *instrumented) Invoke(entry string, args ...uint32) (uint32, error) {
 
 // Memory implements Graft.
 func (ig *instrumented) Memory() *mem.Memory { return ig.inner.Memory() }
+
+// Flush adds what g's telemetry wrapper has batched since its last
+// flush, invocations and fuel, to the shared metrics, so a graft called
+// fewer times than one sampling interval still shows in
+// telemetry.SnapshotAll. A no-op for an uninstrumented graft. Call it
+// when the caller is done with g; no hot path does.
+func Flush(g Graft) {
+	if ig, ok := g.(*instrumented); ok {
+		ig.flush()
+		ig.met.AddFuel(ig.fuelAcc)
+		ig.fuelAcc = 0
+	}
+}

@@ -90,8 +90,8 @@ func SignalChildMain() {
 	}
 }
 
-// SignalResult is one Table 1 measurement.
-type SignalResult struct {
+// SignalTiming is one Table 1 measurement.
+type SignalTiming struct {
 	Batch     int
 	Iters     int
 	Handled   time.Duration // total, child handling the batch
@@ -101,23 +101,23 @@ type SignalResult struct {
 
 // MeasureSignal runs the Table 1 trial pair. exe is the path of an
 // executable that calls SignalChildMain (use os.Executable()).
-func MeasureSignal(exe string, batch, iters int) (SignalResult, error) {
+func MeasureSignal(exe string, batch, iters int) (SignalTiming, error) {
 	if batch <= 0 || iters <= 0 {
-		return SignalResult{}, fmt.Errorf("upcall: batch and iters must be positive")
+		return SignalTiming{}, fmt.Errorf("upcall: batch and iters must be positive")
 	}
 	handled, err := signalTrial(exe, "handle", batch, iters)
 	if err != nil {
-		return SignalResult{}, fmt.Errorf("upcall: handled trial: %w", err)
+		return SignalTiming{}, fmt.Errorf("upcall: handled trial: %w", err)
 	}
 	ignored, err := signalTrial(exe, "ignore", batch, iters)
 	if err != nil {
-		return SignalResult{}, fmt.Errorf("upcall: ignored trial: %w", err)
+		return SignalTiming{}, fmt.Errorf("upcall: ignored trial: %w", err)
 	}
 	per := (handled - ignored) / time.Duration(batch*iters)
 	if per < 0 {
 		per = 0 // noise can invert the subtraction on fast machines
 	}
-	return SignalResult{
+	return SignalTiming{
 		Batch: batch, Iters: iters,
 		Handled: handled, Ignored: ignored, PerSignal: per,
 	}, nil
